@@ -46,10 +46,20 @@ class TransitionBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def push_batch(self, s, a, r, s2, done) -> int:
+        """Append n rows column by column, as n push() calls would (with
+        behavior density 0); when n > capacity only the last capacity rows
+        survive. Returns n."""
         n = len(r)
-        for i in range(n):
-            self.push(Transition(s[i], a[i], float(r[i]), s2[i], bool(done[i]),
-                                 self.source))
+        keep = min(n, self.capacity)
+        idx = (self.cursor + (n - keep) + np.arange(keep)) % self.capacity
+        self.s[idx] = s[n - keep:]
+        self.a[idx] = a[n - keep:]
+        self.r[idx] = r[n - keep:]
+        self.s2[idx] = s2[n - keep:]
+        self.done[idx] = done[n - keep:]
+        self.behavior_density[idx] = 0.0
+        self.cursor = (self.cursor + n) % self.capacity
+        self.size = min(self.size + n, self.capacity)
         return n
 
     def sample_indices(self, n: int, rng: SeededRng) -> np.ndarray:
@@ -73,7 +83,3 @@ class TransitionBuffer:
         out = self.gather(idx)
         out["behavior_density"] = self.behavior_density[idx]
         return out
-
-    def clear(self) -> None:
-        self.cursor = 0
-        self.size = 0

@@ -120,7 +120,6 @@ class PpoConfig:
     updates_per_round: int = 30
     entropy_coef: float = 0.01
     entropy_decay: float = 0.95     # per PPO round
-    normalize_advantages: bool = True
 
     def validate(self):
         if not 0.0 < self.clip_eps < 1.0:
@@ -192,10 +191,10 @@ def ppo_update(policy: ControllerPolicy, batch: dict, config: PpoConfig,
                rng: SeededRng, adam: AdamState | None = None,
                entropy_coef: float | None = None) -> dict:
     """updates_per_round minibatch steps over a collected batch; advantages
-    are standardized across the batch first (config-disableable)."""
+    are standardized across the batch first (left as they are when all equal)."""
     config.validate()
     adv = np.asarray(batch["advantages"], dtype=np.float64)
-    if config.normalize_advantages and adv.std() > 0:
+    if adv.std() > 0:
         adv = (adv - adv.mean()) / adv.std()
     states = np.atleast_2d(batch["states"])
     n = states.shape[0]

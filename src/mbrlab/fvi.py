@@ -327,7 +327,6 @@ class FviConfig:
     p: float = 2.0
     grid_size: int = 48
     n_eval: int = 512      # evaluation rollouts from rho
-    eval_horizon: int | None = None
     seed: int = 0
 
     def validate(self):
@@ -364,7 +363,7 @@ def run_fvi(mdp: FviMdp, config: FviConfig, oracle: ExactOracle | None = None) -
         targets = beta_mixture_backup(v, states, mdp, model, config.beta, corrupt_stream)
         v = fit_value(states, targets, v, p=config.p)
     eval_states = eval_stream.uniform(size=(config.n_eval, mdp.dim))
-    horizon = config.eval_horizon or _truncation_horizon(mdp)
+    horizon = _truncation_horizon(mdp)
     v_star = policy_return(mdp, oracle.value_fn, eval_states, horizon)
     v_pik = policy_return(mdp, v, eval_states, horizon)
     disc = float(np.mean(np.abs(v_star - v_pik) ** config.p) ** (1.0 / config.p))

@@ -23,7 +23,7 @@ import numpy as np
 from . import controller as ctrl
 from . import fvi, mbpo
 from .config import RunConfig
-from .controller import BaselineCurve, ControllerPolicy
+from .controller import BaselineCurve
 from .envs import make_env
 from .hyper_mdp import HyperMdpConfig, HyperParams, run_hyper_episode
 from .rng import SeededRng
@@ -268,14 +268,6 @@ def cmd_train_controller(config: RunConfig, baseline_path=None,
     return info
 
 
-def controlled_run(policy: ControllerPolicy, config: RunConfig,
-                   hc: HyperMdpConfig, seed: int, n_episodes: int,
-                   greedy: bool = True):
-    traj, log = run_hyper_episode(policy, config.env_name, config.mbpo, hc, seed,
-                                  n_episodes=n_episodes, greedy=greedy)
-    return traj, log
-
-
 def cmd_eval_controller(config: RunConfig, controller_path,
                         head_mask_override=None, n_episodes: int | None = None,
                         mode_tag: str = "eval-controller") -> dict:
@@ -292,7 +284,8 @@ def cmd_eval_controller(config: RunConfig, controller_path,
     m_eval = n_episodes or hc.m_eval
     rows, schedule_rows, curve_rows = [], [], []
     for seed in config.harness.seeds:
-        traj, log_c = controlled_run(policy, config, hc, seed, m_eval)
+        traj, log_c = run_hyper_episode(policy, config.env_name, config.mbpo, hc, seed,
+                                        n_episodes=m_eval, greedy=True)
         log_d = mbpo.run_default_mbpo(config.env_name, config.mbpo, hc, m_eval, seed)
         final_c = log_c.eval_rows[-1]["eval_return"] if log_c.eval_rows else float("nan")
         final_d = log_d.eval_rows[-1]["eval_return"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .envs import make_env
+from .envs import EnvDiverged, make_env
 from .rng import SeededRng
 
 FEATURE_NAMES = (
@@ -202,7 +202,8 @@ def run_hyper_episode(controller_policy, env_name: str, mbpo_config,
 
     The controller owns its own random stream, so an all-masked (neutral)
     controller reproduces run_default_mbpo bit-exactly under the same seed.
-    A crashed inner run yields a truncated trajectory flagged invalid.
+    A numerically crashed inner run (FloatingPointError, EnvDiverged) yields
+    a truncated trajectory flagged invalid; any other exception propagates.
     """
     from . import mbpo  # deferred: mbpo imports this module's types
     from .controller import controller_act
@@ -225,7 +226,7 @@ def run_hyper_episode(controller_policy, env_name: str, mbpo_config,
         for _ in range(m):
             records = mbpo.run_target_episode(run, source, hyper_config)
             rewards.extend(r["reward"] for r in records)
-    except Exception:  # noqa: BLE001 - crashed instance flagged, not fatal
+    except (FloatingPointError, EnvDiverged):  # numeric crash: flagged, not fatal
         valid = False
     t = min(len(rewards), len(states))
     traj = HyperTrajectory(

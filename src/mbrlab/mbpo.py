@@ -40,9 +40,6 @@ class MbpoConfig:
     lr: float = 3e-4
     alpha: float = 0.2
     polyak: float = 0.995
-    gamma: float | None = None      # None: use the env spec's gamma
-    known_reward: bool = False
-    purge_model_buffer_on_train: bool = False
     model_buffer_retain: int = 4
     model: ModelTrainConfig = field(default_factory=ModelTrainConfig)
 
@@ -110,14 +107,13 @@ def init_run(env_name: str, config: MbpoConfig, hyper_config: HyperMdpConfig,
     cap = (config.rollout_branches * hyper_config.k_max * hyper_config.tau
            * config.model_buffer_retain)
     d_model = TransitionBuffer(cap, sd, ad, "imaginary")
-    gamma = config.gamma if config.gamma is not None else env.spec.gamma
     return MbpoRunState(
         config=config, hyper_config=hyper_config, env=env, agent=agent,
         model=model, d_env=d_env, d_model=d_model,
         rng_env=r_env, rng_explore=r_explore, rng_act=r_act, rng_model=r_model,
         rng_rollout=r_roll, rng_update=r_upd, rng_eval=r_eval,
         cur_state=env.reset(r_env), log=MbpoLog(run_id=f"{env_name}-seed{seed}"),
-        seed=seed, gamma=gamma,
+        seed=seed, gamma=env.spec.gamma,
     )
 
 
@@ -160,8 +156,6 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
         try:
             world_model.train_ensemble(run.model, run.d_env, cfg.model, run.rng_model)
             model_trained = True
-            if cfg.purge_model_buffer_on_train:
-                run.d_model.clear()
         except world_model.NotEnoughData as exc:
             run.log.events.append({"step": run.n_real, "event": "model_train_skipped",
                                    "reason": str(exc)})
@@ -172,8 +166,7 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
         act_fn = lambda s, rng: run.agent.actor.sample(s, rng)[0]
         rollouts_added = world_model.generate_rollouts(
             run.model, act_fn, run.d_env, k=hyper.k, branches=cfg.rollout_branches,
-            rng=run.rng_rollout, buffer=run.d_model, env=env,
-            known_reward=cfg.known_reward)
+            rng=run.rng_rollout, buffer=run.d_model, env=env)
 
     # G gradient updates on the beta-mixed batch; beta forced to 1 until
     # imaginary data exists
@@ -188,7 +181,7 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
             batch = sac.sample_mixed_batch(run.d_env, run.d_model, spec, run.rng_update)
             try:
                 c_loss, a_loss = sac.sac_update(run.agent, batch, run.gamma, run.rng_update)
-            except (FloatingPointError, ValueError) as exc:
+            except FloatingPointError as exc:
                 run.log.events.append({"step": run.n_real, "event": "sac_step_rejected",
                                        "reason": str(exc)})
                 logger.warning("SAC step rejected at step %d: %s", run.n_real, exc)

@@ -1,9 +1,10 @@
 """Minimal dense-network substrate.
 
 Plain-numpy MLPs with explicit layer-by-layer reverse-mode gradients, a
-bias-corrected Adam, and the tanh-squashed Gaussian head used by every
-stochastic policy in the repo. All math is float64; architectures are fixed
-small MLPs, so there is no tape or graph machinery.
+bias-corrected Adam, and the softplus/tanh helpers shared by the squashed
+Gaussian policy and the model's soft log-variance bounds. All math is
+float64; architectures are fixed small MLPs, so there is no tape or graph
+machinery.
 """
 
 from __future__ import annotations
@@ -247,10 +248,8 @@ def adam_step(state: AdamState, params: list, grads: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Tanh-squashed Gaussian head
+# Squashing helpers
 # ---------------------------------------------------------------------------
-
-_LOG_2PI = np.log(2.0 * np.pi)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -260,40 +259,3 @@ def softplus(x: np.ndarray) -> np.ndarray:
 def tanh_log_jacobian(u: np.ndarray) -> np.ndarray:
     # log(1 - tanh(u)^2), written to stay finite for large |u|
     return 2.0 * (np.log(2.0) - u - softplus(-2.0 * u))
-
-
-def gaussian_head(mean: np.ndarray, log_std: np.ndarray, rng: SeededRng,
-                  mode: str = "sample") -> tuple:
-    """Sample (or take the mode of) a tanh-squashed diagonal Gaussian.
-
-    Returns (raw, squashed, log_density) where log_density is the density of
-    the squashed value, i.e. includes the tanh change-of-variables term.
-    Summation is over the last axis.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    log_std = np.asarray(log_std, dtype=np.float64)
-    if mean.shape != log_std.shape:
-        raise ContractViolation("mean/log_std shape mismatch")
-    std = np.exp(log_std)
-    if mode == "sample":
-        raw = mean + std * rng.normal(size=mean.shape)
-    elif mode == "deterministic":
-        raw = mean.copy()
-    else:
-        raise ContractViolation(f"unknown mode {mode!r}")
-    squashed = np.tanh(raw)
-    z = (raw - mean) / std
-    normal_lp = -0.5 * _LOG_2PI - log_std - 0.5 * z * z
-    log_density = (normal_lp - tanh_log_jacobian(raw)).sum(axis=-1)
-    return raw, squashed, log_density
-
-
-def squashed_log_density(mean: np.ndarray, log_std: np.ndarray, squashed: np.ndarray,
-                         clip: float = 1.0 - 1e-12) -> np.ndarray:
-    """Log-density of a given squashed value under tanh(N(mean, std))."""
-    a = np.clip(np.asarray(squashed, dtype=np.float64), -clip, clip)
-    u = np.arctanh(a)
-    std = np.exp(log_std)
-    z = (u - mean) / std
-    normal_lp = -0.5 * _LOG_2PI - log_std - 0.5 * z * z
-    return (normal_lp - tanh_log_jacobian(u)).sum(axis=-1)

@@ -1,9 +1,9 @@
 """Soft Actor-Critic on mixed real/imaginary minibatches.
 
-Twin critics with min-backup, polyak-averaged target critics, and a
-tanh-squashed Gaussian actor whose reparameterized gradient is written out
-layer by layer. The real ratio controls how each minibatch is split between
-the environment buffer and the model buffer.
+Twin critics with min-backup, a fixed entropy temperature, polyak-averaged
+target critics, and a tanh-squashed Gaussian actor whose reparameterized
+gradient is written out layer by layer. The real ratio controls how each
+minibatch is split between the environment buffer and the model buffer.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ class GaussianPolicy:
         log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
         return mean, log_std, raw_ls, cache
 
+    def _log_density(self, u: np.ndarray, z: np.ndarray, log_std: np.ndarray):
+        """Env-space log density of a = center + scale*tanh(u), where
+        z = (u - mean)/std is the standardized pre-squash value."""
+        return (-0.5 * _LOG_2PI - log_std - 0.5 * z * z
+                - nets.tanh_log_jacobian(u) - np.log(self.scale)).sum(axis=1)
+
     def sample(self, s: np.ndarray, rng: SeededRng, deterministic: bool = False):
         """Returns (env action, log density, cache for the actor backward)."""
         mean, log_std, raw_ls, cache = self._heads(s)
@@ -58,8 +64,7 @@ class GaussianPolicy:
         u = mean + std * eps
         unit = np.tanh(u)
         a = self.center + self.scale * unit
-        logp = (-0.5 * _LOG_2PI - log_std - 0.5 * eps * eps
-                - nets.tanh_log_jacobian(u) - np.log(self.scale)).sum(axis=1)
+        logp = self._log_density(u, eps, log_std)
         return a, logp, {"mean": mean, "log_std": log_std, "raw_ls": raw_ls,
                          "eps": eps, "unit": unit, "cache": cache}
 
@@ -69,9 +74,7 @@ class GaussianPolicy:
         unit = np.clip((np.atleast_2d(a) - self.center) / self.scale,
                        -1.0 + 1e-12, 1.0 - 1e-12)
         u = np.arctanh(unit)
-        z = (u - mean) / np.exp(log_std)
-        return (-0.5 * _LOG_2PI - log_std - 0.5 * z * z
-                - nets.tanh_log_jacobian(u) - np.log(self.scale)).sum(axis=1)
+        return self._log_density(u, (u - mean) / np.exp(log_std), log_std)
 
     def backward(self, sample_cache: dict, d_logp: np.ndarray, d_action: np.ndarray):
         """Gradients w.r.t. trunk params of sum(d_logp * logp + d_action . a),
@@ -137,16 +140,11 @@ class SacAgent:
     critic2_adam: AdamState
     alpha: float = 0.2
     polyak: float = 0.995
-    twin_critics: bool = True
-    auto_alpha: bool = False
-    target_entropy: float = 0.0
-    alpha_lr: float = 3e-4
 
 
 def init_agent(rng: SeededRng, state_dim: int, action_dim: int,
                action_low, action_high, hidden: tuple = (64, 64),
-               lr: float = 3e-4, alpha: float = 0.2, polyak: float = 0.995,
-               twin_critics: bool = True, auto_alpha: bool = False) -> SacAgent:
+               lr: float = 3e-4, alpha: float = 0.2, polyak: float = 0.995) -> SacAgent:
     r_actor, r_c1, r_c2 = rng.split(3)
     actor_net = nets.init_dense(r_actor, [state_dim, *hidden, 2 * action_dim])
     critic1 = nets.init_dense(r_c1, [state_dim + action_dim, *hidden, 1])
@@ -159,8 +157,7 @@ def init_agent(rng: SeededRng, state_dim: int, action_dim: int,
         actor_adam=AdamState.for_params(actor_net.params(), lr),
         critic1_adam=AdamState.for_params(critic1.params(), lr),
         critic2_adam=AdamState.for_params(critic2.params(), lr),
-        alpha=alpha, polyak=polyak, twin_critics=twin_critics,
-        auto_alpha=auto_alpha, target_entropy=-float(action_dim),
+        alpha=alpha, polyak=polyak,
     )
 
 
@@ -179,11 +176,8 @@ def critic_targets(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
     """Bellman targets with a fresh actor sample at s'; no bootstrap on done."""
     a2, logp2, _ = agent.actor.sample(batch["s2"], rng)
     q1t, _ = _q_values(agent.target1, batch["s2"], a2)
-    if agent.twin_critics:
-        q2t, _ = _q_values(agent.target2, batch["s2"], a2)
-        qt = np.minimum(q1t, q2t)
-    else:
-        qt = q1t
+    q2t, _ = _q_values(agent.target2, batch["s2"], a2)
+    qt = np.minimum(q1t, q2t)
     not_done = 1.0 - batch["done"].astype(np.float64)
     return batch["r"] + gamma * not_done * (qt - agent.alpha * logp2)
 
@@ -194,12 +188,9 @@ def critic_loss_and_grads(agent: SacAgent, batch: dict, gamma: float, rng: Seede
     q1, cache1 = _q_values(agent.critic1, batch["s"], batch["a"])
     loss = 0.5 * float(((q1 - y) ** 2).mean())
     g1, _ = nets.backward_from_cache(agent.critic1, cache1, ((q1 - y) / b)[:, None])
-    if agent.twin_critics:
-        q2, cache2 = _q_values(agent.critic2, batch["s"], batch["a"])
-        loss += 0.5 * float(((q2 - y) ** 2).mean())
-        g2, _ = nets.backward_from_cache(agent.critic2, cache2, ((q2 - y) / b)[:, None])
-    else:
-        g2 = None
+    q2, cache2 = _q_values(agent.critic2, batch["s"], batch["a"])
+    loss += 0.5 * float(((q2 - y) ** 2).mean())
+    g2, _ = nets.backward_from_cache(agent.critic2, cache2, ((q2 - y) / b)[:, None])
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite critic loss")
     return loss, g1, g2
@@ -216,22 +207,17 @@ def actor_loss_and_grads(agent: SacAgent, batch: dict, rng: SeededRng):
     b = s.shape[0]
     a, logp, cache = agent.actor.sample(s, rng)
     q1, c1 = _q_values(agent.critic1, s, a)
-    if agent.twin_critics:
-        q2, c2 = _q_values(agent.critic2, s, a)
-        q = np.minimum(q1, q2)
-        take1 = (q1 <= q2)[:, None]
-    else:
-        q, take1 = q1, np.ones((b, 1), dtype=bool)
+    q2, c2 = _q_values(agent.critic2, s, a)
+    q = np.minimum(q1, q2)
+    take1 = (q1 <= q2)[:, None]
     loss = float((agent.alpha * logp - q).mean())
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite actor loss")
     # dq/da through whichever critic realizes the min, critic params frozen
     up = -np.ones((b, 1)) / b
     _, dx1 = nets.backward_from_cache(agent.critic1, c1, up * take1)
-    d_action = dx1[:, s.shape[1]:]
-    if agent.twin_critics:
-        _, dx2 = nets.backward_from_cache(agent.critic2, c2, up * (~take1))
-        d_action = d_action + dx2[:, s.shape[1]:]
+    _, dx2 = nets.backward_from_cache(agent.critic2, c2, up * (~take1))
+    d_action = dx1[:, s.shape[1]:] + dx2[:, s.shape[1]:]
     d_logp = np.full(b, agent.alpha / b)
     grads = agent.actor.backward(cache, d_logp, d_action)
     return loss, grads, logp
@@ -254,15 +240,9 @@ def sac_update(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng) -> tu
     """
     c_loss, g1, g2 = critic_loss_and_grads(agent, batch, gamma, rng)
     agent.critic1.set_params(adam_step(agent.critic1_adam, agent.critic1.params(), g1))
-    if agent.twin_critics:
-        agent.critic2.set_params(adam_step(agent.critic2_adam, agent.critic2.params(), g2))
-    a_loss, a_grads, logp = actor_loss_and_grads(agent, batch, rng)
+    agent.critic2.set_params(adam_step(agent.critic2_adam, agent.critic2.params(), g2))
+    a_loss, a_grads, _ = actor_loss_and_grads(agent, batch, rng)
     agent.actor.net.set_params(adam_step(agent.actor_adam, agent.actor.net.params(), a_grads))
-    if agent.auto_alpha:
-        # dual ascent on log alpha toward the entropy target
-        d_log_alpha = float((-logp - agent.target_entropy).mean())
-        agent.alpha = float(np.exp(np.log(agent.alpha) - agent.alpha_lr * d_log_alpha))
     polyak_update(agent.target1, agent.critic1, agent.polyak)
-    if agent.twin_critics:
-        polyak_update(agent.target2, agent.critic2, agent.polyak)
+    polyak_update(agent.target2, agent.critic2, agent.polyak)
     return c_loss, a_loss

@@ -29,14 +29,3 @@ def welch_t(xs, ys) -> tuple:
     df = se2 ** 2 / ((vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1))
     p = 2.0 * float(stdtr(df, -abs(t)))
     return float(t), min(1.0, p)
-
-
-def bootstrap_ci(values, n_boot: int = 1000, alpha: float = 0.05,
-                 seed: int = 0) -> tuple:
-    """Percentile bootstrap CI of the mean."""
-    values = np.asarray(values, dtype=np.float64)
-    gen = np.random.Generator(np.random.PCG64(seed))
-    means = np.array([values[gen.integers(0, len(values), len(values))].mean()
-                      for _ in range(n_boot)])
-    lo, hi = np.quantile(means, [alpha / 2, 1 - alpha / 2])
-    return float(lo), float(hi)

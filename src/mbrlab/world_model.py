@@ -205,7 +205,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
                 try:
                     _, grads = model_nll_grads(member, xb[sel], yb[sel])
                     member.set_params(adam_step(adam, member.params(), grads))
-                except (FloatingPointError, nets.NonFiniteGradient) as exc:
+                except FloatingPointError as exc:
                     logger.warning("model step rejected: %s", exc)
             hold_loss = model_nll(member, x_hold, y_hold)
             if best_loss - hold_loss > config.improvement_tol:
@@ -234,7 +234,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
 
 
 def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: SeededRng,
-            env: Env, known_reward: bool = False, deterministic: bool = False):
+            env: Env, deterministic: bool = False):
     """One-step prediction: sample an elite uniformly, sample (delta_s, r)
     from its Gaussian, and apply the env's analytic termination to s'.
 
@@ -258,15 +258,13 @@ def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: SeededRng,
     noise = rng.normal(size=(n, d))
     draw = out_mean if deterministic else out_mean + np.exp(0.5 * out_lv) * noise
     s2 = s + draw[:, :-1]
-    r = env.reward(s, a) if known_reward else draw[:, -1]
     done = np.asarray(env.terminal(s2), dtype=bool)
-    return s2, np.asarray(r, dtype=np.float64), done
+    return s2, draw[:, -1], done
 
 
 def generate_rollouts(model: EnsembleModel, act_fn, d_env: TransitionBuffer,
                       k: int, branches: int, rng: SeededRng,
-                      buffer: TransitionBuffer, env: Env,
-                      known_reward: bool = False) -> int:
+                      buffer: TransitionBuffer, env: Env) -> int:
     """Branch `branches` rollouts of length <= k from states sampled uniformly
     out of D_env, following act_fn(states, rng); truncate branches at predicted
     termination. Returns the number of imaginary transitions appended."""
@@ -285,7 +283,7 @@ def generate_rollouts(model: EnsembleModel, act_fn, d_env: TransitionBuffer,
             break
         cur = s[alive]
         a = act_fn(cur, rng)
-        s2, r, done = predict(model, cur, a, rng, env, known_reward=known_reward)
+        s2, r, done = predict(model, cur, a, rng, env)
         added += buffer.push_batch(cur, a, r, s2, done)
         nxt = s.copy()
         nxt[alive] = s2

@@ -52,6 +52,33 @@ def test_buffer_ring_eviction_oldest_first():
     assert np.array_equal(recent["s"][-1], _tr(4).s)
 
 
+def _columns(n, seed, sd=2, ad=1):
+    rng = SeededRng.from_seed(seed)
+    return (rng.normal(size=(n, sd)), rng.normal(size=(n, ad)), rng.normal(size=n),
+            rng.normal(size=(n, sd)), rng.uniform(size=n) < 0.3)
+
+
+@pytest.mark.parametrize("prefill, n", [(0, 3), (3, 4), (2, 12)],
+                         ids=["no-wrap", "crosses-end", "longer-than-capacity"])
+def test_push_batch_matches_row_by_row_push(prefill, n):
+    batched = TransitionBuffer(5, 2, 1, "imaginary")
+    rowwise = TransitionBuffer(5, 2, 1, "imaginary")
+    for buf in (batched, rowwise):
+        for i in range(prefill):
+            buf.push(_tr(100 + i, source="imaginary"), behavior_density=1.5)
+    s, a, r, s2, done = _columns(n, seed=7)
+    assert batched.push_batch(s, a, r, s2, done) == n
+    for i in range(n):
+        rowwise.push(Transition(s[i], a[i], float(r[i]), s2[i], bool(done[i]),
+                                "imaginary"))
+    for col in ("s", "a", "r", "s2", "done", "behavior_density"):
+        assert np.array_equal(getattr(batched, col), getattr(rowwise, col)), col
+    assert (batched.cursor, batched.size) == (rowwise.cursor, rowwise.size)
+    if n > 5:
+        # only the last `capacity` rows survive, oldest first
+        assert np.array_equal(batched.recent(5)["s"], s[-5:])
+
+
 def test_buffer_rejects_wrong_source_tag():
     buf = TransitionBuffer(4, 2, 1, "imaginary")
     with pytest.raises(ValueError, match="imaginary"):

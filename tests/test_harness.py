@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ from mbrlab.config import (ConfigError, FviSweepConfig, HarnessConfig, RunConfig
 from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
 from mbrlab.stats import DegenerateSamples, welch_t
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _tiny_config(tmp_path, **harness_kw):
@@ -61,6 +64,34 @@ def test_config_hash_changes_with_content():
     a = from_dict({"env_name": "pendulum"})
     b = from_dict({"env_name": "pointmass2d"})
     assert a.content_hash() != b.content_hash()
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    assert isinstance(load(path), RunConfig)
+
+
+def test_default_config_is_the_full_template():
+    template = json.loads((ROOT / "configs" / "default.json").read_text())
+    assert template == RunConfig().to_dict()
+
+
+# -------------------------------------------------------------------- tracing
+
+def test_benchmark_tracer_installs_and_restores():
+    # the benchmark wraps module attributes by name; a rename or deletion in
+    # src/ makes install() raise or restore() return False
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        restored = tracer.restore()
+    assert restored
 
 
 # -------------------------------------------------------------------- welch t
@@ -263,7 +294,7 @@ def test_plot_data_row_counts_match_sources(tmp_path):
 
 # ------------------------------------------------------------------------ CLI
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SRC_DIR = ROOT / "src"
 CLI_TIMEOUT_S = 120  # the fvi-sweep smoke run takes ~1 s on 2 cores
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mbrlab import controller, hyper_mdp, mbpo, sac
+from mbrlab.envs import EnvDiverged
 from mbrlab.hyper_mdp import (HyperAction, HyperMdpConfig, HyperParams,
                               NEUTRAL_ACTION, apply_action, extract_state,
                               hyper_reward, policy_change, run_hyper_episode)
@@ -188,6 +189,32 @@ def test_hyper_episode_transition_count():
     traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1)
     assert len(traj) == 1 * 200 // 50 == 4
     assert traj.valid
+
+
+def _crashing_hyper_episode(monkeypatch, exc):
+    def crash(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(mbpo, "run_target_episode", crash)
+    cfg = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
+                          n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
+    hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
+    pol = controller.init_controller(SeededRng.from_seed(0), hc.feature_mask)
+    traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1)
+    return traj
+
+
+@pytest.mark.parametrize("exc", [FloatingPointError("non-finite"),
+                                 EnvDiverged("non-finite state")],
+                         ids=["FloatingPointError", "EnvDiverged"])
+def test_hyper_episode_numeric_crash_is_flagged_invalid(monkeypatch, exc):
+    traj = _crashing_hyper_episode(monkeypatch, exc)
+    assert not traj.valid
+    assert len(traj) == 0
+
+
+def test_hyper_episode_programming_error_propagates(monkeypatch):
+    with pytest.raises(TypeError, match="bad call"):
+        _crashing_hyper_episode(monkeypatch, TypeError("bad call"))
 
 
 def test_neutral_controller_reproduces_default_mbpo_bit_exactly():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbrlab import mbpo
+from mbrlab import mbpo, nets, sac
 from mbrlab.hyper_mdp import HyperMdpConfig, HyperParams
 from mbrlab.rng import SeededRng
 
@@ -139,6 +139,39 @@ def test_sac_modes_via_config():
     mbpo.run_target_episode(run, source, hc)
     assert not run.model.trained
     assert len(run.d_model) == 0
+
+
+def _run_at_first_update(seed):
+    """A run one real step short of its first SAC update."""
+    cfg, hc = _configs(warmup=10)
+    run = mbpo.init_run("pointmass2d", cfg, hc, seed=seed)
+    for _ in range(cfg.updates_start - 1):
+        mbpo.mbpo_step(run, hc.initial_params(), False)
+    return run
+
+
+def test_sac_contract_violation_propagates(monkeypatch):
+    run = _run_at_first_update(seed=14)
+
+    def broken(*args, **kwargs):
+        raise nets.ContractViolation("shape bug")
+
+    monkeypatch.setattr(sac, "sac_update", broken)
+    with pytest.raises(nets.ContractViolation, match="shape bug"):
+        mbpo.mbpo_step(run, HyperParams(beta=1.0, g=1, k=1), False)
+
+
+def test_sac_floating_point_error_is_a_rejected_step(monkeypatch):
+    run = _run_at_first_update(seed=15)
+
+    def diverged(*args, **kwargs):
+        raise FloatingPointError("non-finite critic loss")
+
+    monkeypatch.setattr(sac, "sac_update", diverged)
+    report = mbpo.mbpo_step(run, HyperParams(beta=1.0, g=1, k=1), False)
+    assert report["updates"] == 0
+    assert run.log.events[-1] == {"step": run.n_real, "event": "sac_step_rejected",
+                                  "reason": "non-finite critic loss"}
 
 
 def test_warmup_below_holdout_minimum_rejected():

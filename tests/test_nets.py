@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mbrlab import nets
-from mbrlab.nets import AdamState, DenseNet, adam_step, gaussian_head
+from mbrlab.nets import AdamState, DenseNet, adam_step
 from mbrlab.rng import SeededRng
 
 from util import assert_grads_close, finite_difference
@@ -108,45 +108,6 @@ def test_adam_step_counter_increments_by_one():
     for k in range(5):
         p = adam_step(state, p, [np.ones(2)])
         assert state.t == k + 1
-
-
-def test_gaussian_head_degenerate_variance():
-    rng = SeededRng.from_seed(0)
-    mean = np.array([0.7])
-    _, squashed, _ = gaussian_head(mean, np.array([nets.LOG_STD_MIN]), rng)
-    assert np.allclose(squashed, np.tanh(mean), atol=1e-6)
-
-
-def test_gaussian_head_deterministic_mode():
-    rng = SeededRng.from_seed(0)
-    raw, squashed, _ = gaussian_head(np.array([0.3, -1.0]), np.zeros(2), rng,
-                                     mode="deterministic")
-    assert np.allclose(raw, [0.3, -1.0])
-    assert np.allclose(squashed, np.tanh([0.3, -1.0]))
-
-
-def test_gaussian_head_density_integrates_to_one():
-    # quadrature over the squashed support (-1, 1) on a 1e5-point grid
-    mean, log_std = np.array([0.4]), np.array([-0.3])
-    a = np.linspace(-1.0 + 1e-8, 1.0 - 1e-8, 100_000)[:, None]
-    logp = nets.squashed_log_density(mean, log_std, a)
-    # numpy >= 2.0 has trapezoid and 2.4 dropped trapz; < 2.0 has only trapz
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    total = trapezoid(np.exp(logp), a[:, 0])
-    assert abs(total - 1.0) < 1e-3
-
-
-def test_gaussian_head_samples_strictly_inside_unit_box():
-    rng = SeededRng.from_seed(3)
-    _, squashed, _ = gaussian_head(np.zeros(1000), np.zeros(1000), rng)
-    assert np.all(squashed > -1.0) and np.all(squashed < 1.0)
-
-
-def test_gaussian_head_seed_reproducibility():
-    out1 = gaussian_head(np.zeros(4), np.zeros(4), SeededRng.from_seed(9))
-    out2 = gaussian_head(np.zeros(4), np.zeros(4), SeededRng.from_seed(9))
-    for a, b in zip(out1, out2):
-        assert np.array_equal(a, b)
 
 
 def test_parameter_trajectory_bit_determinism():

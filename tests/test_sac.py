@@ -34,6 +34,63 @@ def _fill(buf, n, seed, source):
                             float(rng.normal()), rng.normal(size=sd), False, source))
 
 
+# ------------------------------------------------------ squashed Gaussian policy
+
+def _constant_policy(mean, log_std, low=-1.0, high=1.0):
+    """Zero weights, so every state maps to the last bias [mean, log_std]."""
+    mean, log_std = np.atleast_1d(mean), np.atleast_1d(log_std)
+    d = len(mean)
+    net = nets.DenseNet([np.zeros((2 * d, 1))], [np.concatenate([mean, log_std])],
+                        ["identity"])
+    return sac.GaussianPolicy(net, np.full(d, float(low)), np.full(d, float(high)))
+
+
+def test_gaussian_policy_degenerate_variance():
+    policy = _constant_policy(0.7, nets.LOG_STD_MIN, low=-2.0, high=3.0)
+    s = np.zeros((1, 1))
+    a, _, _ = policy.sample(s, SeededRng.from_seed(0))
+    a_det, _, _ = policy.sample(s, SeededRng.from_seed(0), deterministic=True)
+    assert np.allclose(a, a_det, atol=1e-6)
+
+
+def test_gaussian_policy_deterministic_mode():
+    policy = _constant_policy([0.3, -1.0], [0.0, 0.0], low=-2.0, high=3.0)
+    a, _, cache = policy.sample(np.zeros((1, 1)), SeededRng.from_seed(0),
+                                deterministic=True)
+    assert np.array_equal(cache["eps"], np.zeros((1, 2)))
+    assert np.allclose(cache["unit"], np.tanh([[0.3, -1.0]]))
+    assert np.allclose(a, policy.center + policy.scale * np.tanh([0.3, -1.0]))
+
+
+def test_gaussian_policy_density_integrates_to_one():
+    # quadrature over the action support (low, high) on a 1e5-point grid
+    low, high = -2.0, 3.0
+    policy = _constant_policy(0.4, -0.3, low=low, high=high)
+    a = np.linspace(low + 1e-8, high - 1e-8, 100_000)[:, None]
+    logp = policy.log_density(np.zeros((len(a), 1)), a)
+    # numpy >= 2.0 has trapezoid and 2.4 dropped trapz; < 2.0 has only trapz
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    total = trapezoid(np.exp(logp), a[:, 0])
+    assert abs(total - 1.0) < 1e-3
+
+
+def test_gaussian_policy_samples_strictly_inside_bounds():
+    low, high = -2.0, 3.0
+    policy = _constant_policy(0.0, 0.0, low=low, high=high)
+    a, _, _ = policy.sample(np.zeros((1000, 1)), SeededRng.from_seed(3))
+    assert np.all(a > low) and np.all(a < high)
+
+
+def test_gaussian_policy_seed_reproducibility():
+    policy = _constant_policy(np.zeros(4), np.zeros(4))
+    s = np.zeros((1, 1))
+    a1, logp1, c1 = policy.sample(s, SeededRng.from_seed(9))
+    a2, logp2, c2 = policy.sample(s, SeededRng.from_seed(9))
+    assert np.array_equal(a1, a2)
+    assert np.array_equal(logp1, logp2)
+    assert np.array_equal(c1["eps"], c2["eps"])
+
+
 # ---------------------------------------------------------------- mixed batch
 
 def test_mixed_batch_all_real_at_beta_one():
