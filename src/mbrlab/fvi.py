@@ -9,9 +9,10 @@ beta moves as the real-sample budget grows.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf
@@ -95,32 +96,26 @@ class ValueFn:
     def zeros(cls, dim: int, grid_size: int, v_max: float) -> "ValueFn":
         return cls(dim, grid_size, np.zeros(grid_size ** dim), v_max)
 
-    def copy(self) -> "ValueFn":
-        return ValueFn(self.dim, self.grid_size, self.values.copy(), self.v_max)
-
-    def _cells(self, states: np.ndarray):
-        """Lower-corner indices and fractional offsets for each state."""
-        g = self.grid_size
-        x = np.asarray(states, dtype=np.float64).reshape(-1, self.dim) * (g - 1)
-        i0 = np.clip(np.floor(x).astype(np.int64), 0, g - 2)
-        frac = x - i0
-        return i0, frac
-
     def basis(self, states: np.ndarray):
-        """Flat knot indices (N, 2^d) and weights (N, 2^d) of the multilinear basis."""
+        """Flat knot indices and weights (N, 2^d): bit d of corner c picks the upper knot
+        on axis d (axis 0 most significant); states off [0, 1] extrapolate the edge cell."""
         g = self.grid_size
-        i0, frac = self._cells(states)
-        n = i0.shape[0]
-        corners = 1 << self.dim
-        idx = np.zeros((n, corners), dtype=np.int64)
-        wgt = np.ones((n, corners))
-        for c in range(corners):
-            flat = np.zeros(n, dtype=np.int64)
-            for d in range(self.dim):
+        frac = np.asarray(states, dtype=np.float64).reshape(-1, self.dim) * (g - 1)
+        cell = np.fmin(np.fmax(np.floor(frac), 0.0), g - 2)
+        frac -= cell
+        lo = 1.0 - frac
+        cell = cell.astype(np.int64)
+        idx = np.empty((frac.shape[0], 1 << self.dim), dtype=np.int64)
+        wgt = np.empty(idx.shape)
+        for c in range(1 << self.dim):
+            flat = cell[:, 0] + (c & 1)
+            w = frac[:, 0] if c & 1 else lo[:, 0]
+            for d in range(1, self.dim):
                 hi = (c >> d) & 1
-                flat = flat * g + (i0[:, d] + hi)
-                wgt[:, c] = wgt[:, c] * np.where(hi, frac[:, d], 1.0 - frac[:, d])
+                flat = flat * g + (cell[:, d] + hi)
+                w = w * (frac[:, d] if hi else lo[:, d])
             idx[:, c] = flat
+            wgt[:, c] = w
         return idx, wgt
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
@@ -136,22 +131,25 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
     irls_iters. Knots no sample touches keep their previous values; fitted
     knot values are clipped to [0, v_max].
     """
+    if p not in (1.0, 2.0):
+        raise ValueError("only p in {1, 2} is supported by the fitter")
     states = np.asarray(states, dtype=np.float64).reshape(-1, prev.dim)
     targets = np.asarray(targets, dtype=np.float64)
     if states.shape[0] != targets.shape[0] or states.shape[0] < 1:
         raise ValueError("states/targets length mismatch or empty")
+    if not (np.isfinite(states).all() and np.isfinite(targets).all()):
+        raise FloatingPointError("fit_value: non-finite states or targets")
     idx, wgt = prev.basis(states)
     n_knots = prev.grid_size ** prev.dim
-    corners = idx.shape[1]
+    # corner-major; the (corner i, corner j, sample) order fixes each knot pair's sum
+    idx_c, wgt_c = np.ascontiguousarray(idx.T), np.ascontiguousarray(wgt.T)
+    pairs = (idx_c[:, None, :] * n_knots + idx_c[None, :, :]).ravel()
 
     def solve_weighted(sample_w):
-        a = np.zeros((n_knots, n_knots))
-        b = np.zeros(n_knots)
-        for ci in range(corners):
-            np.add.at(b, idx[:, ci], sample_w * wgt[:, ci] * targets)
-            for cj in range(corners):
-                np.add.at(a, (idx[:, ci], idx[:, cj]),
-                          sample_w * wgt[:, ci] * wgt[:, cj])
+        sw = sample_w * wgt_c
+        a = np.bincount(pairs, (sw[:, None, :] * wgt_c[None, :, :]).ravel(),
+                        minlength=n_knots * n_knots).reshape(n_knots, n_knots)
+        b = np.bincount(idx_c.ravel(), (sw * targets).ravel(), minlength=n_knots)
         support = np.diag(a) > 0.0
         vals = prev.values.copy()
         sub = a[np.ix_(support, support)]
@@ -164,24 +162,15 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
             vals[support] = np.linalg.solve(sub, b[support])
         return vals
 
-    if p == 2.0:
-        vals = solve_weighted(np.ones(states.shape[0]))
-    elif p == 1.0:
-        vals = solve_weighted(np.ones(states.shape[0]))  # LS warm start
-    else:
-        raise ValueError("only p in {1, 2} is supported by the fitter")
-
+    vals = solve_weighted(np.ones(states.shape[0]))  # the p=1 LS warm start
     if p == 1.0:
-        fitted = ValueFn(prev.dim, prev.grid_size, vals, prev.v_max)
         for _ in range(irls_iters):
-            resid = np.abs(fitted(states) - targets)
-            w = 1.0 / np.maximum(resid, 1e-6)
-            new_vals = solve_weighted(w)
-            if np.max(np.abs(new_vals - fitted.values)) < 1e-10:
-                fitted.values = new_vals
+            resid = np.abs((vals[idx] * wgt).sum(axis=1) - targets)
+            new_vals = solve_weighted(1.0 / np.maximum(resid, 1e-6))
+            converged = np.max(np.abs(new_vals - vals)) < 1e-10
+            vals = new_vals
+            if converged:
                 break
-            fitted.values = new_vals
-        vals = fitted.values
 
     return ValueFn(prev.dim, prev.grid_size, np.clip(vals, 0.0, prev.v_max), prev.v_max)
 
@@ -230,15 +219,11 @@ def beta_mixture_backup(value_fn: ValueFn, states: np.ndarray, mdp: FviMdp,
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
     n = states.shape[0]
-    best = np.full(n, -np.inf)
-    for a_idx in range(mdp.n_actions):
-        use_real = rng.uniform(size=n) < beta
-        model_next = corrupted_model.predict(states, a_idx, rng)
-        true_next = mdp.transition(states, a_idx)
-        nxt = np.where(use_real[:, None], true_next, model_next)
-        vals = mdp.reward(states, a_idx) + mdp.gamma * value_fn(nxt)
-        best = np.maximum(best, vals)
-    return np.clip(best, 0.0, value_fn.v_max)
+    rewards, nexts = _action_stack(mdp, states)
+    for a_idx, slab in enumerate(np.split(nexts, mdp.n_actions)):  # views into nexts
+        use_model = rng.uniform(size=n) >= beta
+        slab[use_model] = corrupted_model.predict(states, a_idx, rng)[use_model]
+    return np.clip(_scores(mdp, value_fn, rewards, nexts).max(axis=0), 0.0, value_fn.v_max)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +241,22 @@ def _truncation_horizon(mdp: FviMdp, tail: float = 1e-4) -> int:
     return int(math.ceil(math.log(tail / mdp.v_max) / math.log(mdp.gamma))) + 1
 
 
+def _action_stack(mdp: FviMdp, states: np.ndarray):
+    """True rewards (A, N) and next states (A*N, d) of every action, action-major."""
+    rewards = np.stack([mdp.reward(states, a) for a in range(mdp.n_actions)])
+    nexts = np.concatenate([mdp.transition(states, a) for a in range(mdp.n_actions)])
+    return rewards, nexts
+
+
+def _scores(mdp: FviMdp, value_fn: ValueFn, rewards, nexts) -> np.ndarray:
+    """r + gamma * V(next) per (action, state), with V evaluated once on the stack."""
+    return rewards + mdp.gamma * value_fn(nexts).reshape(rewards.shape)
+
+
 def greedy_actions(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray) -> np.ndarray:
     """One-step lookahead through the true dynamics."""
     states = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
-    scores = np.stack([
-        mdp.reward(states, a) + mdp.gamma * value_fn(mdp.transition(states, a))
-        for a in range(mdp.n_actions)
-    ])
-    return scores.argmax(axis=0)
+    return _scores(mdp, value_fn, *_action_stack(mdp, states)).argmax(axis=0)
 
 
 def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray,
@@ -272,21 +265,23 @@ def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray,
     once the remaining tail is below 1e-4 of scale."""
     if horizon is None:
         horizon = _truncation_horizon(mdp)
-    s = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim).copy()
-    returns = np.zeros(s.shape[0])
+    s = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
+    n = s.shape[0]
+    rows = np.arange(n)
+    returns = np.zeros(n)
     disc = 1.0
+    fixed = False
     for _ in range(horizon):
-        acts = greedy_actions(mdp, value_fn, s)
-        nxt = np.empty_like(s)
-        r = np.empty(s.shape[0])
-        for a_idx in range(mdp.n_actions):
-            mask = acts == a_idx
-            if mask.any():
-                r[mask] = mdp.reward(s[mask], a_idx)
-                nxt[mask] = mdp.transition(s[mask], a_idx)
+        # the MDP is deterministic: once no state moves, later steps repeat this one
+        if not fixed:
+            rewards, nexts = _action_stack(mdp, s)
+            acts = _scores(mdp, value_fn, rewards, nexts).argmax(axis=0)
+            r = rewards[acts, rows]
+            nxt = nexts[acts * n + rows]
+            fixed = np.array_equal(nxt, s)
+            s = nxt
         returns += disc * r
         disc *= mdp.gamma
-        s = nxt
     return returns
 
 
@@ -295,22 +290,19 @@ def exact_vi(mdp: FviMdp, fine_grid_size: int = 256, tol: float = 1e-9,
     """Value iteration on a fine grid until the sup-norm change is below tol,
     plus the mean greedy return from rho (uniform) samples."""
     v = ValueFn.zeros(mdp.dim, fine_grid_size, mdp.v_max)
-    g = fine_grid_size
-    axes = [np.linspace(0.0, 1.0, g)] * mdp.dim
+    axes = [np.linspace(0.0, 1.0, fine_grid_size)] * mdp.dim
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mdp.dim)
-    rewards = [mdp.reward(mesh, a) for a in range(mdp.n_actions)]
-    nexts = [mdp.transition(mesh, a) for a in range(mdp.n_actions)]
-    while True:
-        backed = np.stack([rewards[a] + mdp.gamma * v(nexts[a])
-                           for a in range(mdp.n_actions)]).max(axis=0)
+    rewards, nexts = _action_stack(mdp, mesh)
+    for sweep in itertools.count():
+        backed = _scores(mdp, v, rewards, nexts).max(axis=0)
         delta = np.max(np.abs(backed - v.values))
+        if not np.isfinite(delta):
+            raise FloatingPointError(f"exact_vi: non-finite backup at sweep {sweep}")
         v.values = backed
         if delta < tol:
             break
-    rng = SeededRng.from_seed(seed)
-    rho = rng.uniform(size=(n_eval, mdp.dim))
-    greedy_ret = float(policy_return(mdp, v, rho).mean())
-    return ExactOracle(value_fn=v, greedy_return=greedy_ret)
+    rho = SeededRng.from_seed(seed).uniform(size=(n_eval, mdp.dim))
+    return ExactOracle(value_fn=v, greedy_return=float(policy_return(mdp, v, rho).mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -342,30 +334,33 @@ class FviResult:
     discrepancy: float
     config: FviConfig
 
-    def policy(self, mdp: FviMdp):
-        vf = self.value_fn
-        return lambda states: greedy_actions(mdp, vf, states)
-
 
 def run_fvi(mdp: FviMdp, config: FviConfig, oracle: ExactOracle | None = None) -> FviResult:
     """K iterations of mixture backup + fit, then the return discrepancy
     (E_rho |V*(s) - V^pi_K(s)|^p)^(1/p) against the oracle, with both returns
     estimated by truncated greedy rollouts through the true dynamics."""
     config.validate()
-    if oracle is None:
-        oracle = exact_vi(mdp)
-    root = SeededRng.from_seed(config.seed)
-    state_stream, corrupt_stream, eval_stream = root.split(3)
+    oracle = oracle or exact_vi(mdp)
+    return _fit_and_score(mdp, config, *_oracle_scores(mdp, config, oracle))
+
+
+def _oracle_scores(mdp: FviMdp, config: FviConfig, oracle: ExactOracle):
+    """A run's rho samples and the oracle's returns from them (seed and n_eval only)."""
+    eval_stream = SeededRng.from_seed(config.seed).split(3)[2]
+    eval_states = eval_stream.uniform(size=(config.n_eval, mdp.dim))
+    return eval_states, policy_return(mdp, oracle.value_fn, eval_states)
+
+
+def _fit_and_score(mdp: FviMdp, config: FviConfig, eval_states: np.ndarray,
+                   v_star: np.ndarray) -> FviResult:
+    state_stream, corrupt_stream, _ = SeededRng.from_seed(config.seed).split(3)
     model = CorruptedModel(mdp, config.sigma)
     v = ValueFn.zeros(mdp.dim, config.grid_size, mdp.v_max)
     for _ in range(config.iterations):
         states = state_stream.uniform(size=(config.n_states, mdp.dim))
         targets = beta_mixture_backup(v, states, mdp, model, config.beta, corrupt_stream)
         v = fit_value(states, targets, v, p=config.p)
-    eval_states = eval_stream.uniform(size=(config.n_eval, mdp.dim))
-    horizon = _truncation_horizon(mdp)
-    v_star = policy_return(mdp, oracle.value_fn, eval_states, horizon)
-    v_pik = policy_return(mdp, v, eval_states, horizon)
+    v_pik = policy_return(mdp, v, eval_states)
     disc = float(np.mean(np.abs(v_star - v_pik) ** config.p) ** (1.0 / config.p))
     return FviResult(value_fn=v, discrepancy=disc, config=config)
 
@@ -393,13 +388,16 @@ def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: in
     n_real_grid = list(n_real_grid)
     rows = []
     disc = np.zeros((len(n_real_grid), len(beta_grid), len(seeds)))
+    # the oracle side of every cell of a seed, scored once per sweep
+    scored = [_oracle_scores(mdp, replace(base, seed=seed), oracle) for seed in seeds]
     for i, n_real in enumerate(n_real_grid):
         for j, beta in enumerate(beta_grid):
             n_states = states_per_iteration(n_real, beta, mdp.n_actions)
             for k, seed in enumerate(seeds):
                 cfg = replace(base, beta=beta, sigma=sigma, n_states=n_states,
                               iterations=iterations, seed=seed)
-                d = run_fvi(mdp, cfg, oracle).discrepancy
+                cfg.validate()
+                d = _fit_and_score(mdp, cfg, *scored[k]).discrepancy
                 disc[i, j, k] = d
                 rows.append({"beta": beta, "n_real": n_real, "sigma": sigma,
                              "iterations": iterations, "seed": seed,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -252,3 +254,194 @@ def test_fit_value_2d_recovery():
     states = SeededRng.from_seed(21).uniform(size=(8192, 2))
     fitted = fvi.fit_value(states, truth(states), prev, p=2.0)
     assert np.max(np.abs(fitted.values - truth.values)) < 1e-7
+
+
+# ------------------------------------------------------------- pinned bits
+# Reference outputs as float.hex strings (and sha256 of knot arrays): any change
+# to the order of the arithmetic shows here. Recorded with numpy 2.4 on
+# OpenBLAS; another LAPACK may round np.linalg.solve differently.
+
+def _sha(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def test_beta_sweep_pinned_bits():
+    mdp = fvi.line_world()
+    oracle = fvi.exact_vi(mdp, fine_grid_size=96, n_eval=128)
+    assert oracle.greedy_return.hex() == "0x1.fdcda3934d6e4p+3"
+    assert _sha(oracle.value_fn.values) == \
+        "7174ef2b9a7cb2326d9a39e4af9e37131f6acce647ee0316691d38f09784513b"
+    out = fvi.beta_sweep(mdp, [0.2, 1.0], [256, 1024], sigma=0.05, iterations=10,
+                         seeds=[0, 1], base=fvi.FviConfig(grid_size=48, n_eval=128),
+                         oracle=oracle, n_bootstrap=20)
+    assert [row["discrepancy"].hex() for row in out["rows"]] == [
+        "0x1.ccb7d236a23c2p+0", "0x1.cd97322480e6dp+1",
+        "0x1.678105f7e73f6p+2", "0x1.2300b24d63c13p+3",
+        "0x1.7353c1b2b8e32p-4", "0x1.5c437f524c08bp-4",
+        "0x1.d74199e213687p-5", "0x1.4b9904cb91559p-4"]
+    assert out["argmin_beta"] == [0.2, 1.0]
+    assert out["bootstrap_monotone_frac"] == 1.0
+
+
+def test_grid_world_run_fvi_pinned_bits():
+    mdp = fvi.grid_world_2d()
+    oracle = fvi.exact_vi(mdp, fine_grid_size=48, tol=1e-7, n_eval=64)
+    assert oracle.greedy_return.hex() == "0x1.9a4a7b8402766p+3"
+    assert _sha(oracle.value_fn.values) == \
+        "f77eb0e9f9bce0d0098a80bb1c4732f74c4fc9c862b0c49c783fda2db284acbf"
+    cfg = fvi.FviConfig(beta=0.5, sigma=0.05, n_states=512, iterations=8,
+                        grid_size=16, n_eval=64, seed=2)
+    res = fvi.run_fvi(mdp, cfg, oracle)
+    assert res.discrepancy.hex() == "0x1.6e347f5bd296dp+3"
+    assert _sha(res.value_fn.values) == \
+        "51ee0b9b9e7d5c4b949f75e7479a85c1d8810f191ecaaeeada52bcf85012367f"
+
+
+def test_p1_fit_pinned_bits():
+    prev = fvi.ValueFn.zeros(1, 12, 20.0)
+    states = SeededRng.from_seed(30).uniform(size=(300, 1))
+    targets = SeededRng.from_seed(31).uniform(0, 18, size=300)
+    fitted = fvi.fit_value(states, targets, prev, p=1.0)
+    assert _sha(fitted.values) == \
+        "919b3a07bbaa32b7561b4fecf7a22b3590e02d495227e294b2dbe57f9eaf7884"
+    mdp = fvi.line_world()
+    oracle = fvi.exact_vi(mdp, fine_grid_size=96, n_eval=128)
+    cfg = fvi.FviConfig(beta=0.7, sigma=0.05, n_states=128, iterations=5,
+                        grid_size=16, n_eval=64, p=1.0, seed=4)
+    res = fvi.run_fvi(mdp, cfg, oracle)
+    assert res.discrepancy.hex() == "0x1.4ca8ca4a01adcp+1"
+    assert _sha(res.value_fn.values) == \
+        "72abf3e02bd684adb572e557342ad54435c62c334ed7e7d0a66e7f11c7063e2e"
+
+
+# ------------------------------------------------------- sweep and basis shape
+
+def test_beta_sweep_scores_oracle_once_per_seed(monkeypatch):
+    mdp = fvi.line_world()
+    oracle = fvi.exact_vi(mdp, fine_grid_size=64, n_eval=32)
+    base = fvi.FviConfig(grid_size=16, n_eval=32)
+    calls = []
+    real_policy_return = fvi.policy_return
+
+    def counting(mdp_, value_fn, states, horizon=None):
+        calls.append(value_fn is oracle.value_fn)
+        return real_policy_return(mdp_, value_fn, states, horizon)
+
+    monkeypatch.setattr(fvi, "policy_return", counting)
+    sweeps = [fvi.beta_sweep(mdp, [0.5, 1.0], [64, 128], sigma=0.1, iterations=3,
+                             seeds=[3, 5, 7], base=base, oracle=oracle, n_bootstrap=5)
+              for _ in range(2)]
+    # 3 oracle calls and 12 cell calls per sweep; nothing carries over
+    assert sum(calls) == 2 * 3 and len(calls) == 2 * (3 + 12)
+    assert sweeps[0]["rows"] == sweeps[1]["rows"]
+    for row in sweeps[0]["rows"]:
+        cfg = replace(base, beta=row["beta"], sigma=row["sigma"], seed=row["seed"],
+                      iterations=row["iterations"],
+                      n_states=fvi.states_per_iteration(row["n_real"], row["beta"], 3))
+        assert fvi.run_fvi(mdp, cfg, oracle).discrepancy == row["discrepancy"]
+
+
+def _reference_basis(states, grid_size):
+    """Per-state, per-corner loop over the multilinear basis."""
+    g = grid_size
+    n, dim = states.shape
+    idx = np.zeros((n, 1 << dim), dtype=np.int64)
+    wgt = np.zeros((n, 1 << dim))
+    for i in range(n):
+        for c in range(1 << dim):
+            flat, w = 0, 1.0
+            for d in range(dim):
+                x = float(states[i, d]) * (g - 1)
+                cell = min(max(int(np.floor(x)), 0), g - 2)
+                frac = x - cell
+                hi = (c >> d) & 1
+                flat = flat * g + cell + hi
+                w *= frac if hi else 1.0 - frac
+            idx[i, c] = flat
+            wgt[i, c] = w
+    return idx, wgt
+
+
+@pytest.mark.parametrize("dim,grid_size", [(1, 7), (2, 5)])
+def test_basis_matches_per_corner_reference(dim, grid_size):
+    states = SeededRng.from_seed(40).uniform(-0.3, 1.3, size=(200, dim))
+    states[:4] = [[0.0] * dim, [1.0] * dim, [0.5] * dim, [-1e-3] * dim]
+    vf = fvi.ValueFn.zeros(dim, grid_size, 1.0)
+    idx, wgt = vf.basis(states)
+    ref_idx, ref_wgt = _reference_basis(states, grid_size)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(wgt, ref_wgt)
+    assert np.allclose(wgt.sum(axis=1), 1.0)
+
+
+
+def _reference_policy_return(mdp, value_fn, states, horizon):
+    """Per-step, per-action loop: greedy lookahead, then masked reward and move."""
+    s = np.asarray(states, dtype=np.float64).copy()
+    returns = np.zeros(s.shape[0])
+    disc = 1.0
+    for _ in range(horizon):
+        scores = np.stack([mdp.reward(s, a) + mdp.gamma * value_fn(mdp.transition(s, a))
+                           for a in range(mdp.n_actions)])
+        acts = scores.argmax(axis=0)
+        r = np.empty(s.shape[0])
+        nxt = np.empty_like(s)
+        for a in range(mdp.n_actions):
+            mask = acts == a
+            r[mask] = mdp.reward(s[mask], a)
+            nxt[mask] = mdp.transition(s[mask], a)
+        returns += disc * r
+        disc *= mdp.gamma
+        s = nxt
+    return returns
+
+
+@pytest.mark.parametrize("mdp_fn,grid_size", [(fvi.line_world, 48), (fvi.grid_world_2d, 12)])
+def test_policy_return_matches_stepwise_reference(mdp_fn, grid_size):
+    # greedy states climb V until none moves (by step 17 for the bump on
+    # LineWorld): horizon 3 ends before that, horizon 30 runs past it
+    mdp = mdp_fn()
+    n_knots = grid_size ** mdp.dim
+    bump = fvi.ValueFn.zeros(mdp.dim, grid_size, mdp.v_max)
+    axes = [np.linspace(0.0, 1.0, grid_size)] * mdp.dim
+    knots = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mdp.dim)
+    bump.values = mdp.reward(knots, 0) * mdp.v_max
+    noisy = fvi.ValueFn(mdp.dim, grid_size,
+                        SeededRng.from_seed(42).uniform(0, mdp.v_max, size=n_knots), mdp.v_max)
+    states = SeededRng.from_seed(43).uniform(size=(64, mdp.dim))
+    for vf in (bump, noisy):
+        for horizon in (3, 30):
+            got = fvi.policy_return(mdp, vf, states, horizon)
+            assert np.array_equal(got, _reference_policy_return(mdp, vf, states, horizon))
+
+
+# -------------------------------------------------------- non-finite inputs
+
+def test_exact_vi_non_finite_backup_raises():
+    mdp = fvi.FviMdp(
+        name="nan-reward", dim=1, actions=0.05 * np.array([[-1.0], [0.0], [1.0]]),
+        gamma=0.9, r_max=1.0,
+        reward_fn=lambda s, a: np.where(s[:, 0] > 0.5, np.nan, 0.5))
+    with pytest.raises(FloatingPointError, match="sweep 0"):
+        fvi.exact_vi(mdp, fine_grid_size=32)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_fit_value_rejects_non_finite_input(p):
+    prev = fvi.ValueFn.zeros(1, 8, 20.0)
+    states = SeededRng.from_seed(41).uniform(size=(50, 1))
+    targets = np.full(50, 3.0)
+    bad_targets = targets.copy()
+    bad_targets[7] = np.nan
+    with pytest.raises(FloatingPointError):
+        fvi.fit_value(states, bad_targets, prev, p=p)
+    bad_states = states.copy()
+    bad_states[3, 0] = np.inf
+    with pytest.raises(FloatingPointError):
+        fvi.fit_value(bad_states, targets, prev, p=p)
+
+
+def test_fit_value_checks_p_before_any_work():
+    prev = fvi.ValueFn.zeros(1, 8, 20.0)
+    with pytest.raises(ValueError, match="only p in"):
+        fvi.fit_value(np.array([[np.nan]]), np.array([1.0, 2.0]), prev, p=3.0)
