@@ -68,8 +68,20 @@ def net_tensors(prefix: str, net) -> dict:
     return out
 
 
+def tensor(tensors: dict, name: str) -> np.ndarray:
+    if name not in tensors:
+        raise CheckpointError(f"missing tensor {name}")
+    return tensors[name]
+
+
 def load_net(prefix: str, tensors: dict, net) -> None:
-    for i in range(net.n_layers):
-        net.weights[i] = tensors[f"{prefix}.layer{i}.weight"]
-        net.biases[i] = tensors[f"{prefix}.layer{i}.bias"]
-    net.validate()
+    """Copy the prefix's tensors into net.theta. A missing, mis-shaped or
+    non-finite tensor raises and leaves net untouched."""
+    staged = net.copy()
+    for name, dst in net_tensors(prefix, staged).items():
+        src = tensor(tensors, name)
+        if src.shape != dst.shape:
+            raise CheckpointError(f"tensor {name} has shape {src.shape}, expected {dst.shape}")
+        dst[...] = src
+    staged.validate()
+    net.theta[:] = staged.theta

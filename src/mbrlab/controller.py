@@ -41,10 +41,6 @@ class ControllerPolicy:
             lo += size
         return out
 
-    def copy(self):
-        return ControllerPolicy(self.net.copy(), tuple(self.head_mask),
-                                tuple(self.feature_mask), self.config_hash)
-
 
 def init_controller(rng: SeededRng, feature_mask=(True,) * 8,
                     head_mask=(True,) * 4, hidden: int = 256,
@@ -135,7 +131,7 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
 
     Per-sample gradients vanish exactly in the clipped-and-worse regime;
     non-finite ratios drop the sample with a logged count. Returns
-    (loss, grads, diagnostics).
+    (loss, gradient laid out like policy.net.theta, diagnostics).
     """
     config.validate()
     ent_c = config.entropy_coef if entropy_coef is None else entropy_coef
@@ -176,7 +172,7 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
         # d entropy / d logits = -p * (log p + H)
         d_ent = -probs * (table + ent[:, None])
         upstream[:, sl] += -(ent_c / n) * d_ent
-    grads, _ = nets.backward_from_cache(policy.net, cache, upstream)
+    grad, _ = nets.backward_from_cache(policy.net, cache, upstream)
     loss = -float(objective.mean()) - ent_c * entropy_total
     diagnostics = {
         "mean_ratio": float(ratio.mean()),
@@ -184,7 +180,7 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
         "dropped": int(bad.sum()),
         "entropy": entropy_total,
     }
-    return loss, grads, diagnostics
+    return loss, grad, diagnostics
 
 
 def ppo_update(policy: ControllerPolicy, batch: dict, config: PpoConfig,
@@ -198,14 +194,14 @@ def ppo_update(policy: ControllerPolicy, batch: dict, config: PpoConfig,
         adv = (adv - adv.mean()) / adv.std()
     states = np.atleast_2d(batch["states"])
     n = states.shape[0]
-    adam = adam or AdamState.for_params(policy.net.params(), config.lr)
+    adam = adam or AdamState.for_theta(policy.net.theta, config.lr)
     diags = []
     for _ in range(config.updates_per_round):
         sel = rng.integers(0, n, size=min(config.minibatch, n))
-        loss, grads, d = ppo_loss_and_grads(
+        loss, grad, d = ppo_loss_and_grads(
             policy, states[sel], batch["action_indices"][sel],
             batch["old_log_probs"][sel], adv[sel], config, entropy_coef)
-        policy.net.set_params(adam_step(adam, policy.net.params(), grads))
+        adam_step(adam, policy.net.theta, grad)
         d["loss"] = loss
         diags.append(d)
     return {"updates": len(diags),
@@ -246,7 +242,7 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
         policy = init_controller(init_rng, hyper_config.feature_mask,
                                  hyper_config.head_mask,
                                  config_hash=baseline.config_hash)
-    adam = AdamState.for_params(policy.net.params(), ppo_config.lr)
+    adam = AdamState.for_theta(policy.net.theta, ppo_config.lr)
     history = {"episode_returns": [], "improvements": [], "rounds": [],
                "invalid_count": 0}
     ent_coef = ppo_config.entropy_coef
@@ -310,10 +306,8 @@ def load_controller(path) -> ControllerPolicy:
         raise checkpoint.CheckpointError(f"{path}: not a controller checkpoint")
     feature_mask = tuple(bool(b) for b in meta["feature_mask"])
     head_mask = tuple(bool(b) for b in meta["head_mask"])
-    hidden = tensors["controller.layer0.weight"].shape[0]
-    net = nets.init_dense(SeededRng.from_seed(0),
-                          [int(np.sum(feature_mask)), hidden, sum(HEAD_SIZES)],
-                          ["tanh", "identity"])
+    hidden = checkpoint.tensor(tensors, "controller.layer0.weight").shape[0]
+    net = DenseNet([int(np.sum(feature_mask)), hidden, sum(HEAD_SIZES)], ["tanh", "identity"])
     checkpoint.load_net("controller", tensors, net)
     return ControllerPolicy(net, head_mask, feature_mask, meta.get("config_hash", ""))
 

@@ -194,8 +194,8 @@ class CorruptedModel:
     mdp: FviMdp
     sigma: float
 
-    def predict(self, states: np.ndarray, a_idx: int, rng: SeededRng) -> np.ndarray:
-        true_next = self.mdp.transition(states, a_idx)
+    def predict(self, true_next: np.ndarray, rng: SeededRng) -> np.ndarray:
+        """Displace the true next states (n, d) of one action."""
         n = true_next.shape[0]
         xi = half_normal(self.sigma, rng, size=n)
         if self.mdp.dim == 1:
@@ -220,9 +220,9 @@ def beta_mixture_backup(value_fn: ValueFn, states: np.ndarray, mdp: FviMdp,
     states = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
     n = states.shape[0]
     rewards, nexts = _action_stack(mdp, states)
-    for a_idx, slab in enumerate(np.split(nexts, mdp.n_actions)):  # views into nexts
+    for slab in np.split(nexts, mdp.n_actions):  # views into nexts
         use_model = rng.uniform(size=n) >= beta
-        slab[use_model] = corrupted_model.predict(states, a_idx, rng)[use_model]
+        slab[use_model] = corrupted_model.predict(slab, rng)[use_model]
     return np.clip(_scores(mdp, value_fn, rewards, nexts).max(axis=0), 0.0, value_fn.v_max)
 
 

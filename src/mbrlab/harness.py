@@ -355,9 +355,8 @@ def cmd_transfer(config: RunConfig, source_controller, target_env: str) -> dict:
 
 def agent_fingerprint(run: mbpo.MbpoRunState) -> str:
     h = hashlib.sha256()
-    for p in (run.agent.actor.net.params() + run.agent.critic1.params()
-              + run.agent.critic2.params()):
-        h.update(p.tobytes())
+    for net in (run.agent.actor.net, run.agent.critic1, run.agent.critic2):
+        h.update(net.theta.tobytes())
     return h.hexdigest()
 
 

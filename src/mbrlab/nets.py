@@ -9,7 +9,7 @@ machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,63 +51,64 @@ def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
     raise ContractViolation(f"unknown activation {kind!r}")
 
 
-@dataclass
 class DenseNet:
     """Stack of affine layers with elementwise activations.
 
-    weights[i] has shape (out_i, in_i); adjacent layer dims must chain.
+    All parameters live in one float64 vector `theta`, laid out as W0
+    (row-major, shape (out_0, in_0)), b0, W1, b1, ...; `weights[i]` and
+    `biases[i]` are views into it, so in-place updates of `theta` are what
+    the next forward pass reads. Copies and pickles rebuild the views.
     """
 
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
-    activations: list = field(default_factory=list)
+    def __init__(self, sizes, activations, theta: np.ndarray | None = None):
+        self.sizes = tuple(int(s) for s in sizes)
+        self.activations = list(activations)
+        if len(self.activations) != len(self.sizes) - 1:
+            raise ContractViolation("one activation per layer required")
+        n = sum(o * (i + 1) for i, o in zip(self.sizes[:-1], self.sizes[1:]))
+        self.theta = np.zeros(n) if theta is None else theta
+        if self.theta.shape != (n,) or self.theta.dtype != np.float64:
+            raise ContractViolation(f"theta must be float64 of shape ({n},)")
+        self.weights, self.biases = self.layer_views(self.theta)
+
+    def layer_views(self, vec: np.ndarray) -> tuple:
+        """(weights, biases): per-layer views into a vector laid out like theta."""
+        weights, biases, lo = [], [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(vec[lo:lo + fan_out * fan_in].reshape(fan_out, fan_in))
+            lo += fan_out * fan_in
+            biases.append(vec[lo:lo + fan_out])
+            lo += fan_out
+        return tuple(weights), tuple(biases)
+
+    def __reduce__(self):
+        return DenseNet, (self.sizes, self.activations, self.theta)
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.sizes[0]
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.sizes[-1]
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.sizes) - 1
 
     def validate(self) -> None:
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
-            raise ContractViolation("layer lists out of sync")
-        for i, (w, b, a) in enumerate(zip(self.weights, self.biases, self.activations)):
+        for i, a in enumerate(self.activations):
             if a not in ACTIVATIONS:
                 raise ContractViolation(f"layer {i}: unknown activation {a!r}")
-            if b.shape != (w.shape[0],):
-                raise ContractViolation(f"layer {i}: bias shape {b.shape} vs weight {w.shape}")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
-                raise ContractViolation(f"layer {i}: input dim does not chain")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ContractViolation(f"layer {i}: non-finite parameters")
+        if not np.isfinite(self.theta).all():
+            raise ContractViolation("non-finite parameters")
 
     def params(self) -> list:
-        """Interleaved [W0, b0, W1, b1, ...] view (references, not copies)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def set_params(self, params: list) -> None:
-        if len(params) != 2 * self.n_layers:
-            raise ContractViolation("parameter count mismatch")
-        for i in range(self.n_layers):
-            self.weights[i] = np.asarray(params[2 * i], dtype=np.float64)
-            self.biases[i] = np.asarray(params[2 * i + 1], dtype=np.float64)
+        """Interleaved [W0, b0, W1, b1, ...] views into theta."""
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def copy(self) -> "DenseNet":
-        return DenseNet(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
+        return DenseNet(self.sizes, self.activations, self.theta.copy())
 
 
 def init_dense(rng: SeededRng, sizes: list, activations: list | None = None) -> DenseNet:
@@ -116,14 +117,10 @@ def init_dense(rng: SeededRng, sizes: list, activations: list | None = None) -> 
         raise ContractViolation("need at least input and output size")
     if activations is None:
         activations = ["relu"] * (len(sizes) - 2) + ["identity"]
-    if len(activations) != len(sizes) - 1:
-        raise ContractViolation("one activation per layer required")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    net = DenseNet(weights, biases, list(activations))
+    net = DenseNet(sizes, activations)
+    for w in net.weights:
+        bound = np.sqrt(6.0 / sum(w.shape))  # fan_in + fan_out
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
     net.validate()
     return net
 
@@ -162,7 +159,7 @@ def forward_cache(net: DenseNet, batch: np.ndarray) -> tuple:
 def backward_from_cache(net: DenseNet, cache: tuple, upstream_grad: np.ndarray) -> tuple:
     """Reverse-mode pass from cached forward state.
 
-    Returns (param_grads interleaved like net.params(), input_grad).
+    Returns (param_grad laid out like net.theta, input_grad).
     """
     inputs, preacts = cache
     dly = np.asarray(upstream_grad, dtype=np.float64)
@@ -172,27 +169,28 @@ def backward_from_cache(net: DenseNet, cache: tuple, upstream_grad: np.ndarray) 
         raise ContractViolation(
             f"upstream grad shape {dly.shape} inconsistent with batch/output dims"
         )
-    grads = [None] * (2 * net.n_layers)
+    grad = np.empty_like(net.theta)
+    grad_w, grad_b = net.layer_views(grad)
     for i in range(net.n_layers - 1, -1, -1):
         dz = dly * _act_grad(preacts[i], net.activations[i])
-        grads[2 * i] = dz.T @ inputs[i]
-        grads[2 * i + 1] = dz.sum(axis=0)
+        np.matmul(dz.T, inputs[i], out=grad_w[i])
+        dz.sum(axis=0, out=grad_b[i])
         dly = dz @ net.weights[i]
-    return grads, dly
+    return grad, dly
 
 
 def backward(net: DenseNet, batch: np.ndarray, upstream_grad: np.ndarray) -> tuple:
     """Exact gradients of <upstream_grad, forward(net, batch)>.
 
-    Returns (param_grads, input_grad); input_grad matches the batch shape.
+    Returns (param_grad, input_grad); input_grad matches the batch shape.
     """
     x, was_1d = _as_batch(batch)
     up = np.asarray(upstream_grad, dtype=np.float64)
     if was_1d and up.ndim == 1:
         up = up[None, :]
     _, cache = forward_cache(net, x)
-    grads, dx = backward_from_cache(net, cache, up)
-    return grads, (dx[0] if was_1d else dx)
+    grad, dx = backward_from_cache(net, cache, up)
+    return grad, (dx[0] if was_1d else dx)
 
 
 # ---------------------------------------------------------------------------
@@ -202,49 +200,38 @@ def backward(net: DenseNet, batch: np.ndarray, upstream_grad: np.ndarray) -> tup
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
-    t: int
+    m: np.ndarray
+    v: np.ndarray
     lr: float
+    t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list, lr: float, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def for_theta(cls, theta: np.ndarray, lr: float) -> "AdamState":
+        return cls(np.zeros_like(theta), np.zeros_like(theta), lr)
 
 
-def adam_step(state: AdamState, params: list, grads: list) -> list:
-    """One bias-corrected Adam update; returns new parameter arrays.
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of theta, m and v, all in place.
 
-    The state is advanced in place. A non-finite gradient rejects the whole
-    step (state untouched) and names the offending parameter index.
+    A non-finite gradient rejects the whole step before anything is written
+    (theta and state untouched) and names the first offending entry.
     """
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ContractViolation("params/grads do not mirror the Adam state")
-    for i, g in enumerate(grads):
-        if g.shape != params[i].shape:
-            raise ContractViolation(f"gradient {i} shape {g.shape} != param {params[i].shape}")
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient(f"non-finite gradient at parameter {i}")
+    if not (grad.shape == theta.shape == state.m.shape):
+        raise ContractViolation(f"gradient {grad.shape} != theta {theta.shape} or Adam state")
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradient(f"non-finite gradient at entry {int(np.argmin(np.isfinite(grad)))}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+    state.m[:] = b1 * state.m + (1.0 - b1) * grad
+    state.v[:] = b2 * state.v + (1.0 - b2) * grad * grad
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ class GaussianPolicy:
         return self._log_density(u, (u - mean) / np.exp(log_std), log_std)
 
     def backward(self, sample_cache: dict, d_logp: np.ndarray, d_action: np.ndarray):
-        """Gradients w.r.t. trunk params of sum(d_logp * logp + d_action . a),
+        """Gradient w.r.t. the trunk's theta of sum(d_logp * logp + d_action . a),
         holding the reparameterization noise fixed."""
         unit = sample_cache["unit"]
         eps = sample_cache["eps"]
@@ -91,8 +91,8 @@ class GaussianPolicy:
         clamp = ((sample_cache["raw_ls"] > LOG_STD_MIN)
                  & (sample_cache["raw_ls"] < LOG_STD_MAX)).astype(np.float64)
         upstream = np.concatenate([d_mean, d_ls * clamp], axis=1)
-        grads, _ = nets.backward_from_cache(self.net, sample_cache["cache"], upstream)
-        return grads
+        grad, _ = nets.backward_from_cache(self.net, sample_cache["cache"], upstream)
+        return grad
 
 
 @dataclass
@@ -154,9 +154,9 @@ def init_agent(rng: SeededRng, state_dim: int, action_dim: int,
     return SacAgent(
         actor=actor, critic1=critic1, critic2=critic2,
         target1=critic1.copy(), target2=critic2.copy(),
-        actor_adam=AdamState.for_params(actor_net.params(), lr),
-        critic1_adam=AdamState.for_params(critic1.params(), lr),
-        critic2_adam=AdamState.for_params(critic2.params(), lr),
+        actor_adam=AdamState.for_theta(actor_net.theta, lr),
+        critic1_adam=AdamState.for_theta(critic1.theta, lr),
+        critic2_adam=AdamState.for_theta(critic2.theta, lr),
         alpha=alpha, polyak=polyak,
     )
 
@@ -228,21 +228,27 @@ def actor_loss(agent: SacAgent, batch: dict, rng: SeededRng) -> float:
 
 
 def polyak_update(target: DenseNet, online: DenseNet, rho: float) -> None:
-    for i in range(target.n_layers):
-        target.weights[i] = rho * target.weights[i] + (1.0 - rho) * online.weights[i]
-        target.biases[i] = rho * target.biases[i] + (1.0 - rho) * online.biases[i]
+    target.theta *= rho
+    target.theta += (1.0 - rho) * online.theta
 
 
 def sac_update(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng) -> tuple:
-    """One Adam step per net plus the polyak target update.
-
-    Returns (critic loss, actor loss); numeric failures propagate.
-    """
+    """One Adam step per net plus the polyak target update; returns (critic
+    loss, actor loss). All or nothing: on a FloatingPointError the stepped
+    critics and their Adam states are restored before it propagates."""
     c_loss, g1, g2 = critic_loss_and_grads(agent, batch, gamma, rng)
-    agent.critic1.set_params(adam_step(agent.critic1_adam, agent.critic1.params(), g1))
-    agent.critic2.set_params(adam_step(agent.critic2_adam, agent.critic2.params(), g2))
-    a_loss, a_grads, _ = actor_loss_and_grads(agent, batch, rng)
-    agent.actor.net.set_params(adam_step(agent.actor_adam, agent.actor.net.params(), a_grads))
+    critics = ((agent.critic1, agent.critic1_adam, g1), (agent.critic2, agent.critic2_adam, g2))
+    saved = [(net.theta.copy(), adam.m.copy(), adam.v.copy(), adam.t)
+             for net, adam, _ in critics]
+    try:
+        for net, adam, grad in critics:
+            adam_step(adam, net.theta, grad)
+        a_loss, a_grad, _ = actor_loss_and_grads(agent, batch, rng)
+        adam_step(agent.actor_adam, agent.actor.net.theta, a_grad)
+    except FloatingPointError:
+        for (net, adam, _), (theta, m, v, t) in zip(critics, saved):
+            net.theta[:], adam.m[:], adam.v[:], adam.t = theta, m, v, t
+        raise
     polyak_update(agent.target1, agent.critic1, agent.polyak)
     polyak_update(agent.target2, agent.critic2, agent.polyak)
     return c_loss, a_loss

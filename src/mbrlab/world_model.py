@@ -36,11 +36,20 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
-@dataclass
 class EnsembleMember:
-    net: DenseNet          # (s, a) -> (mean(delta_s, r), raw log-var(delta_s, r))
-    max_logvar: np.ndarray
-    min_logvar: np.ndarray
+    """A net (s, a) -> (mean(delta_s, r), raw log-var(delta_s, r)) with soft
+    log-variance bounds. `theta` holds the net's theta followed by max_logvar
+    and min_logvar; all three are views into it."""
+
+    def __init__(self, net: DenseNet, max_logvar: np.ndarray, min_logvar: np.ndarray):
+        n = net.theta.size
+        self.theta = np.concatenate([net.theta, max_logvar, min_logvar])
+        self.net = DenseNet(net.sizes, net.activations, self.theta[:n])
+        self.max_logvar, self.min_logvar = self.theta[n:].reshape(2, -1)
+
+    def __reduce__(self):
+        # copies and pickles rebuild theta and its views from the three parts
+        return EnsembleMember, (self.net, self.max_logvar, self.min_logvar)
 
     @property
     def target_dim(self):
@@ -48,14 +57,6 @@ class EnsembleMember:
 
     def params(self) -> list:
         return self.net.params() + [self.max_logvar, self.min_logvar]
-
-    def set_params(self, params: list) -> None:
-        self.net.set_params(params[:-2])
-        self.max_logvar = params[-2]
-        self.min_logvar = params[-1]
-
-    def copy_params(self) -> list:
-        return [p.copy() for p in self.params()]
 
     def heads(self, x: np.ndarray):
         """Mean and soft-bounded log-variance heads, plus the backward cache."""
@@ -135,7 +136,7 @@ def model_nll(member: EnsembleMember, x: np.ndarray, y: np.ndarray) -> float:
 
 def model_nll_grads(member: EnsembleMember, x: np.ndarray, y: np.ndarray,
                     bound_penalty: float = BOUND_PENALTY):
-    """Loss (incl. bound penalty) and exact gradients w.r.t. member.params()."""
+    """Loss (incl. bound penalty) and its exact gradient, laid out like member.theta."""
     x = np.atleast_2d(x)
     y = np.atleast_2d(y)
     b = x.shape[0]
@@ -154,8 +155,8 @@ def model_nll_grads(member: EnsembleMember, x: np.ndarray, y: np.ndarray,
     d_max = (d_lv1 * (1.0 - s_hi)).sum(axis=0) + bound_penalty
     d_min = (d_lv * (1.0 - s_lo)).sum(axis=0) - bound_penalty
     upstream = np.concatenate([d_mean, d_raw], axis=1)
-    net_grads, _ = nets.backward_from_cache(member.net, cache, upstream)
-    return loss, net_grads + [d_max, d_min]
+    net_grad, _ = nets.backward_from_cache(member.net, cache, upstream)
+    return loss, np.concatenate([net_grad, d_max, d_min])
 
 
 def _targets(d: dict) -> np.ndarray:
@@ -193,9 +194,9 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     for m_idx, (member, mrng) in enumerate(zip(model.members, member_rngs)):
         boot = mrng.integers(0, n_train, size=n_train)
         xb, yb = x_train[boot], y_train[boot]
-        adam = AdamState.for_params(member.params(), lr=config.lr)
+        adam = AdamState.for_theta(member.theta, lr=config.lr)
         best_loss = np.inf
-        best_params = member.copy_params()
+        best = member.theta.copy()
         bad_epochs = 0
         for _ in range(config.max_epochs):
             epochs_run[m_idx] += 1
@@ -203,20 +204,20 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
             for lo in range(0, n_train, config.minibatch):
                 sel = order[lo:lo + config.minibatch]
                 try:
-                    _, grads = model_nll_grads(member, xb[sel], yb[sel])
-                    member.set_params(adam_step(adam, member.params(), grads))
+                    _, grad = model_nll_grads(member, xb[sel], yb[sel])
+                    adam_step(adam, member.theta, grad)
                 except FloatingPointError as exc:
                     logger.warning("model step rejected: %s", exc)
             hold_loss = model_nll(member, x_hold, y_hold)
             if best_loss - hold_loss > config.improvement_tol:
                 best_loss = hold_loss
-                best_params = member.copy_params()
+                best[:] = member.theta
                 bad_epochs = 0
             else:
                 bad_epochs += 1
                 if bad_epochs >= config.patience:
                     break
-        member.set_params(best_params)
+        member.theta[:] = best
         holdout[m_idx] = best_loss if np.isfinite(best_loss) else model_nll(member, x_hold, y_hold)
 
     n_elites = min(2, model.n_members)

@@ -16,8 +16,28 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert meta["alpha"] == 0.2
     restored = nets.init_dense(SeededRng.from_seed(1), [3, 7, 2])
     checkpoint.load_net("net", tensors, restored)
-    for a, b in zip(net.params(), restored.params()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(net.theta, restored.theta)
+    assert all(np.shares_memory(p, restored.theta) for p in restored.params())
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("net.layer1.weight", None, "missing tensor net.layer1.weight"),
+    ("net.layer0.bias", np.zeros(6), r"shape \(6,\), expected \(7,\)"),
+    ("net.layer1.bias", np.zeros(1), r"shape \(1,\), expected \(2,\)"),  # would broadcast
+    ("net.layer0.weight", np.zeros((3, 7)), r"shape \(3, 7\), expected \(7, 3\)"),
+])
+def test_load_net_rejects_bad_tensors(name, value, match):
+    net = nets.init_dense(SeededRng.from_seed(0), [3, 7, 2])
+    tensors = {k: v.copy() for k, v in checkpoint.net_tensors("net", net).items()}
+    if value is None:
+        del tensors[name]
+    else:
+        tensors[name] = value
+    target = nets.init_dense(SeededRng.from_seed(1), [3, 7, 2])
+    before = target.theta.copy()
+    with pytest.raises(checkpoint.CheckpointError, match=match):
+        checkpoint.load_net("net", tensors, target)
+    assert np.array_equal(target.theta, before)  # nothing partially written
 
 
 def test_checkpoint_version_field_mandatory(tmp_path):

@@ -1,9 +1,12 @@
+import copy
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from mbrlab import controller, mbpo, nets
+from mbrlab import checkpoint, controller, mbpo, nets
 from mbrlab.controller import (BaselineCurve, PpoConfig, advantage,
                                controller_act, init_controller, joint_log_prob,
                                load_controller, ppo_loss_and_grads, ppo_update,
@@ -130,11 +133,11 @@ def test_clipped_samples_contribute_zero_gradient():
     cfg = PpoConfig(entropy_coef=0.0)
     _, grads, diag = ppo_loss_and_grads(pol, states, idx, old, adv, cfg)
     assert diag["clip_fraction"] == 1.0
-    assert all(np.all(g == 0.0) for g in grads)
+    assert np.all(grads == 0.0)
     # A<0 and ratio<1-eps is also exactly clipped
     old2 = joint_log_prob(pol, states, idx) + 1.0  # ratio = 1/e < 0.8
     _, grads2, _ = ppo_loss_and_grads(pol, states, idx, old2, np.array([-2.0]), cfg)
-    assert all(np.all(g == 0.0) for g in grads2)
+    assert np.all(grads2 == 0.0)
 
 
 def test_ppo_gradient_matches_finite_differences():
@@ -142,27 +145,40 @@ def test_ppo_gradient_matches_finite_differences():
     states, idx, old, adv = _ppo_batch(pol, 1, 17)
     cfg = PpoConfig(entropy_coef=0.013)
 
-    def loss_fn(params):
-        pol.net.set_params([p.copy() for p in params])
+    def loss_fn(_):  # finite_difference perturbs pol.net.theta in place
         return ppo_loss_and_grads(pol, states, idx, old, adv, cfg)[0]
 
-    params = [p.copy() for p in pol.net.params()]
-    loss_fn(params)
-    _, grads, _ = ppo_loss_and_grads(pol, states, idx, old, adv, cfg)
-    numeric = finite_difference(loss_fn, params)
-    assert_grads_close(grads, numeric, rtol=1e-4)
+    _, grad, _ = ppo_loss_and_grads(pol, states, idx, old, adv, cfg)
+    numeric = finite_difference(loss_fn, [pol.net.theta])
+    assert_grads_close([grad], numeric, rtol=1e-4)
 
 
 def test_zero_advantage_zero_entropy_leaves_params_bit_unchanged():
     pol = init_controller(SeededRng.from_seed(18))
     states, idx, old, _ = _ppo_batch(pol, 16, 19)
-    before = [p.copy() for p in pol.net.params()]
+    before = pol.net.theta.copy()
     batch = {"states": states, "action_indices": idx, "old_log_probs": old,
              "advantages": np.zeros(16)}
     ppo_update(pol, batch, PpoConfig(entropy_coef=0.0, entropy_decay=1.0),
                SeededRng.from_seed(20))
-    for b, a in zip(before, pol.net.params()):
-        assert np.array_equal(b, a)
+    assert np.array_equal(before, pol.net.theta)
+
+
+def test_ppo_update_pinned_bits():
+    """Values recorded before the parameters became one flat vector."""
+    pol = init_controller(SeededRng.from_seed(27))
+    g = SeededRng.from_seed(28)
+    states = g.uniform(size=(24, 8))
+    idx = np.stack([g.integers(0, k, size=24) for k in (3, 2, 3, 3)], axis=1)
+    old = joint_log_prob(pol, states, idx) - g.uniform(-0.1, 0.1, 24)
+    batch = {"states": states, "action_indices": idx, "old_log_probs": old,
+             "advantages": g.normal(size=24)}
+    diag = ppo_update(pol, batch, PpoConfig(updates_per_round=6, minibatch=16),
+                      SeededRng.from_seed(29))
+    assert diag["mean_ratio"].hex() == "0x1.067786f9c3b80p+0"
+    assert diag["clip_fraction"] == 1 / 32
+    assert hashlib.sha256(pol.net.theta.tobytes()).hexdigest() == \
+        "b2c5a99d041fde8c4594def2c404f0cd0ade85ac2a8fad406ddb657d4e082f84"
 
 
 def test_train_controller_single_episode_runs_thirty_updates():
@@ -189,9 +205,27 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     a1, lp1 = controller_act(pol, state, SeededRng.from_seed(24))
     a2, lp2 = controller_act(loaded, state, SeededRng.from_seed(24))
     assert a1 == a2 and lp1 == lp2
-    for w1, w2 in zip(pol.net.weights, loaded.net.weights):
-        assert np.array_equal(w1, w2)
+    assert np.array_equal(pol.net.theta, loaded.net.theta)
     assert loaded.config_hash == "abc123"
+    # format 1, one tensor per layer weight and bias under the same names
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 1
+    assert [t["name"] for t in doc["tensors"]] == [
+        "controller.layer0.weight", "controller.layer0.bias",
+        "controller.layer1.weight", "controller.layer1.bias"]
+
+
+def test_load_controller_missing_tensor_is_a_checkpoint_error(tmp_path):
+    pol = init_controller(SeededRng.from_seed(22), hidden=8)
+    path = tmp_path / "controller.json"
+    save_controller(pol, path)
+    for name in ("controller.layer0.weight", "controller.layer1.bias"):
+        doc = json.loads(path.read_text())
+        doc["tensors"] = [t for t in doc["tensors"] if t["name"] != name]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(checkpoint.CheckpointError, match=name):
+            load_controller(bad)
 
 
 def test_transfer_warning_on_config_mismatch(tmp_path):
@@ -207,7 +241,7 @@ def test_checkpoint_distinguishes_trained_from_fresh(tmp_path):
     pol = init_controller(SeededRng.from_seed(26))
     p1 = tmp_path / "fresh.json"
     save_controller(pol, p1)
-    batch_pol = pol.copy()
+    batch_pol = copy.deepcopy(pol)
     states, idx, old, adv = _ppo_batch(batch_pol, 32, 27)
     ppo_update(batch_pol, {"states": states, "action_indices": idx,
                            "old_log_probs": old, "advantages": adv},

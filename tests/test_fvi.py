@@ -82,6 +82,25 @@ def test_backup_sigma_zero_bit_identical_across_beta():
     assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[1], outs[2])
 
 
+def test_backup_computes_true_next_states_once_per_action(monkeypatch):
+    mdp = fvi.grid_world_2d()
+    v = fvi.ValueFn(2, 8, SeededRng.from_seed(10).uniform(0, 10, size=64), mdp.v_max)
+    states = SeededRng.from_seed(11).uniform(size=(30, 2))
+    calls = []
+    real_transition = fvi.FviMdp.transition
+
+    def counting(self, s, a_idx):
+        calls.append(a_idx)
+        return real_transition(self, s, a_idx)
+
+    monkeypatch.setattr(fvi.FviMdp, "transition", counting)
+    model = fvi.CorruptedModel(mdp, 0.2)
+    fvi.beta_mixture_backup(v, states, mdp, model, 0.3, SeededRng.from_seed(12))
+    # the corrupted model displaces the stacked true next states in place of
+    # recomputing them
+    assert calls == list(range(mdp.n_actions))
+
+
 def test_backup_gamma_zero_is_reward_max():
     mdp = replace(fvi.line_world(), gamma=0.0)
     v = fvi.ValueFn(1, 16, np.ones(16) * 5.0, mdp.v_max if mdp.gamma else 1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbrlab import controller, hyper_mdp, mbpo, sac
+from mbrlab import controller, hyper_mdp, mbpo, nets, sac
 from mbrlab.envs import EnvDiverged
 from mbrlab.hyper_mdp import (HyperAction, HyperMdpConfig, HyperParams,
                               NEUTRAL_ACTION, apply_action, extract_state,
@@ -106,11 +106,10 @@ def test_policy_change_strictly_below_one():
 
 def test_policy_change_hand_computed_gaussian():
     # 1-D tanh-Gaussian with known mean/log_std evaluated at one stored point
-    run, _, hc = _tiny_run()
-    actor = sac.GaussianPolicy(
-        net=run.agent.actor.net.__class__(
-            [np.zeros((2, 4))], [np.array([0.3, -0.2])], ["identity"]),
-        action_low=np.array([-1.0]), action_high=np.array([1.0]))
+    net = nets.DenseNet([4, 2], ["identity"])  # zero weights
+    net.biases[0][:] = [0.3, -0.2]
+    actor = sac.GaussianPolicy(net=net, action_low=np.array([-1.0]),
+                               action_high=np.array([1.0]))
     s = np.zeros((1, 4))
     a = np.array([[0.5]])
     stored = 2.0

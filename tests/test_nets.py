@@ -9,12 +9,14 @@ from util import assert_grads_close, finite_difference
 
 
 def test_forward_identity_layer():
-    net = DenseNet([np.eye(2)], [np.zeros(2)], ["identity"])
+    net = DenseNet([2, 2], ["identity"])
+    net.weights[0][:] = np.eye(2)
     assert np.allclose(nets.forward(net, np.array([1.0, 2.0])), [1.0, 2.0])
 
 
 def test_forward_relu_clamps_negative():
-    net = DenseNet([np.array([[-1.0]])], [np.zeros(1)], ["relu"])
+    net = DenseNet([1, 1], ["relu"])
+    net.weights[0][:] = -1.0
     assert nets.forward(net, np.array([3.0]))[0] == 0.0
 
 
@@ -38,16 +40,16 @@ def test_backward_zero_upstream():
     net = nets.init_dense(SeededRng.from_seed(1), [3, 4, 2])
     x = SeededRng.from_seed(2).normal(size=(5, 3))
     grads, dx = nets.backward(net, x, np.zeros((5, 2)))
-    assert all(np.all(g == 0) for g in grads)
+    assert np.all(grads == 0)
     assert np.all(dx == 0)
 
 
 def test_backward_linear_scalar_case():
     # f(x) = w*x, upstream 1 -> dL/dw = x
-    net = DenseNet([np.array([[2.0]])], [np.zeros(1)], ["identity"])
+    net = DenseNet([1, 1], ["identity"])
+    net.weights[0][:] = 2.0
     grads, dx = nets.backward(net, np.array([[3.0]]), np.array([[1.0]]))
-    assert grads[0][0, 0] == 3.0
-    assert grads[1][0] == 1.0
+    assert grads.tolist() == [3.0, 1.0]  # [dL/dw, dL/db]
     assert dx[0, 0] == 2.0
 
 
@@ -57,72 +59,141 @@ def test_backward_matches_finite_differences():
     x = SeededRng.from_seed(12).normal(size=(6, 4))
     up = SeededRng.from_seed(13).normal(size=(6, 3))
 
-    def loss_fn(params):
-        net.set_params(params)
+    def loss_fn(_):  # finite_difference perturbs net.theta in place
         return float((nets.forward(net, x) * up).sum())
 
-    params = [p.copy() for p in net.params()]
-    net.set_params(params)
     analytic, _ = nets.backward(net, x, up)
-    numeric = finite_difference(loss_fn, params)
-    net.set_params(params)
-    assert_grads_close(analytic, numeric, rtol=1e-4)
+    numeric = finite_difference(loss_fn, [net.theta])
+    assert_grads_close([analytic], numeric, rtol=1e-4)
 
 
 def test_adam_zero_gradients_leave_params_unchanged():
-    p = [np.array([1.0, -2.0])]
-    state = AdamState.for_params(p, lr=0.1)
-    out = adam_step(state, p, [np.zeros(2)])
-    assert np.allclose(out[0], p[0])
+    p = np.array([1.0, -2.0])
+    state = AdamState.for_theta(p, lr=0.1)
+    adam_step(state, p, np.zeros(2))
+    assert np.array_equal(p, [1.0, -2.0])
     assert state.t == 1
 
 
 def test_adam_descends_on_quadratic():
-    p = [np.array([1.0])]
-    state = AdamState.for_params(p, lr=0.1)
-    out = adam_step(state, p, [np.array([2.0])])  # f(w) = w^2
-    assert out[0][0] < 1.0
+    p = np.array([1.0])
+    state = AdamState.for_theta(p, lr=0.1)
+    adam_step(state, p, np.array([2.0]))  # f(w) = w^2
+    assert p[0] < 1.0
 
 
 def test_adam_reaches_quadratic_optimum():
     # closed-form optimum of f(w) = w^2 is 0; 100 steps at lr 0.15 get there
-    p = [np.array([1.0])]
-    state = AdamState.for_params(p, lr=0.15)
+    p = np.array([1.0])
+    state = AdamState.for_theta(p, lr=0.15)
     for _ in range(100):
-        p = adam_step(state, p, [2.0 * p[0]])
-    assert float(p[0][0] ** 2) < 1e-6
+        adam_step(state, p, 2.0 * p)
+    assert float(p[0] ** 2) < 1e-6
 
 
 def test_adam_rejects_non_finite_gradient():
-    p = [np.zeros(2), np.zeros(3)]
-    state = AdamState.for_params(p, lr=0.1)
-    bad = [np.zeros(2), np.array([0.0, np.nan, 0.0])]
-    with pytest.raises(nets.NonFiniteGradient, match="parameter 1"):
+    p = np.arange(5.0)
+    state = AdamState.for_theta(p, lr=0.1)
+    adam_step(state, p, np.ones(5))
+    before = (p.copy(), state.m.copy(), state.v.copy(), state.t)
+    bad = np.array([0.0, 0.0, 0.0, np.nan, np.inf])
+    with pytest.raises(nets.NonFiniteGradient, match="entry 3"):
         adam_step(state, p, bad)
-    assert state.t == 0  # step rejected, state untouched
+    # step rejected: theta, both moments and the counter untouched
+    assert np.array_equal(p, before[0])
+    assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+    assert state.t == before[3] == 1
+
+
+def test_adam_rejects_mismatched_shapes():
+    p = np.zeros(3)
+    state = AdamState.for_theta(p, lr=0.1)
+    with pytest.raises(nets.ContractViolation):
+        adam_step(state, p, np.zeros(4))
+    assert state.t == 0
 
 
 def test_adam_step_counter_increments_by_one():
-    p = [np.zeros(2)]
-    state = AdamState.for_params(p, lr=0.1)
+    p = np.zeros(2)
+    state = AdamState.for_theta(p, lr=0.1)
     for k in range(5):
-        p = adam_step(state, p, [np.ones(2)])
+        adam_step(state, p, np.ones(2))
         assert state.t == k + 1
+
+
+def test_flat_adam_matches_per_tensor_reference_bit_for_bit():
+    # the per-layer update the flat one replaced, term for term
+    def reference_step(params, grads, m, v, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+        out = []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat = m[i] / (1.0 - b1 ** t)
+            v_hat = v[i] / (1.0 - b2 ** t)
+            out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        return out
+
+    net = nets.init_dense(SeededRng.from_seed(3), [5, 32, 32, 4])
+    x = SeededRng.from_seed(4).normal(size=(64, 5))
+    up = SeededRng.from_seed(5).normal(size=(64, 4))
+    ref = [p.copy() for p in net.params()]
+    m = [np.zeros_like(p) for p in ref]
+    v = [np.zeros_like(p) for p in ref]
+    state = AdamState.for_theta(net.theta, lr=1e-3)
+    for t in range(1, 31):
+        grad, _ = nets.backward(net, x, up)
+        layer_grads = nets.DenseNet(net.sizes, net.activations, grad).params()
+        ref = reference_step(ref, layer_grads, m, v, t)
+        adam_step(state, net.theta, grad)
+        assert np.array_equal(net.theta, np.concatenate([p.ravel() for p in ref]))
+    assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m]))
+    assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v]))
 
 
 def test_parameter_trajectory_bit_determinism():
     def run():
         rng = SeededRng.from_seed(42)
         net = nets.init_dense(rng, [3, 8, 2])
-        state = AdamState.for_params(net.params(), lr=1e-3)
+        state = AdamState.for_theta(net.theta, lr=1e-3)
         x = rng.normal(size=(16, 3))
         for _ in range(100):
-            grads, _ = nets.backward(net, x, np.ones((16, 2)))
-            net.set_params(adam_step(state, net.params(), grads))
-        return net.params()
+            grad, _ = nets.backward(net, x, np.ones((16, 2)))
+            adam_step(state, net.theta, grad)
+        return net.theta
 
-    for a, b in zip(run(), run()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(run(), run())
+
+
+# ------------------------------------------------------- flat parameter layout
+
+def test_theta_layout_and_views():
+    net = nets.init_dense(SeededRng.from_seed(9), [3, 5, 4, 2])
+    assert net.theta.shape == (3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2,)
+    assert np.array_equal(net.theta, np.concatenate([p.ravel() for p in net.params()]))
+    for w, b, (fan_in, fan_out) in zip(net.weights, net.biases,
+                                       zip(net.sizes[:-1], net.sizes[1:])):
+        assert w.shape == (fan_out, fan_in) and b.shape == (fan_out,)
+        assert np.shares_memory(w, net.theta) and np.shares_memory(b, net.theta)
+    # init draws each layer's weights in order, biases start at zero
+    rng = SeededRng.from_seed(9)
+    for w, b in zip(net.weights, net.biases):
+        bound = np.sqrt(6.0 / sum(w.shape))
+        assert np.array_equal(w, rng.uniform(-bound, bound, size=w.shape))
+        assert not b.any()
+    # an in-place update of theta is what forward reads
+    x = SeededRng.from_seed(10).normal(size=(4, 3))
+    net.theta *= 0.5
+    fresh = DenseNet(net.sizes, net.activations, net.theta.copy())
+    assert np.array_equal(nets.forward(net, x), nets.forward(fresh, x))
+
+
+def test_dense_net_rejects_bad_theta():
+    with pytest.raises(nets.ContractViolation):
+        DenseNet([2, 3], ["identity"], np.zeros(8))
+    with pytest.raises(nets.ContractViolation):
+        DenseNet([2, 3], ["identity"], np.zeros(9, dtype=np.float32))
+    with pytest.raises(nets.ContractViolation):
+        DenseNet([2, 3, 1], ["relu"])
 
 
 def test_split_streams_are_independent_and_reproducible():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,10 @@ def _batch(seed, n, state_dim=3, action_dim=1, done=False):
     }
 
 
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
 def _fill(buf, n, seed, source):
     rng = SeededRng.from_seed(seed)
     sd, ad = buf.s.shape[1], buf.a.shape[1]
@@ -40,8 +46,8 @@ def _constant_policy(mean, log_std, low=-1.0, high=1.0):
     """Zero weights, so every state maps to the last bias [mean, log_std]."""
     mean, log_std = np.atleast_1d(mean), np.atleast_1d(log_std)
     d = len(mean)
-    net = nets.DenseNet([np.zeros((2 * d, 1))], [np.concatenate([mean, log_std])],
-                        ["identity"])
+    net = nets.DenseNet([1, 2 * d], ["identity"])
+    net.biases[0][:] = np.concatenate([mean, log_std])
     return sac.GaussianPolicy(net, np.full(d, float(low)), np.full(d, float(high)))
 
 
@@ -180,7 +186,7 @@ def test_critic_loss_matches_hand_computation():
         net.weights[1][:] = 1.0
         net.biases[1][:] = 0.0
     for tgt, src in ((agent.target1, agent.critic1), (agent.target2, agent.critic2)):
-        tgt.set_params([p.copy() for p in src.params()])
+        tgt.theta[:] = src.theta
     agent.alpha = 0.0
     batch = {"s": np.array([[0.2]]), "a": np.array([[0.4]]), "r": np.array([1.0]),
              "s2": np.array([[0.3]]), "done": np.array([False])}
@@ -203,16 +209,12 @@ def test_critic_gradients_match_finite_differences():
     agent = _agent(seed=5, state_dim=2, action_dim=1, hidden=(8,))
     batch = _batch(6, 5, state_dim=2)
 
-    def loss_fn(params):
-        agent.critic1.set_params([p.copy() for p in params[:4]])
-        agent.critic2.set_params([p.copy() for p in params[4:]])
+    def loss_fn(_):  # finite_difference perturbs both critic thetas in place
         return sac.critic_loss(agent, batch, 0.99, SeededRng.from_seed(42))
 
-    params = [p.copy() for p in agent.critic1.params() + agent.critic2.params()]
-    loss_fn(params)
     _, g1, g2 = sac.critic_loss_and_grads(agent, batch, 0.99, SeededRng.from_seed(42))
-    numeric = finite_difference(loss_fn, params)
-    assert_grads_close(g1 + g2, numeric, rtol=1e-4)
+    numeric = finite_difference(loss_fn, [agent.critic1.theta, agent.critic2.theta])
+    assert_grads_close([g1, g2], numeric, rtol=1e-4)
 
 
 # ----------------------------------------------------------------- actor loss
@@ -225,7 +227,7 @@ def test_actor_loss_zero_alpha_zero_critics():
     batch = _batch(2, 8)
     loss, grads, _ = sac.actor_loss_and_grads(agent, batch, SeededRng.from_seed(0))
     assert loss == 0.0
-    assert all(np.all(g == 0) for g in grads)
+    assert np.all(grads == 0)
 
 
 def test_actor_loss_pure_entropy_pressure():
@@ -244,15 +246,12 @@ def test_actor_gradients_match_finite_differences():
     agent = _agent(seed=7, state_dim=2, action_dim=2, hidden=(8,))
     batch = _batch(8, 4, state_dim=2, action_dim=2)
 
-    def loss_fn(params):
-        agent.actor.net.set_params([p.copy() for p in params])
+    def loss_fn(_):  # finite_difference perturbs the actor's theta in place
         return sac.actor_loss(agent, batch, SeededRng.from_seed(11))
 
-    params = [p.copy() for p in agent.actor.net.params()]
-    loss_fn(params)
-    _, grads, _ = sac.actor_loss_and_grads(agent, batch, SeededRng.from_seed(11))
-    numeric = finite_difference(loss_fn, params)
-    assert_grads_close(grads, numeric, rtol=1e-4)
+    _, grad, _ = sac.actor_loss_and_grads(agent, batch, SeededRng.from_seed(11))
+    numeric = finite_difference(loss_fn, [agent.actor.net.theta])
+    assert_grads_close([grad], numeric, rtol=1e-4)
 
 
 # ------------------------------------------------------------------ sac_update
@@ -260,11 +259,10 @@ def test_actor_gradients_match_finite_differences():
 def test_polyak_one_keeps_targets():
     agent = _agent(seed=3)
     agent.polyak = 1.0
-    before = [p.copy() for p in agent.target1.params()]
+    before = agent.target1.theta.copy()
     batch = _batch(4, 16)
     sac.sac_update(agent, batch, 0.99, SeededRng.from_seed(1))
-    for b, a in zip(before, agent.target1.params()):
-        assert np.array_equal(b, a)
+    assert np.array_equal(before, agent.target1.theta)
 
 
 def test_polyak_zero_copies_critics():
@@ -272,8 +270,63 @@ def test_polyak_zero_copies_critics():
     agent.polyak = 0.0
     batch = _batch(4, 16)
     sac.sac_update(agent, batch, 0.99, SeededRng.from_seed(1))
-    for t, c in zip(agent.target1.params(), agent.critic1.params()):
-        assert np.array_equal(t, c)
+    assert np.array_equal(agent.target1.theta, agent.critic1.theta)
+
+
+def _optimizer_state(agent):
+    containers = (agent.actor.net, agent.critic1, agent.critic2, agent.target1, agent.target2)
+    adams = (agent.actor_adam, agent.critic1_adam, agent.critic2_adam)
+    return ([net.theta.copy() for net in containers]
+            + [a.m.copy() for a in adams] + [a.v.copy() for a in adams]
+            + [a.t for a in adams])
+
+
+@pytest.mark.parametrize("error", [FloatingPointError, nets.NonFiniteGradient, RuntimeError])
+def test_sac_update_is_all_or_nothing(monkeypatch, error):
+    agent = _agent(seed=4, hidden=(8, 8))
+    batch = _batch(5, 16)
+    rng = SeededRng.from_seed(6)
+    for _ in range(3):  # non-trivial moments and counters
+        sac.sac_update(agent, batch, 0.99, rng)
+    before = _optimizer_state(agent)
+
+    def failing_actor(*args, **kwargs):
+        raise error("injected actor-side failure")
+
+    monkeypatch.setattr(sac, "actor_loss_and_grads", failing_actor)
+    with pytest.raises(error, match="injected"):
+        sac.sac_update(agent, batch, 0.99, rng)
+    after = _optimizer_state(agent)
+    if error is RuntimeError:
+        # only numeric failures are rolled back; other errors propagate as they are
+        assert after[-3] == before[-3] and after[-2:] == [t + 1 for t in before[-2:]]
+        return
+    for b, a in zip(before, after):
+        assert np.array_equal(b, a)
+
+
+def test_sac_update_pinned_bits():
+    """20 updates on a fixed batch; values recorded before the parameters
+    became one flat vector per net, so the refactor moved no bit."""
+    agent = sac.init_agent(SeededRng.from_seed(21), 4, 2, -np.ones(2), np.ones(2),
+                           hidden=(32, 32))
+    g = SeededRng.from_seed(22)
+    batch = {"s": g.normal(size=(64, 4)), "a": g.uniform(-1, 1, (64, 2)),
+             "r": g.normal(size=64), "s2": g.normal(size=(64, 4)),
+             "done": g.uniform(size=64) < 0.1}
+    rng = SeededRng.from_seed(23)
+    for _ in range(20):
+        c_loss, a_loss = sac.sac_update(agent, batch, 0.99, rng)
+    assert (c_loss.hex(), a_loss.hex()) == ("0x1.f9c3256a23286p-1", "-0x1.1e22e0074e442p-3")
+    assert {name: _sha(getattr(agent, name).theta)
+            for name in ("critic1", "critic2", "target1", "target2")} == {
+        "critic1": "d23ec0365cb88ae8106728262fdeedb7cd2843979099fde43df6263a71d0e650",
+        "critic2": "ddae2097dc436dbaae3e6ab0f8b2c321d7cfdfe9a70ddf82ad2274cf781de8c9",
+        "target1": "806e6a13a9e3068929960c1071f701386c2c5e539f80e35452d9aad6f162c1c0",
+        "target2": "0d81a80eba23e9879e560cf2bb5e48f6858476834a02bdbdc4cc0d232f3cb99f"}
+    assert _sha(agent.actor.net.theta) == \
+        "0773213fcb07b82c0895b559312a7a0ebf58d987e3e1a61d2a20bf2b93ef9a76"
+    assert agent.actor_adam.t == agent.critic1_adam.t == agent.critic2_adam.t == 20
 
 
 def test_act_respects_bounds_and_seed():

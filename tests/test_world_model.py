@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,8 @@ def _member(seed=0, in_dim=3, target_dim=2, hidden=(8,)):
 def _member_with_unit_variance(in_dim, target_dim):
     """A member whose squashed log-variance is ~0 so Sigma = I."""
     m = _member(in_dim=in_dim, target_dim=target_dim)
-    m.max_logvar = np.full(target_dim, 50.0)
-    m.min_logvar = np.full(target_dim, -50.0)
+    m.max_logvar[:] = 50.0
+    m.min_logvar[:] = -50.0
     # force raw log-var head output to 0 via zero weights/bias on that slice
     m.net.weights[-1][target_dim:, :] = 0.0
     m.net.biases[-1][target_dim:] = 0.0
@@ -62,17 +64,27 @@ def test_nll_gradients_match_finite_differences():
     x = SeededRng.from_seed(7).normal(size=(5, 3))
     y = SeededRng.from_seed(8).normal(size=(5, 2))
 
-    def loss_fn(params):
-        m.set_params([p.copy() for p in params])
+    def loss_fn(_):  # finite_difference perturbs m.theta in place
         per, _ = wm._nll_terms(m, x, y)
         pen = wm.BOUND_PENALTY * float(m.max_logvar.sum() - m.min_logvar.sum())
         return float(per.mean()) + pen
 
-    params = m.copy_params()
-    m.set_params([p.copy() for p in params])
     _, analytic = wm.model_nll_grads(m, x, y)
-    numeric = finite_difference(loss_fn, [p.copy() for p in params])
-    assert_grads_close(analytic, numeric, rtol=1e-4)
+    assert analytic.shape == m.theta.shape
+    numeric = finite_difference(loss_fn, [m.theta])
+    assert_grads_close([analytic], numeric, rtol=1e-4)
+
+
+def test_member_theta_holds_net_and_bounds():
+    m = _member(seed=2, hidden=(8,))
+    n = m.net.theta.size
+    assert m.theta.shape == (n + 2 * m.target_dim,)
+    assert np.array_equal(m.theta, np.concatenate([p.ravel() for p in m.params()]))
+    assert np.array_equal(m.theta[n:], [0.5, 0.5, -10.0, -10.0])
+    for view in [m.net.theta, m.max_logvar, m.min_logvar, *m.net.params()]:
+        assert np.shares_memory(view, m.theta)
+    m.theta[n] = 3.0
+    assert m.max_logvar[0] == 3.0
 
 
 def _linear_system_buffer(n=5000, seed=0):
@@ -169,8 +181,8 @@ def test_predict_deterministic_and_seeded():
     # with the noise path active but variances pushed to the floor, the
     # prediction collapses onto the mean head
     for member in model.members:
-        member.max_logvar = np.full(member.target_dim, -60.0)
-        member.min_logvar = np.full(member.target_dim, -80.0)
+        member.max_logvar[:] = -60.0
+        member.min_logvar[:] = -80.0
     noisy = wm.predict(model, s, a, SeededRng.from_seed(8), _FakeEnv())
     floor_det = wm.predict(model, s, a, SeededRng.from_seed(8), _FakeEnv(), deterministic=True)
     assert np.allclose(noisy[0], floor_det[0], atol=1e-10)
@@ -257,3 +269,29 @@ def test_histogram_perfect_model_mass_in_first_bin():
     test = buf.gather(np.arange(n))
     edges, freqs = wm.model_error_histogram(model, test, 10)
     assert freqs[0] == 1.0
+
+
+def test_train_ensemble_pinned_bits():
+    """One train_ensemble with early stopping and best-epoch restore; values
+    recorded before the parameters became one flat vector per member."""
+    model = wm.init_ensemble(SeededRng.from_seed(24), 4, 2, hidden=(32, 32), n_members=5)
+    g = SeededRng.from_seed(25)
+    n = 300
+    d_env = TransitionBuffer(1000, 4, 2, "real")
+    s = g.normal(size=(n, 4))
+    a = g.uniform(-1, 1, (n, 2))
+    s2 = s + 0.1 * a.sum(axis=1, keepdims=True) + 0.01 * g.normal(size=(n, 4))
+    d_env.push_batch(s, a, -(s2 ** 2).sum(axis=1), s2, np.zeros(n, dtype=bool))
+    cfg = wm.ModelTrainConfig(max_epochs=40, patience=2, improvement_tol=0.05, minibatch=64)
+    hold = wm.train_ensemble(model, d_env, cfg, SeededRng.from_seed(26))
+    assert [h.hex() for h in hold] == [
+        "-0x1.0965773851237p+2", "-0x1.7202f57cee01fp+1", "-0x1.cf5889c1a4496p-1",
+        "-0x1.5fce1f2cf381cp+1", "-0x1.39763f58f8c97p+0"]
+    assert model.elites == [0, 1] and model.last_epochs == [37, 31, 32, 37, 33]
+    assert model.holdout_mse.hex() == "0x1.1b241f51e3a34p+3"
+    assert [hashlib.sha256(m.theta.tobytes()).hexdigest() for m in model.members] == [
+        "60daf789de9a64b147296efe64da26e42a90cc0b1af8e6e4e00bb0f1adc4bd77",
+        "2befa6a93f47d0572152aa92946aa998923bed96af4815c764450bcb3dd3f893",
+        "d98943b9fbd6204df02cf0f5a56437bc7982f69bff8a09661922bed62cf48a70",
+        "22a97f6a08715fc64c0ae3d9e38f294a18e4f2a7d1b1b10018c2d78930ba1530",
+        "fd36ce4fac531f216db06ca9138cff913862be7e26a390242d1b502318128695"]
