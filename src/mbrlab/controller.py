@@ -139,11 +139,12 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
     n = states.shape[0]
     logits, cache = nets.forward_cache(policy.net, states)
     slices = policy.head_slices()
+    # per active head, reused by the gradient and entropy loop below
+    tables = {h: _log_softmax(logits[:, sl])
+              for h, sl in enumerate(slices) if policy.head_mask[h]}
     logp = np.zeros(n)
-    for h, sl in enumerate(slices):
-        if policy.head_mask[h]:
-            table = _log_softmax(logits[:, sl])
-            logp += table[np.arange(n), action_indices[:, h]]
+    for h, table in tables.items():
+        logp += table[np.arange(n), action_indices[:, h]]
     ratio = np.exp(logp - old_log_probs)
     bad = ~np.isfinite(ratio)
     if bad.any():
@@ -159,10 +160,8 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
 
     upstream = np.zeros_like(logits)
     entropy_total = 0.0
-    for h, sl in enumerate(slices):
-        if not policy.head_mask[h]:
-            continue
-        table = _log_softmax(logits[:, sl])
+    for h, table in tables.items():
+        sl = slices[h]
         probs = np.exp(table)
         onehot = np.zeros_like(probs)
         onehot[np.arange(n), action_indices[:, h]] = 1.0

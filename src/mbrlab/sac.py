@@ -2,14 +2,16 @@
 
 Twin critics with min-backup, a fixed entropy temperature, polyak-averaged
 target critics, and a tanh-squashed Gaussian actor whose reparameterized
-gradient is written out layer by layer. The real ratio controls how each
-minibatch is split between the environment buffer and the model buffer.
+gradient is written out layer by layer. The critics and targets are one
+stacked net, run by one forward pass per loss. The real ratio controls how
+each minibatch is split between the environment buffer and the model buffer.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,30 +33,27 @@ class GaussianPolicy:
     action_low: np.ndarray
     action_high: np.ndarray
 
+    def __post_init__(self):
+        self.scale = (self.action_high - self.action_low) / 2.0
+        self.center = (self.action_high + self.action_low) / 2.0
+        self.log_scale = np.log(self.scale)
+
     @property
     def action_dim(self):
         return self.net.output_dim // 2
-
-    @property
-    def scale(self):
-        return (self.action_high - self.action_low) / 2.0
-
-    @property
-    def center(self):
-        return (self.action_high + self.action_low) / 2.0
 
     def _heads(self, s: np.ndarray):
         h, cache = nets.forward_cache(self.net, np.atleast_2d(s))
         d = self.action_dim
         mean, raw_ls = h[:, :d], h[:, d:]
-        log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
+        log_std = np.minimum(np.maximum(raw_ls, LOG_STD_MIN), LOG_STD_MAX)  # np.clip, faster
         return mean, log_std, raw_ls, cache
 
     def _log_density(self, u: np.ndarray, z: np.ndarray, log_std: np.ndarray):
         """Env-space log density of a = center + scale*tanh(u), where
         z = (u - mean)/std is the standardized pre-squash value."""
         return (-0.5 * _LOG_2PI - log_std - 0.5 * z * z
-                - nets.tanh_log_jacobian(u) - np.log(self.scale)).sum(axis=1)
+                - nets.tanh_log_jacobian(u) - self.log_scale).sum(axis=1)
 
     def sample(self, s: np.ndarray, rng: SeededRng, deterministic: bool = False):
         """Returns (env action, log density, cache for the actor backward)."""
@@ -65,7 +64,7 @@ class GaussianPolicy:
         unit = np.tanh(u)
         a = self.center + self.scale * unit
         logp = self._log_density(u, eps, log_std)
-        return a, logp, {"mean": mean, "log_std": log_std, "raw_ls": raw_ls,
+        return a, logp, {"mean": mean, "std": std, "raw_ls": raw_ls,
                          "eps": eps, "unit": unit, "cache": cache}
 
     def log_density(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -81,7 +80,7 @@ class GaussianPolicy:
         holding the reparameterization noise fixed."""
         unit = sample_cache["unit"]
         eps = sample_cache["eps"]
-        std = np.exp(sample_cache["log_std"])
+        std = sample_cache["std"]
         d_logp = d_logp[:, None]
         da_unit = d_action * self.scale
         # d logp / du = 2*tanh(u); d a_unit / du = 1 - tanh(u)^2
@@ -101,7 +100,7 @@ class MixedBatchSpec:
     real_ratio: float = 0.05
 
     def n_real(self) -> int:
-        return int(np.clip(round(self.real_ratio * self.batch_size), 0, self.batch_size))
+        return min(max(round(self.real_ratio * self.batch_size), 0), self.batch_size)
 
 
 def sample_mixed_batch(d_env: TransitionBuffer, d_model: TransitionBuffer | None,
@@ -128,18 +127,49 @@ def sample_mixed_batch(d_env: TransitionBuffer, d_model: TransitionBuffer | None
     return batch
 
 
+def _q_view(*index):
+    """The net at q.theta[index] as a view, built on first use."""
+    return cached_property(lambda agent: DenseNet(agent.q.sizes, agent.q.activations,
+                                                  agent.q.theta[index]))
+
+
 @dataclass
 class SacAgent:
+    """The actor, and the twin critics with their polyak targets as one
+    stacked net `q` whose theta has shape (2, 2, n): online and target by
+    critic 1 and critic 2.
+
+    `critics` and `targets` are its two (2, n) blocks and `critic1` ...
+    `target2` its four single nets, all views of `q.theta` built on first
+    use; `critic_adam` steps `critics.theta`. Copies and pickles rebuild the
+    views on the copy's own array and carry no workspace over.
+    """
+
     actor: GaussianPolicy
-    critic1: DenseNet
-    critic2: DenseNet
-    target1: DenseNet
-    target2: DenseNet
+    q: DenseNet
     actor_adam: AdamState
-    critic1_adam: AdamState
-    critic2_adam: AdamState
+    critic_adam: AdamState
     alpha: float = 0.2
     polyak: float = 0.995
+
+    critics, targets = _q_view(0), _q_view(1)
+    critic1, critic2, target1, target2 = _q_view(0, 0), _q_view(0, 1), _q_view(1, 0), _q_view(1, 1)
+
+    def __post_init__(self):
+        self._workspaces = {}
+
+    def __reduce__(self):
+        return SacAgent, (self.actor, self.q, self.actor_adam, self.critic_adam,
+                          self.alpha, self.polyak)
+
+    def workspace(self, rows: int) -> tuple:
+        """(workspace of `q`, its online block's, the (2, 1, rows, in) critic
+        input) for one batch size, allocated on first use. Caches written
+        into them are valid until the next critic forward."""
+        if rows not in self._workspaces:
+            ws = nets.Workspace.for_net(self.q, (2, 2), rows)
+            self._workspaces[rows] = (ws, ws[0], np.empty((2, 1, rows, self.q.input_dim)))
+        return self._workspaces[rows]
 
 
 def init_agent(rng: SeededRng, state_dim: int, action_dim: int,
@@ -149,14 +179,14 @@ def init_agent(rng: SeededRng, state_dim: int, action_dim: int,
     actor_net = nets.init_dense(r_actor, [state_dim, *hidden, 2 * action_dim])
     critic1 = nets.init_dense(r_c1, [state_dim + action_dim, *hidden, 1])
     critic2 = nets.init_dense(r_c2, [state_dim + action_dim, *hidden, 1])
+    q = DenseNet(critic1.sizes, critic1.activations,
+                 np.stack([critic1.theta, critic2.theta] * 2).reshape(2, 2, -1))
     actor = GaussianPolicy(actor_net, np.asarray(action_low, dtype=np.float64),
                            np.asarray(action_high, dtype=np.float64))
     return SacAgent(
-        actor=actor, critic1=critic1, critic2=critic2,
-        target1=critic1.copy(), target2=critic2.copy(),
+        actor=actor, q=q,
         actor_adam=AdamState.for_theta(actor_net.theta, lr),
-        critic1_adam=AdamState.for_theta(critic1.theta, lr),
-        critic2_adam=AdamState.for_theta(critic2.theta, lr),
+        critic_adam=AdamState.for_theta(q.theta[0], lr),
         alpha=alpha, polyak=polyak,
     )
 
@@ -166,34 +196,39 @@ def act(agent: SacAgent, s: np.ndarray, deterministic: bool, rng: SeededRng) -> 
     return a[0] if np.asarray(s).ndim == 1 else a
 
 
-def _q_values(net: DenseNet, s: np.ndarray, a: np.ndarray):
-    x = np.concatenate([s, a], axis=1)
-    q, cache = nets.forward_cache(net, x)
-    return q[:, 0], cache
+def _critic_forward(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
+    """One stacked forward: the critics at (s, a) and the targets at s' with
+    a fresh actor sample there. Returns the Bellman targets (no bootstrap on
+    done), the critics' Q of shape (2, B) and their cache."""
+    a2, logp2, _ = agent.actor.sample(batch["s2"], rng)
+    ws, _, x = agent.workspace(len(batch["r"]))
+    sd = batch["s"].shape[1]
+    x[0, 0, :, :sd], x[0, 0, :, sd:] = batch["s"], batch["a"]
+    x[1, 0, :, :sd], x[1, 0, :, sd:] = batch["s2"], a2
+    q, (inputs, preacts) = nets.forward_cache(agent.q, x, ws)
+    qt = np.minimum(q[1, 0, :, 0], q[1, 1, :, 0])
+    not_done = 1.0 - batch["done"].astype(np.float64)
+    y = batch["r"] + gamma * not_done * (qt - agent.alpha * logp2)
+    return y, q[0, :, :, 0], ([h[0] for h in inputs], [z[0] for z in preacts])
 
 
 def critic_targets(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
     """Bellman targets with a fresh actor sample at s'; no bootstrap on done."""
-    a2, logp2, _ = agent.actor.sample(batch["s2"], rng)
-    q1t, _ = _q_values(agent.target1, batch["s2"], a2)
-    q2t, _ = _q_values(agent.target2, batch["s2"], a2)
-    qt = np.minimum(q1t, q2t)
-    not_done = 1.0 - batch["done"].astype(np.float64)
-    return batch["r"] + gamma * not_done * (qt - agent.alpha * logp2)
+    return _critic_forward(agent, batch, gamma, rng)[0]
 
 
 def critic_loss_and_grads(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
-    y = critic_targets(agent, batch, gamma, rng)
+    """Summed twin critic loss and both gradients, stacked like
+    agent.critics.theta."""
+    y, q, cache = _critic_forward(agent, batch, gamma, rng)
     b = len(y)
-    q1, cache1 = _q_values(agent.critic1, batch["s"], batch["a"])
-    loss = 0.5 * float(((q1 - y) ** 2).mean())
-    g1, _ = nets.backward_from_cache(agent.critic1, cache1, ((q1 - y) / b)[:, None])
-    q2, cache2 = _q_values(agent.critic2, batch["s"], batch["a"])
-    loss += 0.5 * float(((q2 - y) ** 2).mean())
-    g2, _ = nets.backward_from_cache(agent.critic2, cache2, ((q2 - y) / b)[:, None])
+    loss = 0.5 * float(((q[0] - y) ** 2).mean())
+    loss += 0.5 * float(((q[1] - y) ** 2).mean())
+    grads, _ = nets.backward_from_cache(agent.critics, cache, ((q - y) / b)[:, :, None],
+                                        ws=agent.workspace(b)[1])
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite critic loss")
-    return loss, g1, g2
+    return loss, grads
 
 
 def critic_loss(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng) -> float:
@@ -204,20 +239,21 @@ def actor_loss_and_grads(agent: SacAgent, batch: dict, rng: SeededRng):
     """mean(alpha*logp - min twin Q) at reparameterized actions; gradients
     flow only into the actor."""
     s = batch["s"]
-    b = s.shape[0]
+    b, sd = s.shape
     a, logp, cache = agent.actor.sample(s, rng)
-    q1, c1 = _q_values(agent.critic1, s, a)
-    q2, c2 = _q_values(agent.critic2, s, a)
-    q = np.minimum(q1, q2)
+    _, ws, x = agent.workspace(b)
+    x[0, 0, :, :sd], x[0, 0, :, sd:] = s, a
+    q, q_cache = nets.forward_cache(agent.critics, x[0], ws)
+    q1, q2 = q[0, :, 0], q[1, :, 0]
     take1 = (q1 <= q2)[:, None]
-    loss = float((agent.alpha * logp - q).mean())
+    loss = float((agent.alpha * logp - np.minimum(q1, q2)).mean())
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite actor loss")
     # dq/da through whichever critic realizes the min, critic params frozen
     up = -np.ones((b, 1)) / b
-    _, dx1 = nets.backward_from_cache(agent.critic1, c1, up * take1)
-    _, dx2 = nets.backward_from_cache(agent.critic2, c2, up * (~take1))
-    d_action = dx1[:, s.shape[1]:] + dx2[:, s.shape[1]:]
+    _, dx = nets.backward_from_cache(agent.critics, q_cache, np.stack([up * take1, up * ~take1]),
+                                     params=False, ws=ws)
+    d_action = dx[0, :, sd:] + dx[1, :, sd:]
     d_logp = np.full(b, agent.alpha / b)
     grads = agent.actor.backward(cache, d_logp, d_action)
     return loss, grads, logp
@@ -233,22 +269,19 @@ def polyak_update(target: DenseNet, online: DenseNet, rho: float) -> None:
 
 
 def sac_update(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng) -> tuple:
-    """One Adam step per net plus the polyak target update; returns (critic
-    loss, actor loss). All or nothing: on a FloatingPointError the stepped
-    critics and their Adam states are restored before it propagates."""
-    c_loss, g1, g2 = critic_loss_and_grads(agent, batch, gamma, rng)
-    critics = ((agent.critic1, agent.critic1_adam, g1), (agent.critic2, agent.critic2_adam, g2))
-    saved = [(net.theta.copy(), adam.m.copy(), adam.v.copy(), adam.t)
-             for net, adam, _ in critics]
+    """One Adam step for the critics and one for the actor, then the polyak
+    target update; returns (critic loss, actor loss). All or nothing: on a
+    FloatingPointError the stepped critics and their Adam state are restored
+    before it propagates."""
+    c_loss, c_grad = critic_loss_and_grads(agent, batch, gamma, rng)
+    critics, adam = agent.critics.theta, agent.critic_adam
+    saved = (critics.copy(), adam.m.copy(), adam.v.copy(), adam.t)
     try:
-        for net, adam, grad in critics:
-            adam_step(adam, net.theta, grad)
+        adam_step(adam, critics, c_grad)
         a_loss, a_grad, _ = actor_loss_and_grads(agent, batch, rng)
         adam_step(agent.actor_adam, agent.actor.net.theta, a_grad)
     except FloatingPointError:
-        for (net, adam, _), (theta, m, v, t) in zip(critics, saved):
-            net.theta[:], adam.m[:], adam.v[:], adam.t = theta, m, v, t
+        critics[:], adam.m[:], adam.v[:], adam.t = saved
         raise
-    polyak_update(agent.target1, agent.critic1, agent.polyak)
-    polyak_update(agent.target2, agent.critic2, agent.polyak)
+    polyak_update(agent.targets, agent.critics, agent.polyak)
     return c_loss, a_loss

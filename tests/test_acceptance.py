@@ -105,7 +105,7 @@ def test_criterion_05_gradient_suite():
     def critic_fn(_):
         return sac.critic_loss(agent, batch, 0.99, SeededRng.from_seed(6))
 
-    _, g1, g2 = sac.critic_loss_and_grads(agent, batch, 0.99, SeededRng.from_seed(6))
+    _, (g1, g2) = sac.critic_loss_and_grads(agent, batch, 0.99, SeededRng.from_seed(6))
     numeric = finite_difference(critic_fn, [agent.critic1.theta, agent.critic2.theta])
     worst = max(worst, assert_grads_close([g1, g2], numeric))
 

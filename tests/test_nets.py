@@ -67,6 +67,80 @@ def test_backward_matches_finite_differences():
     assert_grads_close([analytic], numeric, rtol=1e-4)
 
 
+
+# ------------------------------------------------------------ stacked nets
+
+def _stacked(lead, hidden, seed=0):
+    """A stack of nets (tanh, relu, identity layers) with theta (*lead, n)."""
+    rng = SeededRng.from_seed(seed)
+    sizes = [6, hidden, hidden, 3]
+    thetas = [nets.init_dense(r, sizes, ["tanh", "relu", "identity"]).theta
+              for r in rng.split(int(np.prod(lead)))]
+    return DenseNet(sizes, ["tanh", "relu", "identity"],
+                    np.stack(thetas).reshape(*lead, -1))
+
+
+def _inputs(lead, rows, how, rng):
+    if how == "shared":
+        return rng.normal(size=(rows, 6))
+    if how == "broadcast":  # one input per leading row, shared along the last leading axis
+        return rng.normal(size=(*lead[:-1], 1, rows, 6))
+    return rng.normal(size=(*lead, rows, 6))
+
+
+@pytest.mark.parametrize("hidden", [8, 16, 32])
+@pytest.mark.parametrize("rows", [1, 2, 64, 128, 256])
+def test_stacked_forward_and_backward_match_each_net_bit_for_bit(rows, hidden):
+    rng = SeededRng.from_seed(rows + hidden)
+    for lead, how in [((2,), "shared"), ((2,), "per-slice"), ((2, 2), "shared"),
+                      ((2, 2), "broadcast"), ((2, 2), "per-slice")]:
+        stack = _stacked(lead, hidden, seed=rows)
+        x = _inputs(lead, rows, how, rng)
+        up = rng.normal(size=(*lead, rows, 3))
+        for ws in (None, nets.Workspace.for_net(stack, lead, rows)):
+            y, cache = nets.forward_cache(stack, x, ws)
+            y = y.copy()
+            grad, dx = nets.backward_from_cache(stack, cache, up, ws=ws)
+            dx = dx.copy()
+            none, dx_only = nets.backward_from_cache(stack, cache, up, params=False, ws=ws)
+            assert none is None and grad.shape == stack.theta.shape
+            for idx in np.ndindex(*lead):
+                net = DenseNet(stack.sizes, stack.activations, stack.theta[idx])
+                xi = x if how == "shared" else x[(*idx[:-1], 0) if how == "broadcast" else idx]
+                y_ref, cache_ref = nets.forward_cache(net, xi)
+                g_ref, dx_ref = nets.backward_from_cache(net, cache_ref, up[idx])
+                assert np.array_equal(y[idx], y_ref)
+                assert np.array_equal(grad[idx], g_ref)
+                assert np.array_equal(dx[idx], dx_ref)
+                assert np.array_equal(dx_only[idx], dx_ref)
+
+
+def test_stacked_backward_matches_finite_differences():
+    stack = _stacked((2, 2), 8, seed=3)
+    rng = SeededRng.from_seed(4)
+    x = _inputs((2, 2), 5, "broadcast", rng)
+    up = rng.normal(size=(2, 2, 5, 3))
+
+    def loss_fn(_):  # finite_difference perturbs the stacked theta in place
+        return float((nets.forward(stack, x) * up).sum())
+
+    _, cache = nets.forward_cache(stack, x)
+    analytic, _ = nets.backward_from_cache(stack, cache, up)
+    numeric = finite_difference(loss_fn, [stack.theta])
+    assert_grads_close([analytic], numeric, rtol=1e-4)
+
+
+def test_workspace_is_one_block_and_slices_are_views():
+    stack = _stacked((2, 2), 4)
+    ws = nets.Workspace.for_net(stack, (2, 2), 3)
+    bufs = ws.pre + ws.act + ws.d_pre + ws.d_in
+    assert len({id(b.base) for b in bufs}) == 1 and all(b.flags.c_contiguous for b in bufs)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(bufs) for b in bufs[:i])
+    sub = ws[1]
+    for whole, part in zip(ws.pre + ws.act + ws.d_pre + ws.d_in,
+                           sub.pre + sub.act + sub.d_pre + sub.d_in):
+        assert part.shape == whole.shape[1:] and np.shares_memory(part, whole[1])
+
 def test_adam_zero_gradients_leave_params_unchanged():
     p = np.array([1.0, -2.0])
     state = AdamState.for_theta(p, lr=0.1)

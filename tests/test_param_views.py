@@ -65,6 +65,8 @@ def test_copies_keep_their_views(how):
         assert all(np.shares_memory(v, theta) for v in views)
     for (theta, _), (other, _) in zip(_owners(agent, model), _owners(src.agent, src.model)):
         assert not np.shares_memory(theta, other)
+    for net in _nets(agent)[1:] + [agent.critics, agent.targets]:
+        assert np.shares_memory(net.theta, agent.q.theta)
 
     # step every container of the copy in place
     g = SeededRng.from_seed(2)
@@ -90,3 +92,29 @@ def test_copies_keep_their_views(how):
             assert np.array_equal(a, b)
     for (theta, _), before in zip(_owners(src.agent, src.model), src_thetas):
         assert np.array_equal(theta, before)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_agent_copies_rebuild_the_critic_stack_without_its_workspace(how):
+    src = _run(0).agent
+    g = SeededRng.from_seed(4)
+    batch = {"s": g.normal(size=(8, 4)), "a": g.uniform(-1, 1, (8, 2)),
+             "r": g.normal(size=8), "s2": g.normal(size=(8, 4)),
+             "done": np.zeros(8, dtype=bool)}
+    sac.sac_update(src, batch, 0.99, SeededRng.from_seed(5))  # allocates a workspace
+    before = src.q.theta.copy()
+    agent = copy.deepcopy(src) if how == "deepcopy" else pickle.loads(pickle.dumps(src))
+    assert agent._workspaces == {} and src._workspaces
+    assert agent.q.theta.shape == (2, 2, agent.critic1.theta.size)
+    assert np.array_equal(agent.q.theta, before)
+    assert not np.shares_memory(agent.q.theta, src.q.theta)
+    for name in ("critics", "targets", "critic1", "critic2", "target1", "target2"):
+        assert np.shares_memory(getattr(agent, name).theta, agent.q.theta)
+    assert agent.critic_adam.m.shape == agent.critics.theta.shape
+    assert not np.shares_memory(agent.critic_adam.m, src.critic_adam.m)
+    critic1 = agent.critic1.theta.copy()
+    sac.sac_update(agent, batch, 0.99, SeededRng.from_seed(6))
+    assert not np.array_equal(agent.critic1.theta, critic1)
+    assert np.array_equal(agent.q.theta[:, 0].ravel(),
+                          np.concatenate([agent.critic1.theta, agent.target1.theta]))
+    assert np.array_equal(src.q.theta, before)

@@ -141,6 +141,17 @@ def test_mixed_batch_falls_back_to_real_when_model_empty(caplog):
     assert any("all-real" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("batch_size", [64, 128])
+def test_n_real_equals_the_clipped_round(batch_size):
+    halves = [(2 * k + 1) / (2 * batch_size) for k in range(batch_size)]  # beta*B = k + 0.5
+    grid = list(np.linspace(-0.5, 1.5, 401)) + halves + [0.0, 1.0]
+    assert any(round(h * batch_size) % 2 == 0 for h in halves)  # ties round to even
+    for beta in grid:
+        n_real = sac.MixedBatchSpec(batch_size, float(beta)).n_real()
+        assert type(n_real) is int
+        assert n_real == int(np.clip(round(float(beta) * batch_size), 0, batch_size))
+
+
 def test_mixed_batch_errors_when_both_empty():
     d_env = TransitionBuffer(10, 3, 1, "real")
     d_model = TransitionBuffer(10, 3, 1, "imaginary")
@@ -212,7 +223,7 @@ def test_critic_gradients_match_finite_differences():
     def loss_fn(_):  # finite_difference perturbs both critic thetas in place
         return sac.critic_loss(agent, batch, 0.99, SeededRng.from_seed(42))
 
-    _, g1, g2 = sac.critic_loss_and_grads(agent, batch, 0.99, SeededRng.from_seed(42))
+    _, (g1, g2) = sac.critic_loss_and_grads(agent, batch, 0.99, SeededRng.from_seed(42))
     numeric = finite_difference(loss_fn, [agent.critic1.theta, agent.critic2.theta])
     assert_grads_close([g1, g2], numeric, rtol=1e-4)
 
@@ -275,7 +286,7 @@ def test_polyak_zero_copies_critics():
 
 def _optimizer_state(agent):
     containers = (agent.actor.net, agent.critic1, agent.critic2, agent.target1, agent.target2)
-    adams = (agent.actor_adam, agent.critic1_adam, agent.critic2_adam)
+    adams = (agent.actor_adam, agent.critic_adam)
     return ([net.theta.copy() for net in containers]
             + [a.m.copy() for a in adams] + [a.v.copy() for a in adams]
             + [a.t for a in adams])
@@ -299,7 +310,7 @@ def test_sac_update_is_all_or_nothing(monkeypatch, error):
     after = _optimizer_state(agent)
     if error is RuntimeError:
         # only numeric failures are rolled back; other errors propagate as they are
-        assert after[-3] == before[-3] and after[-2:] == [t + 1 for t in before[-2:]]
+        assert after[-2] == before[-2] and after[-1] == before[-1] + 1
         return
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
@@ -326,7 +337,7 @@ def test_sac_update_pinned_bits():
         "target2": "0d81a80eba23e9879e560cf2bb5e48f6858476834a02bdbdc4cc0d232f3cb99f"}
     assert _sha(agent.actor.net.theta) == \
         "0773213fcb07b82c0895b559312a7a0ebf58d987e3e1a61d2a20bf2b93ef9a76"
-    assert agent.actor_adam.t == agent.critic1_adam.t == agent.critic2_adam.t == 20
+    assert agent.actor_adam.t == agent.critic_adam.t == 20
 
 
 def test_act_respects_bounds_and_seed():
