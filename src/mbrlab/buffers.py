@@ -6,10 +6,21 @@ oldest entries are evicted first once capacity is reached.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from .envs import Transition
 from .rng import SeededRng
+
+
+def _zeros(shape, dtype=np.float64) -> np.ndarray:
+    """Zeros on an anonymous mapping of their own: only written pages become
+    resident and a freed buffer returns to the system, whatever the heap
+    layout (np.zeros may reuse freed heap and then write all of it)."""
+    count = int(np.prod(shape))
+    mapping = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(mapping, dtype=dtype, count=count).reshape(shape)
 
 
 class TransitionBuffer:
@@ -18,14 +29,14 @@ class TransitionBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.source = source
-        self.s = np.zeros((capacity, state_dim))
-        self.a = np.zeros((capacity, action_dim))
-        self.r = np.zeros(capacity)
-        self.s2 = np.zeros((capacity, state_dim))
-        self.done = np.zeros(capacity, dtype=bool)
+        self.s = _zeros((capacity, state_dim))
+        self.a = _zeros((capacity, action_dim))
+        self.r = _zeros(capacity)
+        self.s2 = _zeros((capacity, state_dim))
+        self.done = _zeros(capacity, dtype=bool)
         # behavior-policy density of a given s at collection time (real data
         # only; used by the policy-change feature)
-        self.behavior_density = np.zeros(capacity)
+        self.behavior_density = _zeros(capacity)
         self.cursor = 0
         self.size = 0
 

@@ -97,7 +97,7 @@ class ExperimentManifest:
 
 
 def new_experiment(config: RunConfig, mode: str) -> tuple:
-    """Fresh manifest directory <outdir>/<mode>-<hash8>-<n>; never reuses."""
+    """Fresh manifest directory <outdir>/<mode>-<hash8>-<n>, claimed by mkdir; never reused."""
     base = Path(config.harness.output_dir)
     base.mkdir(parents=True, exist_ok=True)
     h8 = config.content_hash()[:8]
@@ -105,10 +105,11 @@ def new_experiment(config: RunConfig, mode: str) -> tuple:
     while True:
         exp_id = f"{mode}-{h8}-{n:03d}"
         directory = base / exp_id
-        if not directory.exists():
+        try:
+            directory.mkdir()
             break
-        n += 1
-    directory.mkdir(parents=True)
+        except FileExistsError:
+            n += 1
     manifest = ExperimentManifest(experiment_id=exp_id, mode=mode,
                                   config_hash=config.content_hash(),
                                   started=time.time())

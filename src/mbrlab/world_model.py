@@ -39,17 +39,21 @@ def _sigmoid(x):
 class EnsembleMember:
     """A net (s, a) -> (mean(delta_s, r), raw log-var(delta_s, r)) with soft
     log-variance bounds. `theta` holds the net's theta followed by max_logvar
-    and min_logvar; all three are views into it."""
+    and min_logvar; all three are views into it. A theta of shape (E, n + 2d)
+    is a stack of E members run at once, as in `nets.forward_cache`;
+    `member[i]` is a view of row i (a copy for an index array)."""
 
-    def __init__(self, net: DenseNet, max_logvar: np.ndarray, min_logvar: np.ndarray):
-        n = net.theta.size
-        self.theta = np.concatenate([net.theta, max_logvar, min_logvar])
-        self.net = DenseNet(net.sizes, net.activations, self.theta[:n])
-        self.max_logvar, self.min_logvar = self.theta[n:].reshape(2, -1)
+    def __init__(self, sizes, activations, theta: np.ndarray):
+        d = sizes[-1] // 2
+        self.theta = theta
+        self.net = DenseNet(sizes, activations, theta[..., :-2 * d])
+        self.max_logvar, self.min_logvar = theta[..., -2 * d:-d], theta[..., -d:]
 
     def __reduce__(self):
-        # copies and pickles rebuild theta and its views from the three parts
-        return EnsembleMember, (self.net, self.max_logvar, self.min_logvar)
+        return EnsembleMember, (self.net.sizes, self.net.activations, self.theta)
+
+    def __getitem__(self, index) -> "EnsembleMember":
+        return EnsembleMember(self.net.sizes, self.net.activations, self.theta[index])
 
     @property
     def target_dim(self):
@@ -62,9 +66,10 @@ class EnsembleMember:
         """Mean and soft-bounded log-variance heads, plus the backward cache."""
         out, cache = nets.forward_cache(self.net, x)
         d = self.target_dim
-        mean, raw_lv = out[:, :d], out[:, d:]
-        lv1 = self.max_logvar - nets.softplus(self.max_logvar - raw_lv)
-        lv = self.min_logvar + nets.softplus(lv1 - self.min_logvar)
+        mean, raw_lv = out[..., :d], out[..., d:]
+        hi, lo = self.max_logvar[..., None, :], self.min_logvar[..., None, :]
+        lv1 = hi - nets.softplus(hi - raw_lv)
+        lv = lo + nets.softplus(lv1 - lo)
         return mean, lv, (cache, raw_lv, lv1)
 
 
@@ -86,30 +91,36 @@ class ModelTrainConfig:
 
 @dataclass
 class EnsembleModel:
-    members: list
+    """The members as one stacked `EnsembleMember`; `members` are views of its
+    rows, rebuilt on a copy's or a pickle's own stack."""
+
+    stack: EnsembleMember
     elites: list = field(default_factory=list)
     trained: bool = False
     holdout_losses: np.ndarray | None = None
     holdout_mse: float | None = None  # nonnegative validation error for features
     last_epochs: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self.members = [self.stack[i] for i in range(self.n_members)]
+
+    def __reduce__(self):
+        return EnsembleModel, (self.stack, self.elites, self.trained, self.holdout_losses,
+                               self.holdout_mse, self.last_epochs)
+
     @property
     def n_members(self):
-        return len(self.members)
+        return len(self.stack.theta)
 
 
 def init_ensemble(rng: SeededRng, state_dim: int, action_dim: int,
                   hidden: tuple = (64, 64), n_members: int = 5) -> EnsembleModel:
     target = state_dim + 1  # delta_s plus reward
-    members = []
-    for child in rng.split(n_members):
-        net = nets.init_dense(child, [state_dim + action_dim, *hidden, 2 * target])
-        members.append(EnsembleMember(
-            net=net,
-            max_logvar=np.full(target, 0.5),
-            min_logvar=np.full(target, -10.0),
-        ))
-    return EnsembleModel(members=members)
+    sizes = [state_dim + action_dim, *hidden, 2 * target]
+    inits = [nets.init_dense(child, sizes) for child in rng.split(n_members)]
+    theta = np.stack([np.concatenate([net.theta, np.full(target, 0.5), np.full(target, -10.0)])
+                      for net in inits])
+    return EnsembleModel(EnsembleMember(sizes, inits[0].activations, theta))
 
 
 def _nll_terms(member: EnsembleMember, x: np.ndarray, y: np.ndarray):
@@ -117,46 +128,45 @@ def _nll_terms(member: EnsembleMember, x: np.ndarray, y: np.ndarray):
     err = mean - y
     inv_var = np.exp(-lv)
     # Mahalanobis + log-det per sample; the Gaussian constant is dropped
-    per_sample = (err * err * inv_var + lv).sum(axis=1)
+    per_sample = (err * err * inv_var + lv).sum(axis=-1)
     return per_sample, (mean, lv, err, inv_var, aux)
 
 
-def model_nll(member: EnsembleMember, x: np.ndarray, y: np.ndarray) -> float:
-    """Batch-mean Gaussian NLL (Mahalanobis + log det, constant dropped)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if x.shape[0] == 0:
+def model_nll(member: EnsembleMember, x: np.ndarray, y: np.ndarray):
+    """Batch-mean Gaussian NLL (Mahalanobis + log det, constant dropped), one
+    per member of a stack."""
+    x, y = np.atleast_2d(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    if x.shape[-2] == 0:
         raise ValueError("batch must be non-empty")
     per_sample, _ = _nll_terms(member, x, y)
-    loss = float(per_sample.mean())
-    if not np.isfinite(loss):
+    loss = per_sample.mean(axis=-1)
+    if not np.isfinite(loss).all():
         raise FloatingPointError("non-finite model NLL")
     return loss
 
 
-def model_nll_grads(member: EnsembleMember, x: np.ndarray, y: np.ndarray,
-                    bound_penalty: float = BOUND_PENALTY):
-    """Loss (incl. bound penalty) and its exact gradient, laid out like member.theta."""
-    x = np.atleast_2d(x)
-    y = np.atleast_2d(y)
-    b = x.shape[0]
-    per_sample, (mean, lv, err, inv_var, aux) = _nll_terms(member, x, y)
-    cache, raw_lv, lv1 = aux
-    loss = float(per_sample.mean())
-    loss += bound_penalty * float(member.max_logvar.sum() - member.min_logvar.sum())
+def model_nll_grads(member: EnsembleMember, x: np.ndarray, y: np.ndarray):
+    """Loss (incl. bound penalty) and its exact gradient, laid out like
+    member.theta; a stack takes a batch of shape (E, B, in) or a shared one."""
+    x, y = np.atleast_2d(x, y)
+    b = x.shape[-2]
+    per_sample, (mean, lv, err, inv_var, (cache, raw_lv, lv1)) = _nll_terms(member, x, y)
+    hi, lo = member.max_logvar[..., None, :], member.min_logvar[..., None, :]
+    loss = per_sample.mean(axis=-1)
+    loss += BOUND_PENALTY * (member.max_logvar.sum(axis=-1) - member.min_logvar.sum(axis=-1))
 
     d_mean = 2.0 * err * inv_var / b
     d_lv = (1.0 - err * err * inv_var) / b
     # chain back through the two softplus squashes
-    s_hi = _sigmoid(member.max_logvar - raw_lv)   # d lv1 / d raw_lv
-    s_lo = _sigmoid(lv1 - member.min_logvar)      # d lv / d lv1
+    s_hi = _sigmoid(hi - raw_lv)   # d lv1 / d raw_lv
+    s_lo = _sigmoid(lv1 - lo)      # d lv / d lv1
     d_lv1 = d_lv * s_lo
     d_raw = d_lv1 * s_hi
-    d_max = (d_lv1 * (1.0 - s_hi)).sum(axis=0) + bound_penalty
-    d_min = (d_lv * (1.0 - s_lo)).sum(axis=0) - bound_penalty
-    upstream = np.concatenate([d_mean, d_raw], axis=1)
+    d_max = (d_lv1 * (1.0 - s_hi)).sum(axis=-2) + BOUND_PENALTY
+    d_min = (d_lv * (1.0 - s_lo)).sum(axis=-2) - BOUND_PENALTY
+    upstream = np.concatenate([d_mean, d_raw], axis=-1)
     net_grad, _ = nets.backward_from_cache(member.net, cache, upstream)
-    return loss, np.concatenate([net_grad, d_max, d_min])
+    return loss, np.concatenate([net_grad, d_max, d_min], axis=-1)
 
 
 def _targets(d: dict) -> np.ndarray:
@@ -172,8 +182,11 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     """Train every member on its own bootstrap resample with hold-out early
     stopping; returns per-member hold-out NLLs and sets the elite indices.
 
-    Best-epoch parameters are restored, so the post-training hold-out loss is
-    the minimum over logged epochs.
+    The members still training run as one stack, one forward and backward
+    per minibatch; each keeps its own bootstrap draw, permutation stream,
+    Adam state and patience, and a non-finite gradient rejects only its own
+    step. Best-epoch parameters are restored, so the post-training hold-out
+    loss is the minimum over logged epochs.
     """
     config.validate()
     n = len(d_env)
@@ -188,50 +201,44 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     x_train, y_train = x_all[train_idx], y_all[train_idx]
     n_train = len(train_idx)
 
-    holdout = np.zeros(model.n_members)
-    epochs_run = [0] * model.n_members
     member_rngs = rng.split(model.n_members)
-    for m_idx, (member, mrng) in enumerate(zip(model.members, member_rngs)):
-        boot = mrng.integers(0, n_train, size=n_train)
-        xb, yb = x_train[boot], y_train[boot]
-        adam = AdamState.for_theta(member.theta, lr=config.lr)
-        best_loss = np.inf
-        best = member.theta.copy()
-        bad_epochs = 0
-        for _ in range(config.max_epochs):
-            epochs_run[m_idx] += 1
-            order = mrng.gen.permutation(n_train)
-            for lo in range(0, n_train, config.minibatch):
-                sel = order[lo:lo + config.minibatch]
+    boot = np.stack([mrng.integers(0, n_train, size=n_train) for mrng in member_rngs])
+    adams = [AdamState.for_theta(theta, lr=config.lr) for theta in model.stack.theta]
+    best = model.stack.theta.copy()
+    best_loss = np.full(model.n_members, np.inf)
+    epochs_run = np.zeros(model.n_members, dtype=int)
+    live = np.arange(model.n_members)
+    work, bad_epochs = model.stack[live], np.zeros_like(live)  # the live members' rows, copied
+    for _ in range(config.max_epochs):
+        epochs_run[live] += 1
+        rows = np.stack([boot[i][member_rngs[i].gen.permutation(n_train)] for i in live])
+        for lo in range(0, n_train, config.minibatch):
+            sel = rows[:, lo:lo + config.minibatch]
+            _, grads = model_nll_grads(work, x_train[sel], y_train[sel])
+            for i, theta, grad in zip(live, work.theta, grads):
                 try:
-                    _, grad = model_nll_grads(member, xb[sel], yb[sel])
-                    adam_step(adam, member.theta, grad)
+                    adam_step(adams[i], theta, grad)
                 except FloatingPointError as exc:
                     logger.warning("model step rejected: %s", exc)
-            hold_loss = model_nll(member, x_hold, y_hold)
-            if best_loss - hold_loss > config.improvement_tol:
-                best_loss = hold_loss
-                best[:] = member.theta
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= config.patience:
-                    break
-        member.theta[:] = best
-        holdout[m_idx] = best_loss if np.isfinite(best_loss) else model_nll(member, x_hold, y_hold)
+        hold_loss = model_nll(work, x_hold, y_hold)
+        better = best_loss[live] - hold_loss > config.improvement_tol
+        best_loss[live[better]] = hold_loss[better]
+        best[live[better]] = work.theta[better]
+        bad_epochs = np.where(better, 0, bad_epochs + 1)
+        going = bad_epochs < config.patience
+        live, work, bad_epochs = live[going], work[going], bad_epochs[going]
+        if not len(live):
+            break
+    model.stack.theta[:] = best
 
-    n_elites = min(2, model.n_members)
-    model.elites = [int(i) for i in np.argsort(holdout)[:n_elites]]
-    model.holdout_losses = holdout
-    model.last_epochs = epochs_run
+    model.elites = [int(i) for i in np.argsort(best_loss)[:min(2, model.n_members)]]
+    model.holdout_losses = best_loss
+    model.last_epochs = epochs_run.tolist()
     model.trained = True
     # nonnegative validation error on next-state prediction, for the hyper-state
-    errs = []
-    for m_idx in model.elites:
-        mean, _, _ = model.members[m_idx].heads(x_hold)
-        errs.append(((mean - y_hold) ** 2).sum(axis=1).mean())
-    model.holdout_mse = float(np.mean(errs))
-    return holdout
+    mean, _, _ = model.stack[model.elites].heads(x_hold)
+    model.holdout_mse = float(((mean - y_hold) ** 2).sum(axis=-1).mean(axis=-1).mean())
+    return best_loss
 
 
 def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: SeededRng,
@@ -249,13 +256,10 @@ def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: SeededRng,
     x = np.concatenate([s, a], axis=1)
     pick = rng.gen.choice(model.elites, size=n)
     d = model.members[0].target_dim
-    out_mean = np.zeros((n, d))
-    out_lv = np.zeros((n, d))
+    out_mean, out_lv = np.zeros((n, d)), np.zeros((n, d))
     for m_idx in set(pick.tolist()):
         mask = pick == m_idx
-        mean, lv, _ = model.members[m_idx].heads(x[mask])
-        out_mean[mask] = mean
-        out_lv[mask] = lv
+        out_mean[mask], out_lv[mask], _ = model.members[m_idx].heads(x[mask])
     noise = rng.normal(size=(n, d))
     draw = out_mean if deterministic else out_mean + np.exp(0.5 * out_lv) * noise
     s2 = s + draw[:, :-1]
@@ -299,13 +303,7 @@ def model_error_histogram(model: EnsembleModel, test: dict, n_bins: int) -> tupl
     using the mean head of the elite average. Frequencies sum to 1."""
     if not model.trained:
         raise UntrainedModel("ensemble not trained")
-    x = _inputs(test)
-    d = model.members[0].target_dim
-    mean_pred = np.zeros((x.shape[0], d))
-    for m_idx in model.elites:
-        mean, _, _ = model.members[m_idx].heads(x)
-        mean_pred += mean
-    mean_pred /= len(model.elites)
+    mean_pred = model.stack[model.elites].heads(_inputs(test))[0].mean(axis=0)
     s2_hat = test["s"] + mean_pred[:, :-1]
     err = np.linalg.norm(s2_hat - test["s2"], axis=1)
     edges = np.linspace(0.0, max(float(err.max()), 1e-12), n_bins + 1)

@@ -1,7 +1,12 @@
 import os
 import sys
 
-import pytest
+# one BLAS thread, as perfbench/run.py, set before numpy loads: pinned bits do
+# not depend on the core count, and a busy second core cannot stall the suite
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
 
 sys.path.insert(0, os.path.dirname(__file__))
 

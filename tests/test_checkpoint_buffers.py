@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -119,3 +122,19 @@ def test_buffer_empty_sampling_errors():
     buf = TransitionBuffer(4, 2, 1, "real")
     with pytest.raises(ValueError):
         buf.sample_indices(1, SeededRng.from_seed(0))
+
+
+def test_buffer_columns_are_writable_zeros_that_copy():
+    buf = TransitionBuffer(50, 3, 2, "real")
+    for col, shape, dtype in [(buf.s, (50, 3), np.float64), (buf.a, (50, 2), np.float64),
+                              (buf.r, (50,), np.float64), (buf.s2, (50, 3), np.float64),
+                              (buf.done, (50,), bool), (buf.behavior_density, (50,), np.float64)]:
+        assert col.shape == shape and col.dtype == dtype and not col.any()
+        assert col.flags.writeable and col.flags.c_contiguous
+    buf.push(Transition(np.ones(3), np.ones(2), 1.0, np.ones(3), True, "real"), 0.5)
+    for copied in (copy.deepcopy(buf), pickle.loads(pickle.dumps(buf))):
+        for name in ("s", "a", "r", "s2", "done", "behavior_density"):
+            assert np.array_equal(getattr(copied, name), getattr(buf, name))
+            assert not np.shares_memory(getattr(copied, name), getattr(buf, name))
+        copied.s[0] = 2.0
+        assert buf.s[0, 0] == 1.0

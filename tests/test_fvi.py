@@ -313,7 +313,7 @@ def test_grid_world_run_fvi_pinned_bits():
     res = fvi.run_fvi(mdp, cfg, oracle)
     assert res.discrepancy.hex() == "0x1.6e347f5bd296dp+3"
     assert _sha(res.value_fn.values) == \
-        "51ee0b9b9e7d5c4b949f75e7479a85c1d8810f191ecaaeeada52bcf85012367f"
+        "c72fc5063eb8c8de13b2c6bb048ee2211bb08b7f6d18d57e9368dce6e69d9406"
 
 
 def test_p1_fit_pinned_bits():

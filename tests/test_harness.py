@@ -163,6 +163,17 @@ def test_rerunning_never_overwrites(tmp_path):
         "schema_version"] == harness.SCHEMA_VERSION
 
 
+def test_new_experiment_claims_its_directory(tmp_path, monkeypatch):
+    # a directory that appears between a check and mkdir (another process
+    # claiming it) must move the caller on to the next index, not raise
+    cfg = _tiny_config(tmp_path)
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    first, dir1 = harness.new_experiment(cfg, "race")
+    second, dir2 = harness.new_experiment(cfg, "race")
+    assert first.experiment_id.endswith("-000") and second.experiment_id.endswith("-001")
+    assert dir1.is_dir() and dir2.is_dir() and dir1 != dir2
+
+
 def test_fvi_sweep_row_count(tmp_path):
     cfg = _tiny_config(tmp_path)
     info = harness.cmd_fvi_sweep(cfg)

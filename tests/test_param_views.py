@@ -38,10 +38,8 @@ def _owners(agent, model):
 
 
 def _member_from_theta(member):
-    """A reference member rebuilt from slices of theta alone."""
-    n, d = member.net.theta.size, member.target_dim
-    net = nets.DenseNet(member.net.sizes, member.net.activations, member.theta[:n].copy())
-    return wm.EnsembleMember(net, member.theta[n:n + d].copy(), member.theta[n + d:].copy())
+    """A reference member rebuilt from a copy of theta alone."""
+    return wm.EnsembleMember(member.net.sizes, member.net.activations, member.theta.copy())
 
 
 def _copy(how, src):
@@ -67,6 +65,9 @@ def test_copies_keep_their_views(how):
         assert not np.shares_memory(theta, other)
     for net in _nets(agent)[1:] + [agent.critics, agent.targets]:
         assert np.shares_memory(net.theta, agent.q.theta)
+    for member in model.members:
+        assert np.shares_memory(member.theta, model.stack.theta)
+        assert not np.shares_memory(member.theta, src.model.stack.theta)
 
     # step every container of the copy in place
     g = SeededRng.from_seed(2)

@@ -295,3 +295,154 @@ def test_train_ensemble_pinned_bits():
         "d98943b9fbd6204df02cf0f5a56437bc7982f69bff8a09661922bed62cf48a70",
         "22a97f6a08715fc64c0ae3d9e38f294a18e4f2a7d1b1b10018c2d78930ba1530",
         "fd36ce4fac531f216db06ca9138cff913862be7e26a390242d1b502318128695"]
+
+
+# ------------------------------------------- stacked training vs the per-member loop
+
+def _reference_train(model, d_env, config, rng):
+    """The per-member epoch loop that one stacked step per minibatch
+    replaced, kept as the reference. Returns each member's AdamState."""
+    n = len(d_env)
+    data = d_env.gather(np.arange(n))
+    x_all, y_all = wm._inputs(data), wm._targets(data)
+    perm = rng.gen.permutation(n)
+    n_hold = max(1, int(round(n * config.holdout_fraction)))
+    hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
+    x_hold, y_hold = x_all[hold_idx], y_all[hold_idx]
+    x_train, y_train = x_all[train_idx], y_all[train_idx]
+    n_train = len(train_idx)
+    holdout = np.zeros(model.n_members)
+    epochs_run = [0] * model.n_members
+    adams = []
+    for m_idx, (member, mrng) in enumerate(zip(model.members, rng.split(model.n_members))):
+        boot = mrng.integers(0, n_train, size=n_train)
+        xb, yb = x_train[boot], y_train[boot]
+        adam = wm.AdamState.for_theta(member.theta, lr=config.lr)
+        adams.append(adam)
+        best_loss = np.inf
+        best = member.theta.copy()
+        bad_epochs = 0
+        for _ in range(config.max_epochs):
+            epochs_run[m_idx] += 1
+            order = mrng.gen.permutation(n_train)
+            for lo in range(0, n_train, config.minibatch):
+                sel = order[lo:lo + config.minibatch]
+                try:
+                    _, grad = wm.model_nll_grads(member, xb[sel], yb[sel])
+                    wm.adam_step(adam, member.theta, grad)
+                except FloatingPointError:
+                    pass
+            hold_loss = wm.model_nll(member, x_hold, y_hold)
+            if best_loss - hold_loss > config.improvement_tol:
+                best_loss = hold_loss
+                best[:] = member.theta
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= config.patience:
+                    break
+        member.theta[:] = best
+        holdout[m_idx] = best_loss
+    model.elites = [int(i) for i in np.argsort(holdout)[:min(2, model.n_members)]]
+    model.holdout_losses = holdout
+    model.last_epochs = epochs_run
+    errs = [((model.members[i].heads(x_hold)[0] - y_hold) ** 2).sum(axis=1).mean()
+            for i in model.elites]
+    model.holdout_mse = float(np.mean(errs))
+    return adams
+
+
+def _training_data(n):
+    g = SeededRng.from_seed(25)
+    d_env = TransitionBuffer(1000, 4, 2, "real")
+    s = g.normal(size=(n, 4))
+    a = g.uniform(-1, 1, (n, 2))
+    s2 = s + 0.1 * a.sum(axis=1, keepdims=True) + 0.01 * g.normal(size=(n, 4))
+    d_env.push_batch(s, a, -(s2 ** 2).sum(axis=1), s2, np.zeros(n, dtype=bool))
+    return d_env
+
+
+def _assert_same_training(model, ref):
+    assert np.array_equal(model.stack.theta, ref.stack.theta)
+    assert [h.hex() for h in model.holdout_losses] == [h.hex() for h in ref.holdout_losses]
+    assert model.last_epochs == ref.last_epochs
+    assert all(type(e) is int for e in model.last_epochs)
+    assert model.elites == ref.elites
+    assert model.holdout_mse.hex() == ref.holdout_mse.hex()
+
+
+# (members, transitions, minibatch, patience, max_epochs): 300 transitions
+# leave 240 training rows, so minibatches of 64 end on a short one of 48
+@pytest.mark.parametrize("members,n,minibatch,patience,max_epochs", [
+    (1, 300, 64, 2, 40),
+    (2, 300, 64, 1, 40),
+    (5, 300, 64, 1, 40),
+    (5, 137, 32, 3, 25),
+    (5, 300, 256, 2, 40),
+    (5, 300, 64, 5, 1),
+])
+def test_stacked_training_matches_per_member_loop_bit_for_bit(members, n, minibatch,
+                                                               patience, max_epochs):
+    d_env = _training_data(n)
+    cfg = wm.ModelTrainConfig(max_epochs=max_epochs, patience=patience,
+                              improvement_tol=0.05, minibatch=minibatch)
+    model, ref = (wm.init_ensemble(SeededRng.from_seed(24), 4, 2, hidden=(32, 32),
+                                   n_members=members) for _ in range(2))
+    hold = wm.train_ensemble(model, d_env, cfg, SeededRng.from_seed(26))
+    _reference_train(ref, d_env, cfg, SeededRng.from_seed(26))
+    assert hold is model.holdout_losses
+    _assert_same_training(model, ref)
+    if patience == 1 and members > 1:
+        assert len(set(model.last_epochs)) > 1  # members stopped at different epochs
+    for member, row in zip(model.members, model.stack.theta):
+        assert np.shares_memory(member.theta, row)
+
+
+def _poison_one_step(monkeypatch, member, step):
+    """Wrap world_model.adam_step so the `step`-th step of the `member`-th
+    Adam state to appear gets a NaN gradient; returns the states in order of
+    appearance and their call counts."""
+    states, calls = [], []
+    real_step = wm.adam_step
+
+    def adam_step(state, theta, grad):
+        if not any(state is s for s in states):
+            states.append(state)
+            calls.append(0)
+        i = next(j for j, s in enumerate(states) if s is state)
+        calls[i] += 1
+        if i == member and calls[i] == step:
+            grad = grad.copy()
+            grad[3] = np.nan
+        return real_step(state, theta, grad)
+
+    monkeypatch.setattr(wm, "adam_step", adam_step)
+    return states, calls
+
+
+def test_non_finite_gradient_rejects_only_its_members_step(monkeypatch, caplog):
+    d_env = _training_data(300)
+    cfg = wm.ModelTrainConfig(max_epochs=40, patience=2, improvement_tol=0.05, minibatch=64)
+    models = [wm.init_ensemble(SeededRng.from_seed(24), 4, 2, hidden=(32, 32), n_members=5)
+              for _ in range(3)]
+    clean, poisoned, ref = models
+    wm.train_ensemble(clean, d_env, cfg, SeededRng.from_seed(26))
+
+    states, calls = _poison_one_step(monkeypatch, member=2, step=3)
+    with caplog.at_level("WARNING", logger=wm.__name__):
+        wm.train_ensemble(poisoned, d_env, cfg, SeededRng.from_seed(26))
+    rejected = [r for r in caplog.records if r.getMessage().startswith("model step rejected")]
+    assert len(rejected) == 1 and "entry 3" in rejected[0].getMessage()
+    assert [s.t for s in states] == [c - (i == 2) for i, c in enumerate(calls)]
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(poisoned.stack.theta[i], clean.stack.theta[i])
+        assert poisoned.holdout_losses[i] == clean.holdout_losses[i]
+        assert poisoned.last_epochs[i] == clean.last_epochs[i]
+    assert not np.array_equal(poisoned.stack.theta[2], clean.stack.theta[2])
+
+    # the per-member loop under the same fault lands on the same bits
+    monkeypatch.undo()
+    _, ref_calls = _poison_one_step(monkeypatch, member=2, step=3)
+    adams = _reference_train(ref, d_env, cfg, SeededRng.from_seed(26))
+    _assert_same_training(poisoned, ref)
+    assert [a.t for a in adams] == [s.t for s in states] and ref_calls == calls
