@@ -232,7 +232,9 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
 
     Returns (policy, history) where history holds one record per hyper-episode
     (its reward sum and baseline-relative improvement) plus per-round PPO
-    diagnostics; crashed trajectories are excluded and counted.
+    diagnostics; crashed trajectories are excluded, counted, and listed in
+    `invalid` with their index, seed and error (None when the trajectory ran
+    to its end but its length differs from the baseline's).
     """
     ppo_config.validate()
     root = SeededRng.from_seed(seed)
@@ -243,7 +245,7 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
                                  config_hash=baseline.config_hash)
     adam = AdamState.for_theta(policy.net.theta, ppo_config.lr)
     history = {"episode_returns": [], "improvements": [], "rounds": [],
-               "invalid_count": 0}
+               "invalid_count": 0, "invalid": []}
     ent_coef = ppo_config.entropy_coef
     collected = 0
     while collected < n_hyper_episodes:
@@ -262,6 +264,8 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
                     float((traj.rewards - baseline.values).sum()))
             else:
                 history["invalid_count"] += 1
+                history["invalid"].append(
+                    {"episode": collected - 1, "seed": ep_seed, "error": traj.error})
         if not trajs:
             continue
         batch = {

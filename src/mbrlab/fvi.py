@@ -98,14 +98,15 @@ class ValueFn:
 
     def basis(self, states: np.ndarray):
         """Flat knot indices and weights (N, 2^d): bit d of corner c picks the upper knot
-        on axis d (axis 0 most significant); states off [0, 1] extrapolate the edge cell."""
+        on axis d (axis 0 most significant); states off [0, 1] extrapolate the edge cell.
+        Both are transposed views of corner-major arrays, so `idx.T[c]` is contiguous."""
         g = self.grid_size
         frac = np.asarray(states, dtype=np.float64).reshape(-1, self.dim) * (g - 1)
         cell = np.fmin(np.fmax(np.floor(frac), 0.0), g - 2)
         frac -= cell
         lo = 1.0 - frac
         cell = cell.astype(np.int64)
-        idx = np.empty((frac.shape[0], 1 << self.dim), dtype=np.int64)
+        idx = np.empty((1 << self.dim, frac.shape[0]), dtype=np.int64)
         wgt = np.empty(idx.shape)
         for c in range(1 << self.dim):
             flat = cell[:, 0] + (c & 1)
@@ -114,13 +115,22 @@ class ValueFn:
                 hi = (c >> d) & 1
                 flat = flat * g + (cell[:, d] + hi)
                 w = w * (frac[:, d] if hi else lo[:, d])
-            idx[:, c] = flat
-            wgt[:, c] = w
-        return idx, wgt
+            idx[c] = flat
+            wgt[c] = w
+        return idx.T, wgt.T
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
         idx, wgt = self.basis(states)
-        return (self.values[idx] * wgt).sum(axis=1)
+        return _interpolate(self.values, idx.T, wgt.T)
+
+
+def _interpolate(values: np.ndarray, idx: np.ndarray, wgt: np.ndarray) -> np.ndarray:
+    """sum_c values[idx[c]] * wgt[c] over corner-major (2^d, N) arrays, one corner
+    at a time in corner order: the order and bits of `.sum(axis=1)` on (N, 2^d)."""
+    out = values[idx[0]] * wgt[0]
+    for c in range(1, len(idx)):
+        out += values[idx[c]] * wgt[c]
+    return out
 
 
 def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
@@ -142,7 +152,7 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
     idx, wgt = prev.basis(states)
     n_knots = prev.grid_size ** prev.dim
     # corner-major; the (corner i, corner j, sample) order fixes each knot pair's sum
-    idx_c, wgt_c = np.ascontiguousarray(idx.T), np.ascontiguousarray(wgt.T)
+    idx_c, wgt_c = idx.T, wgt.T
     pairs = (idx_c[:, None, :] * n_knots + idx_c[None, :, :]).ravel()
 
     def solve_weighted(sample_w):
@@ -165,7 +175,7 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
     vals = solve_weighted(np.ones(states.shape[0]))  # the p=1 LS warm start
     if p == 1.0:
         for _ in range(irls_iters):
-            resid = np.abs((vals[idx] * wgt).sum(axis=1) - targets)
+            resid = np.abs(_interpolate(vals, idx_c, wgt_c) - targets)
             new_vals = solve_weighted(1.0 / np.maximum(resid, 1e-6))
             converged = np.max(np.abs(new_vals - vals)) < 1e-10
             vals = new_vals
@@ -206,6 +216,9 @@ class CorruptedModel:
         return np.clip(true_next + xi[:, None] * direction, 0.0, 1.0)
 
 
+BACKUP_BLOCK = 2048  # states per scoring block of the mixture backup
+
+
 def beta_mixture_backup(value_fn: ValueFn, states: np.ndarray, mdp: FviMdp,
                         corrupted_model: CorruptedModel, beta: float,
                         rng: SeededRng) -> np.ndarray:
@@ -219,11 +232,19 @@ def beta_mixture_backup(value_fn: ValueFn, states: np.ndarray, mdp: FviMdp,
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
     n = states.shape[0]
-    rewards, nexts = _action_stack(mdp, states)
-    for slab in np.split(nexts, mdp.n_actions):  # views into nexts
+    nexts = np.stack([mdp.transition(states, a) for a in range(mdp.n_actions)])
+    for slab in nexts:  # views into nexts
         use_model = rng.uniform(size=n) >= beta
         slab[use_model] = corrupted_model.predict(slab, rng)[use_model]
-    return np.clip(_scores(mdp, value_fn, rewards, nexts).max(axis=0), 0.0, value_fn.v_max)
+    # score in blocks of states: the lookahead's temporaries stay cache-sized and
+    # are reused from the heap instead of being mapped and faulted in per call
+    out = np.empty(n)
+    for lo in range(0, n, BACKUP_BLOCK):
+        blk = slice(lo, lo + BACKUP_BLOCK)
+        rewards = np.stack([mdp.reward(states[blk], a) for a in range(mdp.n_actions)])
+        scores = _scores(mdp, value_fn, rewards, nexts[:, blk].reshape(-1, mdp.dim))
+        np.clip(scores.max(axis=0), 0.0, value_fn.v_max, out=out[blk])
+    return out
 
 
 # ---------------------------------------------------------------------------

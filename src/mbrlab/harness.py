@@ -260,8 +260,7 @@ def cmd_train_controller(config: RunConfig, baseline_path=None,
                   for i, m in enumerate(history["phase_means"])]
     phases = write_csv(directory / "phases.csv", "phases", phase_rows)
     history_path = directory / "history.json"
-    history_path.write_text(json.dumps(
-        {k: v for k, v in history.items() if k != "rounds"}))
+    history_path.write_text(json.dumps(history))
     info = _finish(manifest, directory, [ckpt, phases, history_path])
     info["controller_path"] = str(ckpt)
     info["phase_means"] = history["phase_means"]

@@ -186,6 +186,7 @@ class HyperTrajectory:
     log_probs: np.ndarray     # (T,) joint log-probs recorded at sampling time
     rewards: np.ndarray       # (T,)
     valid: bool = True
+    error: dict | None = None  # type, message and real step of a numeric crash
 
     def __len__(self):
         return len(self.rewards)
@@ -203,7 +204,8 @@ def run_hyper_episode(controller_policy, env_name: str, mbpo_config,
     The controller owns its own random stream, so an all-masked (neutral)
     controller reproduces run_default_mbpo bit-exactly under the same seed.
     A numerically crashed inner run (FloatingPointError, EnvDiverged) yields
-    a truncated trajectory flagged invalid; any other exception propagates.
+    a truncated trajectory flagged invalid, with the error recorded on it; any
+    other exception propagates.
     """
     from . import mbpo  # deferred: mbpo imports this module's types
     from .controller import controller_act
@@ -212,7 +214,7 @@ def run_hyper_episode(controller_policy, env_name: str, mbpo_config,
     crng = controller_rng or SeededRng.from_seed(seed + 777)
     run = mbpo.init_run(env_name, mbpo_config, hyper_config, seed)
     states, actions, logps, rewards = [], [], [], []
-    valid = True
+    error = None
 
     def source(state: HyperState, params: HyperParams):
         vec = state.vector(hyper_config.feature_mask)
@@ -226,12 +228,13 @@ def run_hyper_episode(controller_policy, env_name: str, mbpo_config,
         for _ in range(m):
             records = mbpo.run_target_episode(run, source, hyper_config)
             rewards.extend(r["reward"] for r in records)
-    except (FloatingPointError, EnvDiverged):  # numeric crash: flagged, not fatal
-        valid = False
+    except (FloatingPointError, EnvDiverged) as exc:  # numeric crash: flagged, not fatal
+        error = {"type": type(exc).__name__, "message": str(exc), "n_real": run.n_real}
     t = min(len(rewards), len(states))
     traj = HyperTrajectory(
         states=np.asarray(states[:t]), action_indices=np.asarray(actions[:t]),
         log_probs=np.asarray(logps[:t]), rewards=np.asarray(rewards[:t]),
-        valid=valid and len(rewards) == m * run.env.spec.horizon // hyper_config.tau,
+        valid=error is None and len(rewards) == m * run.env.spec.horizon // hyper_config.tau,
+        error=error,
     )
     return traj, run.log

@@ -100,13 +100,14 @@ class EnsembleModel:
     holdout_losses: np.ndarray | None = None
     holdout_mse: float | None = None  # nonnegative validation error for features
     last_epochs: list = field(default_factory=list)
+    last_steps_rejected: list = field(default_factory=list)  # per member, last training
 
     def __post_init__(self):
         self.members = [self.stack[i] for i in range(self.n_members)]
 
     def __reduce__(self):
         return EnsembleModel, (self.stack, self.elites, self.trained, self.holdout_losses,
-                               self.holdout_mse, self.last_epochs)
+                               self.holdout_mse, self.last_epochs, self.last_steps_rejected)
 
     @property
     def n_members(self):
@@ -207,6 +208,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     best = model.stack.theta.copy()
     best_loss = np.full(model.n_members, np.inf)
     epochs_run = np.zeros(model.n_members, dtype=int)
+    rejected = np.zeros(model.n_members, dtype=int)
     live = np.arange(model.n_members)
     work, bad_epochs = model.stack[live], np.zeros_like(live)  # the live members' rows, copied
     for _ in range(config.max_epochs):
@@ -219,6 +221,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
                 try:
                     adam_step(adams[i], theta, grad)
                 except FloatingPointError as exc:
+                    rejected[i] += 1
                     logger.warning("model step rejected: %s", exc)
         hold_loss = model_nll(work, x_hold, y_hold)
         better = best_loss[live] - hold_loss > config.improvement_tol
@@ -234,6 +237,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     model.elites = [int(i) for i in np.argsort(best_loss)[:min(2, model.n_members)]]
     model.holdout_losses = best_loss
     model.last_epochs = epochs_run.tolist()
+    model.last_steps_rejected = rejected.tolist()
     model.trained = True
     # nonnegative validation error on next-state prediction, for the hyper-state
     mean, _, _ = model.stack[model.elites].heads(x_hold)

@@ -14,7 +14,7 @@ from mbrlab.controller import (BaselineCurve, PpoConfig, advantage,
 from mbrlab.hyper_mdp import HEAD_SIZES, HyperMdpConfig
 from mbrlab.rng import SeededRng
 
-from util import assert_grads_close, finite_difference
+from util import assert_grads_close, crash_first_hyper_episode_at, finite_difference
 
 
 def _uniform_policy(seed=0, **kw):
@@ -192,6 +192,22 @@ def test_train_controller_single_episode_runs_thirty_updates():
                                     baseline, n_hyper_episodes=1, seed=21)
     assert len(history["rounds"]) == 1
     assert history["rounds"][0]["updates"] == 30
+
+
+def test_train_controller_records_invalid_hyper_episodes(monkeypatch):
+    mc = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
+                         n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
+    hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
+    baseline = BaselineCurve(values=np.zeros(200 // hc.tau), n_seeds=1,
+                             env_name="pointmass2d", config_hash="test")
+    crash_first_hyper_episode_at(monkeypatch, 75)
+    _, history = train_controller("pointmass2d", mc, hc, PpoConfig(), baseline,
+                                  n_hyper_episodes=2, seed=21, episodes_per_round=2)
+    first_seed = int(SeededRng.from_seed(21).split(4)[3].integers(0, 2**31 - 1))
+    assert history["invalid_count"] == 1
+    assert history["invalid"] == [{"episode": 0, "seed": first_seed, "error": {
+        "type": "FloatingPointError", "message": "injected at step 75", "n_real": 75}}]
+    assert len(history["episode_returns"]) == 1 and len(history["rounds"]) == 1
 
 
 # --------------------------------------------------------------- persistence

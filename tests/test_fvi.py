@@ -333,6 +333,63 @@ def test_p1_fit_pinned_bits():
         "72abf3e02bd684adb572e557342ad54435c62c334ed7e7d0a66e7f11c7063e2e"
 
 
+def test_run_fvi_above_the_backup_block_pinned_bits():
+    # 4500 states per iteration: two scoring blocks of the backup plus a ragged 404
+    assert 4500 // fvi.BACKUP_BLOCK == 2 and 4500 % fvi.BACKUP_BLOCK
+    mdp = fvi.line_world()
+    oracle = fvi.exact_vi(mdp, fine_grid_size=96, n_eval=128)
+    cfg = fvi.FviConfig(beta=0.4, sigma=0.05, n_states=4500, iterations=6,
+                        grid_size=48, n_eval=128, seed=3)
+    res = fvi.run_fvi(mdp, cfg, oracle)
+    assert res.discrepancy.hex() == "0x1.66a5679b6e8dep-4"
+    assert _sha(res.value_fn.values) == \
+        "b9cb8ef5c8f412938c030b0fea1da2c2d951a563324be88c9473850305352251"
+    mdp = fvi.grid_world_2d()
+    oracle = fvi.exact_vi(mdp, fine_grid_size=48, tol=1e-7, n_eval=64)
+    cfg = fvi.FviConfig(beta=0.6, sigma=0.1, n_states=4500, iterations=4,
+                        grid_size=16, n_eval=64, seed=5)
+    res = fvi.run_fvi(mdp, cfg, oracle)
+    assert res.discrepancy.hex() == "0x1.1f95bf0855530p+2"
+    assert _sha(res.value_fn.values) == \
+        "b34f72a9793abe5097e5943f351331e2f6b891ec1eb4505ce614351ae5739dab"
+
+
+def _reference_value(value_fn, states):
+    """Interpolation as one (N, 2^d) product summed over corners."""
+    idx, wgt = value_fn.basis(states)
+    return (value_fn.values[idx] * wgt).sum(axis=1)
+
+
+def _reference_backup(value_fn, states, mdp, model, beta, rng):
+    """The unblocked backup: every (action, state) scored in one lookahead."""
+    n = states.shape[0]
+    rewards = np.stack([mdp.reward(states, a) for a in range(mdp.n_actions)])
+    nexts = np.concatenate([mdp.transition(states, a) for a in range(mdp.n_actions)])
+    for slab in np.split(nexts, mdp.n_actions):
+        use_model = rng.uniform(size=n) >= beta
+        slab[use_model] = model.predict(slab, rng)[use_model]
+    scores = rewards + mdp.gamma * _reference_value(value_fn, nexts).reshape(rewards.shape)
+    return np.clip(scores.max(axis=0), 0.0, value_fn.v_max)
+
+
+@pytest.mark.parametrize("mdp_fn,grid_size", [(fvi.line_world, 48), (fvi.grid_world_2d, 12)])
+def test_blocked_backup_and_interpolation_match_unblocked_reference(mdp_fn, grid_size):
+    mdp = mdp_fn()
+    n = 2 * fvi.BACKUP_BLOCK + 777  # two full blocks and a ragged one
+    v = fvi.ValueFn(mdp.dim, grid_size, SeededRng.from_seed(50).uniform(
+        0, mdp.v_max, size=grid_size ** mdp.dim), mdp.v_max)
+    states = SeededRng.from_seed(51).uniform(size=(n, mdp.dim))
+    model = fvi.CorruptedModel(mdp, 0.2)
+    rngs = [SeededRng.from_seed(52), SeededRng.from_seed(52)]
+    got = fvi.beta_mixture_backup(v, states, mdp, model, 0.4, rngs[0])
+    assert np.array_equal(got, _reference_backup(v, states, mdp, model, 0.4, rngs[1]))
+    assert rngs[0].uniform() == rngs[1].uniform()  # the same draws were consumed
+    assert (got > 0.0).all() and np.unique(got).size > n // 2
+    off_box = SeededRng.from_seed(53).uniform(-0.3, 1.3, size=(n, mdp.dim))
+    for s in (states, off_box):
+        assert np.array_equal(v(s), _reference_value(v, s))
+
+
 # ------------------------------------------------------- sweep and basis shape
 
 def test_beta_sweep_scores_oracle_once_per_seed(monkeypatch):

@@ -14,6 +14,7 @@ from mbrlab.config import (ConfigError, FviSweepConfig, HarnessConfig, RunConfig
 from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
 from mbrlab.stats import DegenerateSamples, welch_t
+from util import crash_first_hyper_episode_at
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -181,6 +182,25 @@ def test_fvi_sweep_row_count(tmp_path):
     fc = cfg.fvi
     assert len(rows) == len(fc.beta_grid) * len(fc.n_real_grid) * fc.n_seeds
     assert list(rows[0]) == harness.SCHEMAS["fvi_rows"]
+
+
+def test_train_controller_history_keeps_rounds_and_invalid(tmp_path, monkeypatch):
+    cfg = _tiny_config(tmp_path, n_baseline_seeds=1)
+    baseline_path = tmp_path / "baseline.json"
+    harness.save_baseline(harness.build_baseline(cfg), baseline_path)
+    crash_first_hyper_episode_at(monkeypatch, 90)
+    info = harness.cmd_train_controller(cfg, baseline_path=baseline_path)
+    history = json.loads((Path(info["directory"]) / "history.json").read_text())
+    assert info["invalid_count"] == history["invalid_count"] == 1
+    [entry] = history["invalid"]
+    assert entry["episode"] == 0 and isinstance(entry["seed"], int)
+    assert entry["error"] == {"type": "FloatingPointError", "message": "injected at step 90",
+                              "n_real": 90}
+    [diag] = history["rounds"]
+    assert set(diag) == {"updates", "mean_ratio", "clip_fraction", "dropped"}
+    assert diag["updates"] == cfg.ppo.updates_per_round
+    assert np.isfinite([diag["mean_ratio"], diag["clip_fraction"]]).all()
+    assert len(history["episode_returns"]) == 1
 
 
 # -------------------------------------------------------------------- baseline

@@ -209,6 +209,7 @@ def test_hyper_episode_numeric_crash_is_flagged_invalid(monkeypatch, exc):
     traj = _crashing_hyper_episode(monkeypatch, exc)
     assert not traj.valid
     assert len(traj) == 0
+    assert traj.error == {"type": type(exc).__name__, "message": str(exc), "n_real": 0}
 
 
 def test_hyper_episode_programming_error_propagates(monkeypatch):

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -433,6 +435,11 @@ def test_non_finite_gradient_rejects_only_its_members_step(monkeypatch, caplog):
         wm.train_ensemble(poisoned, d_env, cfg, SeededRng.from_seed(26))
     rejected = [r for r in caplog.records if r.getMessage().startswith("model step rejected")]
     assert len(rejected) == 1 and "entry 3" in rejected[0].getMessage()
+    assert poisoned.last_steps_rejected == [0, 0, 1, 0, 0]
+    assert sum(poisoned.last_steps_rejected) == len(rejected)
+    assert clean.last_steps_rejected == [0] * 5
+    for copied in (copy.deepcopy(poisoned), pickle.loads(pickle.dumps(poisoned))):
+        assert copied.last_steps_rejected == poisoned.last_steps_rejected
     assert [s.t for s in states] == [c - (i == 2) for i, c in enumerate(calls)]
     for i in (0, 1, 3, 4):
         assert np.array_equal(poisoned.stack.theta[i], clean.stack.theta[i])

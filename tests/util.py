@@ -1,6 +1,9 @@
-"""Shared test helpers: finite differences and gradient comparison."""
+"""Shared test helpers: finite differences, gradient comparison and fault
+injection."""
 
 import numpy as np
+
+from mbrlab import mbpo
 
 
 def finite_difference(loss_fn, params, h=1e-5):
@@ -24,6 +27,20 @@ def finite_difference(loss_fn, params, h=1e-5):
             gflat[j] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def crash_first_hyper_episode_at(monkeypatch, n_real):
+    """Make the first MBPO run that reaches real step `n_real` raise a
+    FloatingPointError there; later runs are left alone."""
+    real_step, crashed = mbpo.mbpo_step, []
+
+    def step(run, hyper, train_model_now):
+        if run.n_real == n_real and not crashed:
+            crashed.append(run)
+            raise FloatingPointError(f"injected at step {n_real}")
+        return real_step(run, hyper, train_model_now)
+
+    monkeypatch.setattr(mbpo, "mbpo_step", step)
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-4, floor=1e-7):
