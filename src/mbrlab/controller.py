@@ -85,18 +85,6 @@ def controller_act(policy: ControllerPolicy, state: np.ndarray, rng: SeededRng,
     return HyperAction.from_indices(idx, policy.head_mask), joint
 
 
-def joint_log_prob(policy: ControllerPolicy, states: np.ndarray,
-                   action_indices: np.ndarray) -> np.ndarray:
-    """Joint log-prob of recorded head indices (active heads only), batched."""
-    tables = head_log_probs(policy, states)
-    n = np.atleast_2d(states).shape[0]
-    out = np.zeros(n)
-    for h, (table, active) in enumerate(zip(tables, policy.head_mask)):
-        if active:
-            out += table[np.arange(n), action_indices[:, h]]
-    return out
-
-
 def advantage(rewards, baseline) -> np.ndarray:
     """Suffix sums of (R_i - R'_i): the return improvement over the default
     configuration from index t onward."""

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .rng import SeededRng
 
@@ -274,12 +273,6 @@ def _scores(mdp: FviMdp, value_fn: ValueFn, rewards, nexts) -> np.ndarray:
     return rewards + mdp.gamma * value_fn(nexts).reshape(rewards.shape)
 
 
-def greedy_actions(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray) -> np.ndarray:
-    """One-step lookahead through the true dynamics."""
-    states = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
-    return _scores(mdp, value_fn, *_action_stack(mdp, states)).argmax(axis=0)
-
-
 def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray,
                   horizon: int | None = None) -> np.ndarray:
     """Discounted true return of the greedy-w.r.t.-value_fn policy, truncated
@@ -461,6 +454,7 @@ def error_histogram_check(sigma: float, n_samples: int, bins: int,
         # sample is exactly 0 (the continuous KS formula does not apply)
         ks = 0.0 if np.all(x == 0.0) else 1.0
     else:
+        from scipy.special import erf  # deferred, so importing mbrlab loads no scipy
         xs = np.sort(x)
         cdf = erf(xs / (sigma * np.sqrt(2.0)))
         n = len(xs)

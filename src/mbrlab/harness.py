@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
-import hashlib
 import json
 import logging
 import time
@@ -352,13 +351,6 @@ def cmd_transfer(config: RunConfig, source_controller, target_env: str) -> dict:
 
 
 # ----------------------------------------------------------------------- PBT
-
-def agent_fingerprint(run: mbpo.MbpoRunState) -> str:
-    h = hashlib.sha256()
-    for net in (run.agent.actor.net, run.agent.critic1, run.agent.critic2):
-        h.update(net.theta.tobytes())
-    return h.hexdigest()
-
 
 def _random_hyper(rng: SeededRng, hc: HyperMdpConfig):
     beta = float(np.exp(rng.uniform(np.log(hc.beta_min), 0.0)))

@@ -212,11 +212,6 @@ def _critic_forward(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
     return y, q[0, :, :, 0], ([h[0] for h in inputs], [z[0] for z in preacts])
 
 
-def critic_targets(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
-    """Bellman targets with a fresh actor sample at s'; no bootstrap on done."""
-    return _critic_forward(agent, batch, gamma, rng)[0]
-
-
 def critic_loss_and_grads(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
     """Summed twin critic loss and both gradients, stacked like
     agent.critics.theta."""
@@ -229,10 +224,6 @@ def critic_loss_and_grads(agent: SacAgent, batch: dict, gamma: float, rng: Seede
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite critic loss")
     return loss, grads
-
-
-def critic_loss(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng) -> float:
-    return critic_loss_and_grads(agent, batch, gamma, rng)[0]
 
 
 def actor_loss_and_grads(agent: SacAgent, batch: dict, rng: SeededRng):
@@ -257,10 +248,6 @@ def actor_loss_and_grads(agent: SacAgent, batch: dict, rng: SeededRng):
     d_logp = np.full(b, agent.alpha / b)
     grads = agent.actor.backward(cache, d_logp, d_action)
     return loss, grads, logp
-
-
-def actor_loss(agent: SacAgent, batch: dict, rng: SeededRng) -> float:
-    return actor_loss_and_grads(agent, batch, rng)[0]
 
 
 def polyak_update(target: DenseNet, online: DenseNet, rho: float) -> None:

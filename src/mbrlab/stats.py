@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import stdtr
 
 
 class DegenerateSamples(ValueError):
@@ -16,6 +15,7 @@ def welch_t(xs, ys) -> tuple:
     Degrees of freedom via Welch-Satterthwaite; the p value comes from the
     Student-t CDF. Requires >= 2 samples per side and nonzero variance.
     """
+    from scipy.special import stdtr  # deferred, so importing mbrlab loads no scipy
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if len(xs) < 2 or len(ys) < 2:

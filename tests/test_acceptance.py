@@ -18,7 +18,8 @@ from mbrlab.rng import SeededRng
 from mbrlab.stats import welch_t
 
 from test_harness import PINNED_VECTORS, _welch_reference
-from util import assert_grads_close, finite_difference
+from util import (actor_loss, assert_grads_close, critic_loss, finite_difference,
+                  joint_log_prob)
 
 
 def _report(num, name, ok):
@@ -103,14 +104,14 @@ def test_criterion_05_gradient_suite():
              "done": np.array([False, True, False, False, True])}
 
     def critic_fn(_):
-        return sac.critic_loss(agent, batch, 0.99, SeededRng.from_seed(6))
+        return critic_loss(agent, batch, 0.99, SeededRng.from_seed(6))
 
     _, (g1, g2) = sac.critic_loss_and_grads(agent, batch, 0.99, SeededRng.from_seed(6))
     numeric = finite_difference(critic_fn, [agent.critic1.theta, agent.critic2.theta])
     worst = max(worst, assert_grads_close([g1, g2], numeric))
 
     def actor_fn(_):
-        return sac.actor_loss(agent, batch, SeededRng.from_seed(7))
+        return actor_loss(agent, batch, SeededRng.from_seed(7))
 
     _, agrad, _ = sac.actor_loss_and_grads(agent, batch, SeededRng.from_seed(7))
     numeric = finite_difference(actor_fn, [agent.actor.net.theta])
@@ -121,7 +122,7 @@ def test_criterion_05_gradient_suite():
     rngp = SeededRng.from_seed(9)
     states = rngp.uniform(size=(4, 8))
     idx = np.stack([rngp.integers(0, s, size=4) for s in (3, 2, 3, 3)], axis=1)
-    old = ctrl.joint_log_prob(pol, states, idx) - rngp.uniform(-0.1, 0.1, 4)
+    old = joint_log_prob(pol, states, idx) - rngp.uniform(-0.1, 0.1, 4)
     adv = rngp.normal(size=4)
     pcfg = PpoConfig(entropy_coef=0.01)
 
@@ -176,7 +177,7 @@ def test_criterion_08_ppo_clipping_property():
         n = 500
         states = rng.uniform(size=(n, 8))
         idx = np.stack([rng.integers(0, s, size=n) for s in (3, 2, 3, 3)], axis=1)
-        logp = ctrl.joint_log_prob(pol, states, idx)
+        logp = joint_log_prob(pol, states, idx)
         sign = rng.integers(0, 2, size=n) * 2 - 1  # +1: A>0, r>1+eps; -1: mirrored
         # |log ratio| > -ln(1-eps) = 0.2231 puts every sample in the clipped
         # regime on both sides

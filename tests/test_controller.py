@@ -8,13 +8,14 @@ import pytest
 
 from mbrlab import checkpoint, controller, mbpo, nets
 from mbrlab.controller import (BaselineCurve, PpoConfig, advantage,
-                               controller_act, init_controller, joint_log_prob,
+                               controller_act, init_controller,
                                load_controller, ppo_loss_and_grads, ppo_update,
                                save_controller, train_controller)
 from mbrlab.hyper_mdp import HEAD_SIZES, HyperMdpConfig
 from mbrlab.rng import SeededRng
 
-from util import assert_grads_close, crash_first_hyper_episode_at, finite_difference
+from util import (assert_grads_close, crash_first_hyper_episode_at, finite_difference,
+                  joint_log_prob)
 
 
 def _uniform_policy(seed=0, **kw):

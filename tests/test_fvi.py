@@ -8,6 +8,8 @@ from scipy.special import erf
 from mbrlab import fvi
 from mbrlab.rng import SeededRng
 
+from util import greedy_actions
+
 
 def _const_mdp(c=0.5, gamma=0.9):
     return fvi.FviMdp(
@@ -168,7 +170,7 @@ def test_run_fvi_k0_is_myopic():
     res = fvi.run_fvi(mdp, fvi.FviConfig(iterations=0, n_states=64, seed=0), oracle)
     assert np.all(res.value_fn.values == 0.0)
     states = SeededRng.from_seed(16).uniform(size=(20, 1))
-    acts = fvi.greedy_actions(mdp, res.value_fn, states)
+    acts = greedy_actions(mdp, res.value_fn, states)
     myopic = np.argmax([mdp.reward(states, a) for a in range(3)], axis=0)
     assert np.array_equal(acts, myopic)
 

@@ -14,7 +14,7 @@ from mbrlab.config import (ConfigError, FviSweepConfig, HarnessConfig, RunConfig
 from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
 from mbrlab.stats import DegenerateSamples, welch_t
-from util import crash_first_hyper_episode_at
+from util import agent_fingerprint, crash_first_hyper_episode_at
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -290,9 +290,9 @@ def test_pbt_exploit_copies_parameters(tmp_path):
     run_b = mbpo.init_run(cfg.env_name, cfg.mbpo, hc, 1)
     inst_a = harness._PbtInstance(run=run_a, params=hc.initial_params(), train_every=1)
     inst_b = harness._PbtInstance(run=run_b, params=hc.initial_params(), train_every=2)
-    assert harness.agent_fingerprint(run_a) != harness.agent_fingerprint(run_b)
+    assert agent_fingerprint(run_a) != agent_fingerprint(run_b)
     harness.pbt_exploit(inst_b, inst_a)
-    assert harness.agent_fingerprint(inst_b.run) == harness.agent_fingerprint(inst_a.run)
+    assert agent_fingerprint(inst_b.run) == agent_fingerprint(inst_a.run)
     assert inst_b.train_every == 1
 
 

@@ -8,7 +8,8 @@ from mbrlab.buffers import TransitionBuffer
 from mbrlab.envs import Transition, make_env
 from mbrlab.rng import SeededRng
 
-from util import assert_grads_close, finite_difference
+from util import (actor_loss, assert_grads_close, critic_loss, critic_targets,
+                  finite_difference)
 
 
 def _agent(seed=0, state_dim=3, action_dim=1, hidden=(8,), **kw):
@@ -174,13 +175,13 @@ def test_critic_loss_zero_case():
     agent.alpha = 0.0
     batch = _batch(1, 8, done=True)
     batch["r"] = np.zeros(8)
-    assert sac.critic_loss(agent, batch, 0.99, SeededRng.from_seed(0)) == 0.0
+    assert critic_loss(agent, batch, 0.99, SeededRng.from_seed(0)) == 0.0
 
 
 def test_critic_target_no_bootstrap_on_done():
     agent = _agent(seed=2)
     batch = _batch(3, 6, done=True)
-    y = sac.critic_targets(agent, batch, 0.99, SeededRng.from_seed(1))
+    y = critic_targets(agent, batch, 0.99, SeededRng.from_seed(1))
     assert np.array_equal(y, batch["r"])
 
 
@@ -212,7 +213,7 @@ def test_critic_loss_matches_hand_computation():
     q1 = max(1.0 * (0.2 + 0.4), 0.0)
     q2 = max(2.0 * (0.2 + 0.4), 0.0)
     expect = 0.5 * (q1 - y) ** 2 + 0.5 * (q2 - y) ** 2
-    loss = sac.critic_loss(agent, batch, gamma, SeededRng.from_seed(0))
+    loss = critic_loss(agent, batch, gamma, SeededRng.from_seed(0))
     assert loss == pytest.approx(expect, rel=1e-12)
 
 
@@ -221,7 +222,7 @@ def test_critic_gradients_match_finite_differences():
     batch = _batch(6, 5, state_dim=2)
 
     def loss_fn(_):  # finite_difference perturbs both critic thetas in place
-        return sac.critic_loss(agent, batch, 0.99, SeededRng.from_seed(42))
+        return critic_loss(agent, batch, 0.99, SeededRng.from_seed(42))
 
     _, (g1, g2) = sac.critic_loss_and_grads(agent, batch, 0.99, SeededRng.from_seed(42))
     numeric = finite_difference(loss_fn, [agent.critic1.theta, agent.critic2.theta])
@@ -249,7 +250,7 @@ def test_actor_loss_pure_entropy_pressure():
     batch = _batch(2, 64)
     rng = SeededRng.from_seed(3)
     _, logp, _ = agent.actor.sample(batch["s"], SeededRng.from_seed(3))
-    loss = sac.actor_loss(agent, batch, SeededRng.from_seed(3))
+    loss = actor_loss(agent, batch, SeededRng.from_seed(3))
     assert loss == pytest.approx(0.7 * float(logp.mean()), rel=1e-12)
 
 
@@ -258,7 +259,7 @@ def test_actor_gradients_match_finite_differences():
     batch = _batch(8, 4, state_dim=2, action_dim=2)
 
     def loss_fn(_):  # finite_difference perturbs the actor's theta in place
-        return sac.actor_loss(agent, batch, SeededRng.from_seed(11))
+        return actor_loss(agent, batch, SeededRng.from_seed(11))
 
     _, grad, _ = sac.actor_loss_and_grads(agent, batch, SeededRng.from_seed(11))
     numeric = finite_difference(loss_fn, [agent.actor.net.theta])

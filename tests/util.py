@@ -1,9 +1,11 @@
-"""Shared test helpers: finite differences, gradient comparison and fault
-injection."""
+"""Shared test helpers: finite differences, gradient comparison, fault
+injection, and scalar views of library routines that only tests need."""
+
+import hashlib
 
 import numpy as np
 
-from mbrlab import mbpo
+from mbrlab import controller, fvi, mbpo, sac
 
 
 def finite_difference(loss_fn, params, h=1e-5):
@@ -58,3 +60,40 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, floor=1e-7):
             worst = max(worst, float(rel.max()))
     assert worst <= rtol, f"worst relative gradient error {worst:.3e} > {rtol}"
     return worst
+
+
+def critic_targets(agent, batch, gamma, rng):
+    """Bellman targets with a fresh actor sample at s'; no bootstrap on done."""
+    return sac._critic_forward(agent, batch, gamma, rng)[0]
+
+
+def critic_loss(agent, batch, gamma, rng) -> float:
+    return sac.critic_loss_and_grads(agent, batch, gamma, rng)[0]
+
+
+def actor_loss(agent, batch, rng) -> float:
+    return sac.actor_loss_and_grads(agent, batch, rng)[0]
+
+
+def greedy_actions(mdp, value_fn, states):
+    """One-step lookahead through the true dynamics."""
+    states = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
+    return fvi._scores(mdp, value_fn, *fvi._action_stack(mdp, states)).argmax(axis=0)
+
+
+def agent_fingerprint(run) -> str:
+    h = hashlib.sha256()
+    for net in (run.agent.actor.net, run.agent.critic1, run.agent.critic2):
+        h.update(net.theta.tobytes())
+    return h.hexdigest()
+
+
+def joint_log_prob(policy, states, action_indices):
+    """Joint log-prob of recorded head indices (active heads only), batched."""
+    tables = controller.head_log_probs(policy, states)
+    n = np.atleast_2d(states).shape[0]
+    out = np.zeros(n)
+    for h, (table, active) in enumerate(zip(tables, policy.head_mask)):
+        if active:
+            out += table[np.arange(n), action_indices[:, h]]
+    return out
