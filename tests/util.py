@@ -1,5 +1,5 @@
 """Shared test helpers: finite differences, gradient comparison, fault
-injection, and scalar views of library routines that only tests need."""
+injection, and the library views that only tests call."""
 
 import hashlib
 
