@@ -20,7 +20,7 @@ import numpy as np
 from mbrlab import controller as ctrl
 from mbrlab import harness
 from mbrlab.config import RunConfig
-from mbrlab.hyper_mdp import HyperMdpConfig, run_hyper_episode
+from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
 
 
@@ -48,8 +48,8 @@ def main():
           f"{np.mean([r['clip_fraction'] for r in rounds]):.2f}")
     print(f"hyper-episode returns: {np.round(history['episode_returns'], 2)}")
 
-    traj, log = run_hyper_episode(policy, cfg.env_name, cfg.mbpo, hc,
-                                  seed=123, greedy=True)
+    _, log = ctrl.run_hyper_episode(policy, cfg.env_name, cfg.mbpo, hc,
+                                    seed=123, greedy=True)
     print("\ngreedy controller schedule (one fresh MBPO run):")
     print(f"{'step':>6} {'beta':>7} {'G':>3} {'k':>3} {'trained':>8}")
     for row in log.schedule_rows:

@@ -1,7 +1,9 @@
-"""PPO policy over the hyper-MDP.
+"""PPO policy over the hyper-MDP, and the hyper-episodes it acts in.
 
 A one-hidden-layer trunk feeds four categorical heads (3/2/3/3 logits); the
-joint log-probability is the sum over active heads. Advantages are the
+policy owns the feature mask (which state features it reads) and the head
+mask (which heads act; the others emit the neutral index). The joint
+log-probability is the sum over active heads. Advantages are the
 baseline-relative Monte-Carlo suffix sums, updated with the clipped surrogate
 objective plus a decaying entropy bonus.
 """
@@ -10,13 +12,13 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import checkpoint, nets
-from .hyper_mdp import (HEAD_SIZES, HyperAction, HyperMdpConfig, HyperTrajectory,
-                        NEUTRAL_INDICES, run_hyper_episode)
+from . import checkpoint, mbpo, nets
+from .envs import EnvDiverged
+from .hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig, apply_action
 from .nets import AdamState, DenseNet, adam_step
 from .rng import SeededRng
 
@@ -64,8 +66,8 @@ def head_log_probs(policy: ControllerPolicy, states: np.ndarray) -> list:
 
 def controller_act(policy: ControllerPolicy, state: np.ndarray, rng: SeededRng,
                    greedy: bool = False) -> tuple:
-    """Sample one factorized action; masked heads emit the neutral op and
-    contribute zero to the joint log-prob."""
+    """Sample one factorized action as a tuple of head indices; masked heads
+    emit the neutral index and contribute zero to the joint log-prob."""
     state = np.asarray(state, dtype=np.float64)
     if state.shape[-1] != policy.input_dim:
         raise ValueError(f"state dim {state.shape[-1]} != policy input {policy.input_dim}")
@@ -82,7 +84,7 @@ def controller_act(policy: ControllerPolicy, state: np.ndarray, rng: SeededRng,
             a = int(rng.gen.choice(len(lp), p=np.exp(lp)))
         idx.append(a)
         joint += float(lp[a])
-    return HyperAction.from_indices(idx, policy.head_mask), joint
+    return tuple(idx), joint
 
 
 def advantage(rewards, baseline) -> np.ndarray:
@@ -198,6 +200,65 @@ def ppo_update(policy: ControllerPolicy, batch: dict, config: PpoConfig,
 
 
 @dataclass
+class HyperTrajectory:
+    states: np.ndarray        # (T, n_features) feature vectors under the feature mask
+    action_indices: np.ndarray  # (T, 4) head indices
+    log_probs: np.ndarray     # (T,) joint log-probs recorded at sampling time
+    rewards: np.ndarray       # (T,)
+    valid: bool = True
+    error: dict | None = None  # type, message and real step of a numeric crash
+
+    def __len__(self):
+        return len(self.rewards)
+
+
+def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_config,
+                      hyper_config: HyperMdpConfig, seed: int,
+                      controller_rng: SeededRng | None = None,
+                      n_episodes: int | None = None,
+                      greedy: bool = False):
+    """One hyper-MDP episode: train an MBPO instance from scratch for
+    m episodes while the controller adjusts its hyperparameters every tau
+    steps. Returns (HyperTrajectory, MbpoLog).
+
+    The controller owns its own random stream, so an all-masked (neutral)
+    controller reproduces run_default_mbpo bit-exactly under the same seed.
+    A numerically crashed inner run (FloatingPointError, EnvDiverged) yields
+    a truncated trajectory flagged invalid, with the error recorded on it; any
+    other exception propagates.
+    """
+    m = n_episodes or hyper_config.m_train
+    crng = controller_rng or SeededRng.from_seed(seed + 777)
+    run = mbpo.init_run(env_name, mbpo_config, hyper_config, seed)
+    feature_mask = np.asarray(controller_policy.feature_mask, dtype=bool)
+    states, actions, logps, rewards = [], [], [], []
+    error = None
+
+    def source(state: np.ndarray, params):
+        vec = state[feature_mask]
+        action, logp = controller_act(controller_policy, vec, crng, greedy=greedy)
+        states.append(vec)
+        actions.append(action)
+        logps.append(logp)
+        return apply_action(params, action, hyper_config), bool(action[1])
+
+    try:
+        for _ in range(m):
+            records = mbpo.run_target_episode(run, source, hyper_config)
+            rewards.extend(r["reward"] for r in records)
+    except (FloatingPointError, EnvDiverged) as exc:  # numeric crash: flagged, not fatal
+        error = {"type": type(exc).__name__, "message": str(exc), "n_real": run.n_real}
+    t = min(len(rewards), len(states))
+    traj = HyperTrajectory(
+        states=np.asarray(states[:t]), action_indices=np.asarray(actions[:t]),
+        log_probs=np.asarray(logps[:t]), rewards=np.asarray(rewards[:t]),
+        valid=error is None and len(rewards) == m * run.env.spec.horizon // hyper_config.tau,
+        error=error,
+    )
+    return traj, run.log
+
+
+@dataclass
 class BaselineCurve:
     """Per-index average rewards of default-configuration MBPO runs."""
 
@@ -213,10 +274,11 @@ class BaselineCurve:
 def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
                      ppo_config: PpoConfig, baseline: BaselineCurve,
                      n_hyper_episodes: int, seed: int,
-                     episodes_per_round: int = 4,
-                     policy: ControllerPolicy | None = None) -> tuple:
-    """Collect hyper-episodes in rounds, compute baseline-relative advantages,
-    and run PPO updates after each round.
+                     episodes_per_round: int = 4, feature_mask=(True,) * 8,
+                     head_mask=(True,) * 4) -> tuple:
+    """Train a fresh controller with the given masks: collect hyper-episodes
+    in rounds, compute baseline-relative advantages, and run PPO updates
+    after each round.
 
     Returns (policy, history) where history holds one record per hyper-episode
     (its reward sum and baseline-relative improvement) plus per-round PPO
@@ -227,10 +289,8 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
     ppo_config.validate()
     root = SeededRng.from_seed(seed)
     init_rng, act_rng, upd_rng, seed_rng = root.split(4)
-    if policy is None:
-        policy = init_controller(init_rng, hyper_config.feature_mask,
-                                 hyper_config.head_mask,
-                                 config_hash=baseline.config_hash)
+    policy = init_controller(init_rng, feature_mask, head_mask,
+                             config_hash=baseline.config_hash)
     adam = AdamState.for_theta(policy.net.theta, ppo_config.lr)
     history = {"episode_returns": [], "improvements": [], "rounds": [],
                "invalid_count": 0, "invalid": []}

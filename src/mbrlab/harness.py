@@ -24,7 +24,7 @@ from . import fvi, mbpo
 from .config import RunConfig
 from .controller import BaselineCurve
 from .envs import make_env
-from .hyper_mdp import HyperMdpConfig, HyperParams, run_hyper_episode
+from .hyper_mdp import HyperMdpConfig, HyperParams
 from .rng import SeededRng
 from .stats import welch_t
 
@@ -239,20 +239,17 @@ def cmd_build_baseline(config: RunConfig, n_seeds: int | None = None) -> dict:
 def cmd_train_controller(config: RunConfig, baseline_path=None,
                          n_hyper_episodes: int | None = None,
                          seed: int | None = None,
-                         feature_mask=None, head_mask=None) -> dict:
+                         feature_mask=(True,) * 8, head_mask=(True,) * 4) -> dict:
     manifest, directory = new_experiment(config, "train-controller")
     hc = config.resolved_hyper()
-    if feature_mask is not None:
-        hc = dataclasses.replace(hc, feature_mask=tuple(feature_mask))
-    if head_mask is not None:
-        hc = dataclasses.replace(hc, head_mask=tuple(head_mask))
     baseline = (load_baseline(baseline_path) if baseline_path
                 else build_baseline(config))
     policy, history = ctrl.train_controller(
         config.env_name, config.mbpo, hc, config.ppo, baseline,
         n_hyper_episodes or config.harness.n_hyper_episodes,
         seed if seed is not None else config.harness.seeds[0],
-        episodes_per_round=config.harness.episodes_per_round)
+        episodes_per_round=config.harness.episodes_per_round,
+        feature_mask=feature_mask, head_mask=head_mask)
     ckpt = directory / "controller.json"
     ctrl.save_controller(policy, ckpt)
     phase_rows = [{"phase": i + 1, "mean_hyper_return": m}
@@ -271,38 +268,45 @@ def cmd_eval_controller(config: RunConfig, controller_path,
                         head_mask_override=None, n_episodes: int | None = None,
                         mode_tag: str = "eval-controller") -> dict:
     """Controller-vs-default comparison over paired seeds at the evaluation
-    horizon M, with the Welch t report and a schedule export."""
+    horizon M, with the Welch t report and a schedule export. A seed whose
+    hyper-episode is invalid (a numeric crash) is left out of the comparison
+    and listed in the report with its error."""
     manifest, directory = new_experiment(config, mode_tag)
     hc = config.resolved_hyper()
     policy = ctrl.load_controller(controller_path)
     ctrl.check_transfer(policy, config.content_hash())
     if head_mask_override is not None:
         policy.head_mask = tuple(head_mask_override)
-    hc = dataclasses.replace(hc, feature_mask=policy.feature_mask,
-                             head_mask=policy.head_mask)
     m_eval = n_episodes or hc.m_eval
-    rows, schedule_rows, curve_rows = [], [], []
+    rows, schedule_rows, curve_logs, invalid = [], [], [], []
     for seed in config.harness.seeds:
-        traj, log_c = run_hyper_episode(policy, config.env_name, config.mbpo, hc, seed,
-                                        n_episodes=m_eval, greedy=True)
+        traj, log_c = ctrl.run_hyper_episode(policy, config.env_name, config.mbpo, hc,
+                                             seed, n_episodes=m_eval, greedy=True)
+        schedule_rows.extend(log_c.schedule_rows)
+        curve_logs.append(log_c)
+        if not traj.valid:
+            invalid.append({"seed": seed, "error": traj.error})
+            manifest.seed_status[str(seed)] = "invalid"
+            continue
         log_d = mbpo.run_default_mbpo(config.env_name, config.mbpo, hc, m_eval, seed)
-        final_c = log_c.eval_rows[-1]["eval_return"] if log_c.eval_rows else float("nan")
+        curve_logs.append(log_d)
+        final_c = log_c.eval_rows[-1]["eval_return"]
         final_d = log_d.eval_rows[-1]["eval_return"]
         rows.append({"seed": seed, "controller_final": final_c,
                      "default_final": final_d,
                      "improvement": final_c - final_d})
-        schedule_rows.extend(log_c.schedule_rows)
-        curve_rows.extend({"run_id": r["run_id"], "episode": r["episode"],
-                           "n_real": r["n_real"], "eval_return": r["eval_return"]}
-                          for r in log_c.eval_rows + log_d.eval_rows)
-        manifest.seed_status[str(seed)] = "ok" if traj.valid else "invalid"
+        manifest.seed_status[str(seed)] = "ok"
+    curve_rows = [{"run_id": r["run_id"], "episode": r["episode"], "n_real": r["n_real"],
+                   "eval_return": r["eval_return"]}
+                  for log in curve_logs for r in log.eval_rows]
     comparison = write_csv(directory / "comparison.csv", "comparison", rows)
     schedule = write_csv(directory / "schedule.csv", "schedule", schedule_rows)
     curves = write_csv(directory / "learning_curves.csv", "learning_curves", curve_rows)
     report = {"n_seeds": len(rows),
               "mean_controller": float(np.mean([r["controller_final"] for r in rows])),
               "mean_default": float(np.mean([r["default_final"] for r in rows])),
-              "win_fraction": float(np.mean([r["improvement"] >= 0 for r in rows]))}
+              "win_fraction": float(np.mean([r["improvement"] >= 0 for r in rows])),
+              "invalid": invalid}
     try:
         t, p = welch_t([r["controller_final"] for r in rows],
                        [r["default_final"] for r in rows])

@@ -77,16 +77,11 @@ class MbpoRunState:
     rng_eval: SeededRng
     cur_state: np.ndarray
     log: MbpoLog
-    seed: int
-    gamma: float
     episode: int = 0
-    h: int = 0                      # step within the current episode block
     n_real: int = 0
     env_steps_since_reset: int = 0
     critic_loss_avg: float | None = None
-    last_actor_loss: float | None = None
     last_eval_return: float | None = None
-    hyper_index: int = 0
     current_params: HyperParams | None = None
 
 
@@ -113,7 +108,6 @@ def init_run(env_name: str, config: MbpoConfig, hyper_config: HyperMdpConfig,
         rng_env=r_env, rng_explore=r_explore, rng_act=r_act, rng_model=r_model,
         rng_rollout=r_roll, rng_update=r_upd, rng_eval=r_eval,
         cur_state=env.reset(r_env), log=MbpoLog(run_id=f"{env_name}-seed{seed}"),
-        seed=seed, gamma=env.spec.gamma,
     )
 
 
@@ -180,7 +174,7 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
         for _ in range(g):
             batch = sac.sample_mixed_batch(run.d_env, run.d_model, spec, run.rng_update)
             try:
-                c_loss, a_loss = sac.sac_update(run.agent, batch, run.gamma, run.rng_update)
+                c_loss, _ = sac.sac_update(run.agent, batch, env.spec.gamma, run.rng_update)
             except FloatingPointError as exc:
                 run.log.events.append({"step": run.n_real, "event": "sac_step_rejected",
                                        "reason": str(exc)})
@@ -190,8 +184,6 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
             run.critic_loss_avg = (c_loss if run.critic_loss_avg is None
                                    else CRITIC_EMA * run.critic_loss_avg
                                    + (1 - CRITIC_EMA) * c_loss)
-            run.last_actor_loss = a_loss
-    run.h += 1
     return {"n_real": run.n_real, "model_trained": model_trained,
             "rollouts_added": rollouts_added, "updates": updates,
             "critic_loss_avg": run.critic_loss_avg}
@@ -206,22 +198,18 @@ def run_target_episode(run: MbpoRunState, schedule_source, hyper_config=None) ->
     h_total = env.spec.horizon
     params = run.current_params if run.current_params is not None else hc.initial_params()
     records = []
-    run.h = 0
     for h in range(h_total):
         if h % hc.tau == 0:
             state = extract_state(run, params, hc)
-            new_params, want_train = schedule_source(state, params)
+            new_params, train_now = schedule_source(state, params)
             if new_params != params:
                 run.log.events.append({
                     "step": run.n_real, "event": "schedule_change",
                     "beta": new_params.beta, "g": new_params.g, "k": new_params.k,
                 })
             params = new_params
-            records.append({"state": state, "params": params,
-                            "train_decision": want_train, "trained": False,
-                            "reward": 0.0, "eval_return": None,
-                            "real_step": run.n_real})
-            train_now = want_train
+            records.append({"params": params, "trained": False, "reward": 0.0,
+                            "eval_return": None, "real_step": run.n_real})
         else:
             train_now = False
         report = mbpo_step(run, params, train_model_now=train_now)
@@ -254,7 +242,6 @@ def run_target_episode(run: MbpoRunState, schedule_source, hyper_config=None) ->
             "model_trained": int(rec["trained"]),
         })
         run.log.hyper_rewards.append(rec["reward"])
-    run.hyper_index += len(records)
     return records
 
 

@@ -140,10 +140,9 @@ def test_criterion_06_degeneracy_chain():
                      n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=2).for_env("pointmass2d")
     log_default = mbpo.run_default_mbpo("pointmass2d", cfg, hc, 2, seed=100)
-    pol = ctrl.init_controller(SeededRng.from_seed(0), hc.feature_mask,
+    pol = ctrl.init_controller(SeededRng.from_seed(0), (True,) * 8,
                                head_mask=(False,) * 4)
-    traj, log_ctrl = __import__("mbrlab.hyper_mdp", fromlist=["run_hyper_episode"]) \
-        .run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=100)
+    traj, log_ctrl = ctrl.run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=100)
     ok = (np.array_equal(traj.rewards, np.array(log_default.hyper_rewards))
           and log_ctrl.eval_rows == log_default.eval_rows
           and log_ctrl.schedule_rows == log_default.schedule_rows)
@@ -244,10 +243,9 @@ def nightly_eval_runs(nightly_baseline, tmp_path_factory):
                                       episodes_per_round=4)
     runs = []
     for seed in range(10):
-        from mbrlab.hyper_mdp import run_hyper_episode
-        traj, log_c = run_hyper_episode(policy, cfg.env_name, cfg.mbpo, hc,
-                                        seed=200 + seed, n_episodes=hc.m_eval,
-                                        greedy=True)
+        traj, log_c = ctrl.run_hyper_episode(policy, cfg.env_name, cfg.mbpo, hc,
+                                             seed=200 + seed, n_episodes=hc.m_eval,
+                                             greedy=True)
         log_d = mbpo.run_default_mbpo(cfg.env_name, cfg.mbpo, hc, hc.m_eval,
                                       seed=200 + seed)
         runs.append((log_c, log_d))

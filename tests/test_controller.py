@@ -11,7 +11,7 @@ from mbrlab.controller import (BaselineCurve, PpoConfig, advantage,
                                controller_act, init_controller,
                                load_controller, ppo_loss_and_grads, ppo_update,
                                save_controller, train_controller)
-from mbrlab.hyper_mdp import HEAD_SIZES, HyperMdpConfig
+from mbrlab.hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig
 from mbrlab.rng import SeededRng
 
 from util import (assert_grads_close, crash_first_hyper_episode_at, finite_difference,
@@ -32,7 +32,7 @@ def test_uniform_logits_sample_each_ratio_op_one_third():
     counts = np.zeros(3)
     for _ in range(100_000):
         action, _ = controller_act(pol, state, rng)
-        counts[action.indices()[0]] += 1
+        counts[action[0]] += 1
     assert np.all(np.abs(counts / 100_000 - 1 / 3) < 0.01)
 
 
@@ -57,16 +57,16 @@ def test_joint_log_prob_enumeration_oracle():
     assert total == pytest.approx(1.0, abs=1e-10)
     # the sampled joint log-prob agrees with the enumerated table
     action, lp = controller_act(pol, state[0], SeededRng.from_seed(8))
-    assert lp == pytest.approx(per_action[action.indices()], abs=1e-12)
+    assert lp == pytest.approx(per_action[action], abs=1e-12)
 
 
 def test_masked_heads_neutral_and_zero_logp():
     pol = init_controller(SeededRng.from_seed(9), head_mask=(True, False, False, True))
     state = SeededRng.from_seed(10).uniform(size=8)
     action, lp = controller_act(pol, state, SeededRng.from_seed(11))
-    assert action.train_model == 1 and action.g_op == 0
+    assert action[1] == NEUTRAL_INDICES[1] and action[2] == NEUTRAL_INDICES[2]
     tables = controller.head_log_probs(pol, state[None, :])
-    expect = tables[0][0][action.indices()[0]] + tables[3][0][action.indices()[3]]
+    expect = tables[0][0][action[0]] + tables[3][0][action[3]]
     assert lp == pytest.approx(float(expect), abs=1e-12)
 
 

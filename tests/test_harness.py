@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbrlab import harness, mbpo
+from mbrlab import controller, harness, mbpo
 from mbrlab.config import (ConfigError, FviSweepConfig, HarnessConfig, RunConfig,
                            from_dict, load)
 from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
+from mbrlab.rng import SeededRng
 from mbrlab.stats import DegenerateSamples, welch_t
 from util import agent_fingerprint, crash_first_hyper_episode_at
 
@@ -201,6 +202,25 @@ def test_train_controller_history_keeps_rounds_and_invalid(tmp_path, monkeypatch
     assert diag["updates"] == cfg.ppo.updates_per_round
     assert np.isfinite([diag["mean_ratio"], diag["clip_fraction"]]).all()
     assert len(history["episode_returns"]) == 1
+
+
+def test_eval_controller_leaves_crashed_seeds_out_of_the_comparison(tmp_path, monkeypatch):
+    cfg = _tiny_config(tmp_path)
+    ckpt = tmp_path / "controller.json"
+    controller.save_controller(controller.init_controller(
+        SeededRng.from_seed(0), config_hash=cfg.content_hash()), ckpt)
+    crash_first_hyper_episode_at(monkeypatch, 90)  # seed 0's controller run
+    info = harness.cmd_eval_controller(cfg, ckpt)
+    directory = Path(info["directory"])
+    rows = harness.read_csv(directory / "comparison.csv")
+    assert [r["seed"] for r in rows] == ["1"]
+    report = json.loads((directory / "report.json").read_text())
+    assert report["n_seeds"] == 1
+    assert report["mean_controller"] == float(rows[0]["controller_final"])
+    assert report["invalid"] == [{"seed": 0, "error": {
+        "type": "FloatingPointError", "message": "injected at step 90", "n_real": 90}}]
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert manifest["seed_status"] == {"0": "invalid", "1": "ok"}
 
 
 # -------------------------------------------------------------------- baseline

@@ -1,7 +1,10 @@
 """Importing mbrlab loads no scipy: only `stats.welch_t` and
 `fvi.error_histogram_check` reach for `scipy.special`, and only when called,
-so every CLI call and every worker process starts without it."""
+so every CLI call and every worker process starts without it. Those two
+deferred imports are the only ones: no function imports an mbrlab module, so
+the module graph is what the module-level imports say."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -39,3 +42,21 @@ def test_importing_mbrlab_loads_no_scipy_and_values_are_unchanged():
     assert out["t"] == "0x1.69e8804ab11d5p+1"
     assert out["p"] == "0x1.80018b5ba4ccfp-6"
     assert out["ks"] == "0x1.30cfdca4964c0p-7"
+
+
+def _imports_mbrlab(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "mbrlab"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "mbrlab" for alias in node.names)
+
+
+def test_no_function_imports_an_mbrlab_module():
+    found = []
+    for path in sorted((SRC_DIR / "mbrlab").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.name}:{node.lineno} in {getattr(func, 'name', 'lambda')}"
+                          for node in ast.walk(func) if _imports_mbrlab(node)]
+    assert not found, f"deferred mbrlab imports: {found}"
