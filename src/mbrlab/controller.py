@@ -10,13 +10,14 @@ objective plus a decaying entropy bonus.
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import checkpoint, mbpo, nets
+from . import checkpoint, mbpo, nets, workers
 from .envs import EnvDiverged
 from .hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig, apply_action
 from .nets import AdamState, DenseNet, adam_step
@@ -214,21 +215,22 @@ class HyperTrajectory:
 
 def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_config,
                       hyper_config: HyperMdpConfig, seed: int,
-                      controller_rng: SeededRng | None = None,
                       n_episodes: int | None = None,
                       greedy: bool = False):
     """One hyper-MDP episode: train an MBPO instance from scratch for
     m episodes while the controller adjusts its hyperparameters every tau
     steps. Returns (HyperTrajectory, MbpoLog).
 
-    The controller owns its own random stream, so an all-masked (neutral)
-    controller reproduces run_default_mbpo bit-exactly under the same seed.
-    A numerically crashed inner run (FloatingPointError, EnvDiverged) yields
-    a truncated trajectory flagged invalid, with the error recorded on it; any
-    other exception propagates.
+    The controller draws its actions from its own stream, seeded by the
+    episode's seed (seed + 777) and apart from the run's streams, so an
+    all-masked (neutral) controller reproduces run_default_mbpo bit-exactly
+    under the same seed, and the episode depends on nothing but its
+    arguments. A numerically crashed inner run (FloatingPointError,
+    EnvDiverged) yields a truncated trajectory flagged invalid, with the error
+    recorded on it; any other exception propagates.
     """
     m = n_episodes or hyper_config.m_train
-    crng = controller_rng or SeededRng.from_seed(seed + 777)
+    crng = SeededRng.from_seed(seed + 777)
     run = mbpo.init_run(env_name, mbpo_config, hyper_config, seed)
     feature_mask = np.asarray(controller_policy.feature_mask, dtype=bool)
     states, actions, logps, rewards = [], [], [], []
@@ -258,6 +260,12 @@ def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_c
     return traj, run.log
 
 
+def _training_trajectory(policy: ControllerPolicy, env_name: str, mbpo_config,
+                         hyper_config: HyperMdpConfig, seed: int) -> HyperTrajectory:
+    """One sampled hyper-episode of a PPO round; its MbpoLog is not sent back."""
+    return run_hyper_episode(policy, env_name, mbpo_config, hyper_config, seed)[0]
+
+
 @dataclass
 class BaselineCurve:
     """Per-index average rewards of default-configuration MBPO runs."""
@@ -278,7 +286,9 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
                      head_mask=(True,) * 4) -> tuple:
     """Train a fresh controller with the given masks: collect hyper-episodes
     in rounds, compute baseline-relative advantages, and run PPO updates
-    after each round.
+    after each round. A round draws its episode seeds first and then runs
+    its hyper-episodes on worker processes; each one draws controller actions
+    from its own seeded stream, so no episode depends on another.
 
     Returns (policy, history) where history holds one record per hyper-episode
     (its reward sum and baseline-relative improvement) plus per-round PPO
@@ -288,7 +298,8 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
     """
     ppo_config.validate()
     root = SeededRng.from_seed(seed)
-    init_rng, act_rng, upd_rng, seed_rng = root.split(4)
+    # the second stream is unused; it keeps the split that fixes the others
+    init_rng, _, upd_rng, seed_rng = root.split(4)
     policy = init_controller(init_rng, feature_mask, head_mask,
                              config_hash=baseline.config_hash)
     adam = AdamState.for_theta(policy.net.theta, ppo_config.lr)
@@ -298,12 +309,11 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
     collected = 0
     while collected < n_hyper_episodes:
         batch_eps = min(episodes_per_round, n_hyper_episodes - collected)
+        ep_seeds = [int(seed_rng.integers(0, 2**31 - 1)) for _ in range(batch_eps)]
+        unit = functools.partial(_training_trajectory, policy, env_name,
+                                 mbpo_config, hyper_config)
         trajs = []
-        for _ in range(batch_eps):
-            ep_seed = int(seed_rng.integers(0, 2**31 - 1))
-            traj, _ = run_hyper_episode(policy, env_name, mbpo_config,
-                                        hyper_config, ep_seed,
-                                        controller_rng=act_rng)
+        for ep_seed, traj in zip(ep_seeds, workers.map_units(unit, ep_seeds)):
             collected += 1
             if traj.valid and len(traj) == len(baseline.values):
                 trajs.append(traj)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import time
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import controller as ctrl
-from . import fvi, mbpo
+from . import fvi, mbpo, workers
 from .config import RunConfig
 from .controller import BaselineCurve
 from .envs import make_env
@@ -192,15 +193,17 @@ def cmd_train_mbpo(config: RunConfig, mode: str = "default",
 
 # --------------------------------------------------------------- build-baseline
 
+def _baseline_trace(config: RunConfig, hc: HyperMdpConfig, seed: int) -> list:
+    return mbpo.run_default_mbpo(config.env_name, config.mbpo, hc, hc.m_train,
+                                 seed).hyper_rewards
+
+
 def build_baseline(config: RunConfig, n_seeds: int | None = None) -> BaselineCurve:
-    """Average the per-index reward traces of default-configuration runs."""
+    """Average the per-index reward traces of default-configuration runs,
+    its seeds spread over worker processes."""
     hc = config.resolved_hyper()
     n = n_seeds or config.harness.n_baseline_seeds
-    traces = []
-    for seed in range(n):
-        log = mbpo.run_default_mbpo(config.env_name, config.mbpo, hc,
-                                    hc.m_train, seed)
-        traces.append(log.hyper_rewards)
+    traces = workers.map_units(functools.partial(_baseline_trace, config, hc), range(n))
     values = np.mean(np.asarray(traces), axis=0)
     return BaselineCurve(values=values, n_seeds=n, env_name=config.env_name,
                          config_hash=config.content_hash())
@@ -264,11 +267,23 @@ def cmd_train_controller(config: RunConfig, baseline_path=None,
     return info
 
 
+def _paired_eval_runs(config: RunConfig, hc: HyperMdpConfig, policy, m_eval: int,
+                      seed: int) -> tuple:
+    """The controller's greedy run at `seed` and, if that run is valid, the
+    default run at the same seed: (HyperTrajectory, MbpoLog, MbpoLog | None)."""
+    traj, log_c = ctrl.run_hyper_episode(policy, config.env_name, config.mbpo, hc,
+                                         seed, n_episodes=m_eval, greedy=True)
+    log_d = (mbpo.run_default_mbpo(config.env_name, config.mbpo, hc, m_eval, seed)
+             if traj.valid else None)
+    return traj, log_c, log_d
+
+
 def cmd_eval_controller(config: RunConfig, controller_path,
                         head_mask_override=None, n_episodes: int | None = None,
                         mode_tag: str = "eval-controller") -> dict:
     """Controller-vs-default comparison over paired seeds at the evaluation
-    horizon M, with the Welch t report and a schedule export. A seed whose
+    horizon M, with the Welch t report and a schedule export. Seeds run on
+    worker processes; their outputs are written in seed order. A seed whose
     hyper-episode is invalid (a numeric crash) is left out of the comparison
     and listed in the report with its error."""
     manifest, directory = new_experiment(config, mode_tag)
@@ -278,17 +293,17 @@ def cmd_eval_controller(config: RunConfig, controller_path,
     if head_mask_override is not None:
         policy.head_mask = tuple(head_mask_override)
     m_eval = n_episodes or hc.m_eval
+    seeds = config.harness.seeds
+    runs = workers.map_units(
+        functools.partial(_paired_eval_runs, config, hc, policy, m_eval), seeds)
     rows, schedule_rows, curve_logs, invalid = [], [], [], []
-    for seed in config.harness.seeds:
-        traj, log_c = ctrl.run_hyper_episode(policy, config.env_name, config.mbpo, hc,
-                                             seed, n_episodes=m_eval, greedy=True)
+    for seed, (traj, log_c, log_d) in zip(seeds, runs):
         schedule_rows.extend(log_c.schedule_rows)
         curve_logs.append(log_c)
         if not traj.valid:
             invalid.append({"seed": seed, "error": traj.error})
             manifest.seed_status[str(seed)] = "invalid"
             continue
-        log_d = mbpo.run_default_mbpo(config.env_name, config.mbpo, hc, m_eval, seed)
         curve_logs.append(log_d)
         final_c = log_c.eval_rows[-1]["eval_return"]
         final_d = log_d.eval_rows[-1]["eval_return"]

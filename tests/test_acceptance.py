@@ -2,13 +2,14 @@
 pass/fail line each. Statistical hours-scale checks (9-11) run in the nightly
 job (MBRLAB_NIGHTLY=1); everything else runs per-commit."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 from mbrlab import controller as ctrl
-from mbrlab import fvi, harness, mbpo, nets, sac, world_model as wm
+from mbrlab import fvi, harness, mbpo, nets, sac, workers, world_model as wm
 from mbrlab.buffers import TransitionBuffer
 from mbrlab.config import HarnessConfig, RunConfig
 from mbrlab.controller import BaselineCurve, PpoConfig
@@ -234,6 +235,13 @@ def test_criterion_09_controller_improvement(nightly_baseline):
     _report(9, f"controller improvement ({wins}/6 seeds)", wins >= 4)
 
 
+def _paired_eval_run(policy, cfg, hc, seed):
+    _, log_c = ctrl.run_hyper_episode(policy, cfg.env_name, cfg.mbpo, hc, seed=seed,
+                                      n_episodes=hc.m_eval, greedy=True)
+    log_d = mbpo.run_default_mbpo(cfg.env_name, cfg.mbpo, hc, hc.m_eval, seed=seed)
+    return log_c, log_d
+
+
 @pytest.fixture(scope="module")
 def nightly_eval_runs(nightly_baseline, tmp_path_factory):
     cfg, baseline = nightly_baseline
@@ -241,15 +249,8 @@ def nightly_eval_runs(nightly_baseline, tmp_path_factory):
     policy, _ = ctrl.train_controller(cfg.env_name, cfg.mbpo, hc, PpoConfig(),
                                       baseline, n_hyper_episodes=40, seed=0,
                                       episodes_per_round=4)
-    runs = []
-    for seed in range(10):
-        traj, log_c = ctrl.run_hyper_episode(policy, cfg.env_name, cfg.mbpo, hc,
-                                             seed=200 + seed, n_episodes=hc.m_eval,
-                                             greedy=True)
-        log_d = mbpo.run_default_mbpo(cfg.env_name, cfg.mbpo, hc, hc.m_eval,
-                                      seed=200 + seed)
-        runs.append((log_c, log_d))
-    return runs
+    return workers.map_units(functools.partial(_paired_eval_run, policy, cfg, hc),
+                             [200 + seed for seed in range(10)])
 
 
 @pytest.mark.nightly

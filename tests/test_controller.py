@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mbrlab import checkpoint, controller, mbpo, nets
+from mbrlab import checkpoint, controller, mbpo, nets, workers
 from mbrlab.controller import (BaselineCurve, PpoConfig, advantage,
                                controller_act, init_controller,
                                load_controller, ppo_loss_and_grads, ppo_update,
@@ -14,7 +14,7 @@ from mbrlab.controller import (BaselineCurve, PpoConfig, advantage,
 from mbrlab.hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig
 from mbrlab.rng import SeededRng
 
-from util import (assert_grads_close, crash_first_hyper_episode_at, finite_difference,
+from util import (assert_grads_close, crash_hyper_episode_at, finite_difference,
                   joint_log_prob)
 
 
@@ -195,16 +195,38 @@ def test_train_controller_single_episode_runs_thirty_updates():
     assert history["rounds"][0]["updates"] == 30
 
 
+@pytest.mark.parametrize("one_core", [False, True])
+def test_train_controller_pinned_bits(monkeypatch, one_core):
+    """Two rounds of two hyper-episodes, each drawing controller actions from
+    its own seeded stream; recorded when the rounds went onto worker
+    processes, and equal whether the episodes run on workers or inline."""
+    if one_core:
+        monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0})
+    mc = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
+                         n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
+    hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
+    baseline = BaselineCurve(values=np.zeros(200 // hc.tau), n_seeds=1,
+                             env_name="pointmass2d", config_hash="test")
+    pol, history = train_controller("pointmass2d", mc, hc, PpoConfig(), baseline,
+                                    n_hyper_episodes=4, seed=21, episodes_per_round=2)
+    assert history["invalid_count"] == 0 and len(history["rounds"]) == 2
+    assert [r.hex() for r in history["episode_returns"]] == [
+        "-0x1.168b5ca757e16p+0", "-0x1.0667ccd706548p+0",
+        "-0x1.2527dc1ccb5c4p+0", "-0x1.9db6abb76e1c3p-1"]
+    assert hashlib.sha256(pol.net.theta.tobytes()).hexdigest() == \
+        "4eea03ffebcab7f632f9a3211270c38eac7a7b9bb0793edbe56657e73fba10cd"
+
+
 def test_train_controller_records_invalid_hyper_episodes(monkeypatch):
     mc = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
                          n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
     baseline = BaselineCurve(values=np.zeros(200 // hc.tau), n_seeds=1,
                              env_name="pointmass2d", config_hash="test")
-    crash_first_hyper_episode_at(monkeypatch, 75)
+    first_seed = int(SeededRng.from_seed(21).split(4)[3].integers(0, 2**31 - 1))
+    crash_hyper_episode_at(monkeypatch, first_seed, 75)
     _, history = train_controller("pointmass2d", mc, hc, PpoConfig(), baseline,
                                   n_hyper_episodes=2, seed=21, episodes_per_round=2)
-    first_seed = int(SeededRng.from_seed(21).split(4)[3].integers(0, 2**31 - 1))
     assert history["invalid_count"] == 1
     assert history["invalid"] == [{"episode": 0, "seed": first_seed, "error": {
         "type": "FloatingPointError", "message": "injected at step 75", "n_real": 75}}]

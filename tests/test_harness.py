@@ -15,7 +15,7 @@ from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
 from mbrlab.rng import SeededRng
 from mbrlab.stats import DegenerateSamples, welch_t
-from util import agent_fingerprint, crash_first_hyper_episode_at
+from util import agent_fingerprint, crash_hyper_episode_at
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -189,12 +189,15 @@ def test_train_controller_history_keeps_rounds_and_invalid(tmp_path, monkeypatch
     cfg = _tiny_config(tmp_path, n_baseline_seeds=1)
     baseline_path = tmp_path / "baseline.json"
     harness.save_baseline(harness.build_baseline(cfg), baseline_path)
-    crash_first_hyper_episode_at(monkeypatch, 90)
+    # the first hyper-episode's seed: the first draw of train_controller's seed stream
+    first_seed = int(SeededRng.from_seed(cfg.harness.seeds[0]).split(4)[3]
+                     .integers(0, 2**31 - 1))
+    crash_hyper_episode_at(monkeypatch, first_seed, 90)
     info = harness.cmd_train_controller(cfg, baseline_path=baseline_path)
     history = json.loads((Path(info["directory"]) / "history.json").read_text())
     assert info["invalid_count"] == history["invalid_count"] == 1
     [entry] = history["invalid"]
-    assert entry["episode"] == 0 and isinstance(entry["seed"], int)
+    assert entry["episode"] == 0 and entry["seed"] == first_seed
     assert entry["error"] == {"type": "FloatingPointError", "message": "injected at step 90",
                               "n_real": 90}
     [diag] = history["rounds"]
@@ -209,7 +212,7 @@ def test_eval_controller_leaves_crashed_seeds_out_of_the_comparison(tmp_path, mo
     ckpt = tmp_path / "controller.json"
     controller.save_controller(controller.init_controller(
         SeededRng.from_seed(0), config_hash=cfg.content_hash()), ckpt)
-    crash_first_hyper_episode_at(monkeypatch, 90)  # seed 0's controller run
+    crash_hyper_episode_at(monkeypatch, 0, 90)  # seed 0's controller run
     info = harness.cmd_eval_controller(cfg, ckpt)
     directory = Path(info["directory"])
     rows = harness.read_csv(directory / "comparison.csv")

@@ -1,7 +1,8 @@
 """Importing mbrlab loads no scipy: only `stats.welch_t` and
 `fvi.error_histogram_check` reach for `scipy.special`, and only when called,
-so every CLI call and every worker process starts without it. Those two
-deferred imports are the only ones: no function imports an mbrlab module, so
+so every CLI call and every worker process starts without it. Nor does it
+load `multiprocessing` or `concurrent.futures`: `workers.map_units` imports
+them only when it starts workers. No function imports an mbrlab module, so
 the module graph is what the module-level imports say."""
 
 import ast
@@ -20,6 +21,7 @@ names = sorted("mbrlab." + m.name for m in pkgutil.iter_modules(mbrlab.__path__)
 for name in names:
     importlib.import_module(name)
 loaded_on_import = "scipy.special" in sys.modules
+pools_on_import = sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules))
 
 from mbrlab import fvi
 from mbrlab.rng import SeededRng
@@ -27,6 +29,7 @@ from mbrlab.stats import welch_t
 t, p = welch_t([1.0, 2.5, 3.1, 4.7, 2.2, 3.9], [0.3, 1.1, 0.9, 2.0, 1.6])
 ks = fvi.error_histogram_check(1.0, 10_000, 10, SeededRng.from_seed(0))["ks_distance"]
 print(json.dumps({"modules": names, "scipy_special_on_import": loaded_on_import,
+                  "pools_on_import": pools_on_import,
                   "t": t.hex(), "p": p.hex(), "ks": ks.hex()}))
 """
 
@@ -38,6 +41,7 @@ def test_importing_mbrlab_loads_no_scipy_and_values_are_unchanged():
     out = json.loads(res.stdout)
     assert {"mbrlab.cli", "mbrlab.harness", "mbrlab.fvi", "mbrlab.stats"} <= set(out["modules"])
     assert not out["scipy_special_on_import"]
+    assert out["pools_on_import"] == []
     # recorded before scipy moved off the import path
     assert out["t"] == "0x1.69e8804ab11d5p+1"
     assert out["p"] == "0x1.80018b5ba4ccfp-6"

@@ -31,17 +31,25 @@ def finite_difference(loss_fn, params, h=1e-5):
     return grads
 
 
-def crash_first_hyper_episode_at(monkeypatch, n_real):
-    """Make the first MBPO run that reaches real step `n_real` raise a
-    FloatingPointError there; later runs are left alone."""
-    real_step, crashed = mbpo.mbpo_step, []
+def crash_hyper_episode_at(monkeypatch, seed, n_real):
+    """Make every MBPO run started with `seed` raise a FloatingPointError at
+    real step `n_real`; runs at other seeds are left alone. The run is tagged
+    where `mbpo.init_run` creates it, so the crash does not depend on the
+    order in which runs start, which worker processes do not share."""
+    real_init, real_step, tagged = mbpo.init_run, mbpo.mbpo_step, []
+
+    def init_run(env_name, config, hyper_config, run_seed):
+        run = real_init(env_name, config, hyper_config, run_seed)
+        if run_seed == seed:
+            tagged.append(run)
+        return run
 
     def step(run, hyper, train_model_now):
-        if run.n_real == n_real and not crashed:
-            crashed.append(run)
+        if run.n_real == n_real and any(run is t for t in tagged):
             raise FloatingPointError(f"injected at step {n_real}")
         return real_step(run, hyper, train_model_now)
 
+    monkeypatch.setattr(mbpo, "init_run", init_run)
     monkeypatch.setattr(mbpo, "mbpo_step", step)
 
 
