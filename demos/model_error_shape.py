@@ -15,7 +15,6 @@ import numpy as np
 from mbrlab import fvi, world_model as wm
 from mbrlab.buffers import TransitionBuffer
 from mbrlab.envs import make_env
-from mbrlab.rng import SeededRng
 
 
 def bar(frac, width=50):
@@ -24,13 +23,15 @@ def bar(frac, width=50):
 
 def main():
     env = make_env("pendulum")
-    rng = SeededRng.from_seed(0)
-    buf = TransitionBuffer(20_000, 3, 1, "real")
+    rng = np.random.default_rng(0)
+    buf = TransitionBuffer(20_000, 3, 1)
+    rows = []
     s = env.reset(rng)
     for _ in range(6000):
-        tr = env.step(s, rng.uniform(-2, 2, size=1))
-        buf.push(tr)
-        s = env.reset(rng) if tr.done else tr.s2
+        a, r, s2, done = env.step(s, rng.uniform(-2, 2, size=1))
+        rows.append((s, a, r, s2, done))
+        s = env.reset(rng) if done else s2
+    buf.push_batch(*(np.array(column) for column in zip(*rows)))
     print("collected 6000 random-policy pendulum transitions")
 
     model = wm.init_ensemble(rng, 3, 1, hidden=(64, 64), n_members=3)
@@ -44,7 +45,7 @@ def main():
         print(f"  [{lo:6.3f}, {hi:6.3f})  {f:5.3f} {bar(f)}")
 
     out = fvi.error_histogram_check(sigma=0.1, n_samples=1_000_000, bins=30,
-                                    rng=SeededRng.from_seed(1))
+                                    rng=np.random.default_rng(1))
     print(f"\nreference half-normal(sigma=0.1): sample mean {out['mean']:.4f} "
           f"(analytic {0.1 * np.sqrt(2 / np.pi):.4f}), "
           f"KS distance to analytic CDF {out['ks_distance']:.4f}")

@@ -11,8 +11,6 @@ Three connected pieces:
   (`mbrlab.harness`, `mbrlab.cli`).
 """
 
-from .rng import SeededRng
-
 __version__ = "0.1.0"
 
-__all__ = ["SeededRng", "__version__"]
+__all__ = ["__version__"]

@@ -1,7 +1,8 @@
 """Ring buffers of transitions with uniform with-replacement sampling.
 
-Storage is columnar (one array per field) so minibatch sampling is a gather;
-oldest entries are evicted first once capacity is reached.
+Storage is columnar (one array per field): rows are written as column blocks
+and minibatch sampling is a gather; oldest entries are evicted first once
+capacity is reached.
 """
 
 from __future__ import annotations
@@ -9,9 +10,6 @@ from __future__ import annotations
 import mmap
 
 import numpy as np
-
-from .envs import Transition
-from .rng import SeededRng
 
 
 def _zeros(shape, dtype=np.float64) -> np.ndarray:
@@ -24,11 +22,10 @@ def _zeros(shape, dtype=np.float64) -> np.ndarray:
 
 
 class TransitionBuffer:
-    def __init__(self, capacity: int, state_dim: int, action_dim: int, source: str):
+    def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.source = source
         self.s = _zeros((capacity, state_dim))
         self.a = _zeros((capacity, action_dim))
         self.r = _zeros(capacity)
@@ -43,23 +40,10 @@ class TransitionBuffer:
     def __len__(self) -> int:
         return self.size
 
-    def push(self, tr: Transition, behavior_density: float = 0.0) -> None:
-        if tr.source != self.source:
-            raise ValueError(f"buffer holds {self.source} transitions, got {tr.source}")
-        i = self.cursor
-        self.s[i] = tr.s
-        self.a[i] = tr.a
-        self.r[i] = tr.r
-        self.s2[i] = tr.s2
-        self.done[i] = tr.done
-        self.behavior_density[i] = behavior_density
-        self.cursor = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
-
-    def push_batch(self, s, a, r, s2, done) -> int:
-        """Append n rows column by column, as n push() calls would (with
-        behavior density 0); when n > capacity only the last capacity rows
-        survive. Returns n."""
+    def push_batch(self, s, a, r, s2, done, behavior_density=0.0) -> int:
+        """Append n rows column by column, as n one-row calls would; the
+        behavior density is one per row or one for all. When n > capacity
+        only the last capacity rows survive. Returns n."""
         n = len(r)
         keep = min(n, self.capacity)
         idx = (self.cursor + (n - keep) + np.arange(keep)) % self.capacity
@@ -68,12 +52,14 @@ class TransitionBuffer:
         self.r[idx] = r[n - keep:]
         self.s2[idx] = s2[n - keep:]
         self.done[idx] = done[n - keep:]
-        self.behavior_density[idx] = 0.0
+        if np.ndim(behavior_density):  # one per row
+            behavior_density = behavior_density[n - keep:]
+        self.behavior_density[idx] = behavior_density
         self.cursor = (self.cursor + n) % self.capacity
         self.size = min(self.size + n, self.capacity)
         return n
 
-    def sample_indices(self, n: int, rng: SeededRng) -> np.ndarray:
+    def sample_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
         return rng.integers(0, self.size, size=n)

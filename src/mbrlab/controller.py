@@ -21,7 +21,6 @@ from . import checkpoint, mbpo, nets, workers
 from .envs import EnvDiverged
 from .hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig, apply_action
 from .nets import AdamState, DenseNet, adam_step
-from .rng import SeededRng
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +44,7 @@ class ControllerPolicy:
         return out
 
 
-def init_controller(rng: SeededRng, feature_mask=(True,) * 8,
+def init_controller(rng: np.random.Generator, feature_mask=(True,) * 8,
                     head_mask=(True,) * 4, hidden: int = 256,
                     config_hash: str = "") -> ControllerPolicy:
     input_dim = int(np.sum(feature_mask))
@@ -65,7 +64,7 @@ def head_log_probs(policy: ControllerPolicy, states: np.ndarray) -> list:
     return [_log_softmax(logits[:, sl]) for sl in policy.head_slices()]
 
 
-def controller_act(policy: ControllerPolicy, state: np.ndarray, rng: SeededRng,
+def controller_act(policy: ControllerPolicy, state: np.ndarray, rng: np.random.Generator,
                    greedy: bool = False) -> tuple:
     """Sample one factorized action as a tuple of head indices; masked heads
     emit the neutral index and contribute zero to the joint log-prob."""
@@ -82,7 +81,7 @@ def controller_act(policy: ControllerPolicy, state: np.ndarray, rng: SeededRng,
         if greedy:
             a = int(lp.argmax())
         else:
-            a = int(rng.gen.choice(len(lp), p=np.exp(lp)))
+            a = int(rng.choice(len(lp), p=np.exp(lp)))
         idx.append(a)
         joint += float(lp[a])
     return tuple(idx), joint
@@ -174,7 +173,7 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
 
 
 def ppo_update(policy: ControllerPolicy, batch: dict, config: PpoConfig,
-               rng: SeededRng, adam: AdamState | None = None,
+               rng: np.random.Generator, adam: AdamState | None = None,
                entropy_coef: float | None = None) -> dict:
     """updates_per_round minibatch steps over a collected batch; advantages
     are standardized across the batch first (left as they are when all equal)."""
@@ -230,7 +229,7 @@ def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_c
     recorded on it; any other exception propagates.
     """
     m = n_episodes or hyper_config.m_train
-    crng = SeededRng.from_seed(seed + 777)
+    crng = np.random.default_rng(seed + 777)
     run = mbpo.init_run(env_name, mbpo_config, hyper_config, seed)
     feature_mask = np.asarray(controller_policy.feature_mask, dtype=bool)
     states, actions, logps, rewards = [], [], [], []
@@ -297,9 +296,9 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
     to its end but its length differs from the baseline's).
     """
     ppo_config.validate()
-    root = SeededRng.from_seed(seed)
-    # the second stream is unused; it keeps the split that fixes the others
-    init_rng, _, upd_rng, seed_rng = root.split(4)
+    root = np.random.default_rng(seed)
+    # the second stream is unused; it keeps the spawn that fixes the others
+    init_rng, _, upd_rng, seed_rng = root.spawn(4)
     policy = init_controller(init_rng, feature_mask, head_mask,
                              config_hash=baseline.config_hash)
     adam = AdamState.for_theta(policy.net.theta, ppo_config.lr)

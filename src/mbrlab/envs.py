@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SeededRng
-
 DT = 0.05
 
 
@@ -38,18 +36,6 @@ class EnvSpec:
     return_hi: float
 
 
-@dataclass
-class Transition:
-    """One (s, a, r, s', done) tuple; the universal currency between modules."""
-
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s2: np.ndarray
-    done: bool
-    source: str  # "real" or "imaginary"
-
-
 def _wrap_angle(theta):
     return (theta + np.pi) % (2.0 * np.pi) - np.pi
 
@@ -59,7 +45,7 @@ class Env:
 
     spec: EnvSpec
 
-    def reset(self, rng: SeededRng) -> np.ndarray:
+    def reset(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def dynamics(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -77,7 +63,8 @@ class Env:
         return np.clip(np.asarray(a, dtype=np.float64),
                        self.spec.action_low, self.spec.action_high)
 
-    def step(self, state: np.ndarray, action: np.ndarray) -> Transition:
+    def step(self, state: np.ndarray, action: np.ndarray) -> tuple:
+        """One real step from `state`: (clipped action, reward, s', done)."""
         state = np.asarray(state, dtype=np.float64)
         if not np.isfinite(state).all():
             raise EnvDiverged(f"{self.spec.name}: non-finite state {state}")
@@ -85,7 +72,7 @@ class Env:
         r = float(self.reward(state, a))
         s2 = self.dynamics(state, a)
         done = bool(self.terminal(s2))
-        return Transition(state.copy(), a, r, s2, done, "real")
+        return a, r, s2, done
 
 
 class Pendulum(Env):
@@ -237,7 +224,7 @@ def make_env(name: str) -> Env:
         raise ValueError(f"unknown environment {name!r}; choose from {sorted(_REGISTRY)}")
 
 
-def evaluate_policy(env: Env, policy, n_episodes: int, rng: SeededRng) -> float:
+def evaluate_policy(env: Env, policy, n_episodes: int, rng: np.random.Generator) -> float:
     """Average undiscounted return of policy(state, rng) -> action over
     n_episodes episodes, each capped at the spec horizon."""
     if n_episodes < 1:
@@ -247,10 +234,9 @@ def evaluate_policy(env: Env, policy, n_episodes: int, rng: SeededRng) -> float:
         s = env.reset(rng)
         ep = 0.0
         for _ in range(env.spec.horizon):
-            tr = env.step(s, policy(s, rng))
-            ep += tr.r
-            s = tr.s2
-            if tr.done:
+            _, r, s, done = env.step(s, policy(s, rng))
+            ep += r
+            if done:
                 break
         total += ep
     return total / n_episodes

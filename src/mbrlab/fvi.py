@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import SeededRng
 
 logger = logging.getLogger(__name__)
 
@@ -189,7 +188,7 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
 # ---------------------------------------------------------------------------
 
 
-def half_normal(sigma: float, rng: SeededRng, size=None) -> np.ndarray:
+def half_normal(sigma: float, rng: np.random.Generator, size=None) -> np.ndarray:
     """|Z| * sigma with Z standard normal; sigma=0 gives exact zeros."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -203,7 +202,7 @@ class CorruptedModel:
     mdp: FviMdp
     sigma: float
 
-    def predict(self, true_next: np.ndarray, rng: SeededRng) -> np.ndarray:
+    def predict(self, true_next: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Displace the true next states (n, d) of one action."""
         n = true_next.shape[0]
         xi = half_normal(self.sigma, rng, size=n)
@@ -220,7 +219,7 @@ BACKUP_BLOCK = 2048  # states per scoring block of the mixture backup
 
 def beta_mixture_backup(value_fn: ValueFn, states: np.ndarray, mdp: FviMdp,
                         corrupted_model: CorruptedModel, beta: float,
-                        rng: SeededRng) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Targets max_a (r + gamma * V(next)) where next comes from the true
     dynamics w.p. beta and from the corrupted model otherwise.
 
@@ -315,7 +314,7 @@ def exact_vi(mdp: FviMdp, fine_grid_size: int = 256, tol: float = 1e-9,
         v.values = backed
         if delta < tol:
             break
-    rho = SeededRng.from_seed(seed).uniform(size=(n_eval, mdp.dim))
+    rho = np.random.default_rng(seed).uniform(size=(n_eval, mdp.dim))
     return ExactOracle(value_fn=v, greedy_return=float(policy_return(mdp, v, rho).mean()))
 
 
@@ -360,14 +359,14 @@ def run_fvi(mdp: FviMdp, config: FviConfig, oracle: ExactOracle | None = None) -
 
 def _oracle_scores(mdp: FviMdp, config: FviConfig, oracle: ExactOracle):
     """A run's rho samples and the oracle's returns from them (seed and n_eval only)."""
-    eval_stream = SeededRng.from_seed(config.seed).split(3)[2]
+    eval_stream = np.random.default_rng(config.seed).spawn(3)[2]
     eval_states = eval_stream.uniform(size=(config.n_eval, mdp.dim))
     return eval_states, policy_return(mdp, oracle.value_fn, eval_states)
 
 
 def _fit_and_score(mdp: FviMdp, config: FviConfig, eval_states: np.ndarray,
                    v_star: np.ndarray) -> FviResult:
-    state_stream, corrupt_stream, _ = SeededRng.from_seed(config.seed).split(3)
+    state_stream, corrupt_stream, _ = np.random.default_rng(config.seed).spawn(3)
     model = CorruptedModel(mdp, config.sigma)
     v = ValueFn.zeros(mdp.dim, config.grid_size, mdp.v_max)
     for _ in range(config.iterations):
@@ -393,13 +392,20 @@ def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: in
     Returns rows (beta, n_real, sigma, iterations, seed, discrepancy), a per
     (n_real, beta) mean/std table, the argmin beta per N_real row, and a
     bootstrap-over-seeds estimate of how often the argmin curve is
-    non-decreasing in N_real.
+    non-decreasing in N_real. Every beta must lie in (0, 1] and every N_real
+    be >= 1; a bad grid value raises ValueError before any work.
     """
+    beta_grid = list(beta_grid)
+    n_real_grid = list(n_real_grid)
+    for beta in beta_grid:
+        if not 0.0 < beta <= 1.0:
+            raise ValueError(f"beta {beta} is outside (0, 1]")
+    for n_real in n_real_grid:
+        if not n_real >= 1:
+            raise ValueError(f"N_real {n_real} is below 1")
     base = base or FviConfig()
     oracle = oracle or exact_vi(mdp)
     seeds = list(seeds)
-    beta_grid = list(beta_grid)
-    n_real_grid = list(n_real_grid)
     rows = []
     disc = np.zeros((len(n_real_grid), len(beta_grid), len(seeds)))
     # the oracle side of every cell of a seed, scored once per sweep
@@ -420,7 +426,7 @@ def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: in
     std = disc.std(axis=2)
     argmin_beta = [beta_grid[int(np.argmin(mean[i]))] for i in range(len(n_real_grid))]
 
-    boot = np.random.Generator(np.random.PCG64(bootstrap_seed))
+    boot = np.random.default_rng(bootstrap_seed)
     n_seeds = len(seeds)
     monotone = 0
     for _ in range(n_bootstrap):
@@ -441,10 +447,10 @@ def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: in
 
 
 def error_histogram_check(sigma: float, n_samples: int, bins: int,
-                          rng: SeededRng | None = None) -> dict:
+                          rng: np.random.Generator | None = None) -> dict:
     """Sample half-normal magnitudes, histogram them, and report the
     Kolmogorov-Smirnov distance to the analytic CDF 2*Phi(x/sigma) - 1."""
-    rng = rng or SeededRng.from_seed(0)
+    rng = rng or np.random.default_rng(0)
     x = half_normal(sigma, rng, size=n_samples)
     edges = np.linspace(0.0, max(x.max(), 1e-12), bins + 1)
     counts, edges = np.histogram(x, bins=edges)

@@ -26,7 +26,6 @@ from .config import RunConfig
 from .controller import BaselineCurve
 from .envs import make_env
 from .hyper_mdp import HyperMdpConfig, HyperParams
-from .rng import SeededRng
 from .stats import welch_t
 
 logger = logging.getLogger(__name__)
@@ -317,10 +316,14 @@ def cmd_eval_controller(config: RunConfig, controller_path,
     comparison = write_csv(directory / "comparison.csv", "comparison", rows)
     schedule = write_csv(directory / "schedule.csv", "schedule", schedule_rows)
     curves = write_csv(directory / "learning_curves.csv", "learning_curves", curve_rows)
+
+    def mean(values):  # None, not NaN, when every seed crashed: report.json stays JSON
+        return float(np.mean(values)) if values else None
+
     report = {"n_seeds": len(rows),
-              "mean_controller": float(np.mean([r["controller_final"] for r in rows])),
-              "mean_default": float(np.mean([r["default_final"] for r in rows])),
-              "win_fraction": float(np.mean([r["improvement"] >= 0 for r in rows])),
+              "mean_controller": mean([r["controller_final"] for r in rows]),
+              "mean_default": mean([r["default_final"] for r in rows]),
+              "win_fraction": mean([r["improvement"] >= 0 for r in rows]),
               "invalid": invalid}
     try:
         t, p = welch_t([r["controller_final"] for r in rows],
@@ -371,11 +374,11 @@ def cmd_transfer(config: RunConfig, source_controller, target_env: str) -> dict:
 
 # ----------------------------------------------------------------------- PBT
 
-def _random_hyper(rng: SeededRng, hc: HyperMdpConfig):
+def _random_hyper(rng: np.random.Generator, hc: HyperMdpConfig):
     beta = float(np.exp(rng.uniform(np.log(hc.beta_min), 0.0)))
     g = int(rng.integers(1, hc.g_max + 1))
     k = int(rng.integers(1, hc.k_max + 1))
-    train_every = int(rng.gen.choice([1, 2, 4]))
+    train_every = int(rng.choice([1, 2, 4]))
     return HyperParams(beta, g, k), train_every
 
 
@@ -418,7 +421,7 @@ def cmd_pbt(config: RunConfig, population: int | None = None,
     frac = replace_frac if replace_frac is not None else config.harness.pbt_replace_frac
     reinit_p = config.harness.pbt_reinit_prob
     m = m_episodes or hc.m_train
-    pbt_rng = SeededRng.from_seed(seed + 10_000)
+    pbt_rng = np.random.default_rng(seed + 10_000)
     instances = []
     for i in range(pop):
         run = mbpo.init_run(config.env_name, config.mbpo, hc, seed + i)

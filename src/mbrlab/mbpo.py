@@ -18,7 +18,6 @@ from . import sac, world_model
 from .buffers import TransitionBuffer
 from .envs import evaluate_policy, make_env
 from .hyper_mdp import HyperMdpConfig, HyperParams, extract_state, hyper_reward
-from .rng import SeededRng
 from .world_model import EnsembleModel, ModelTrainConfig
 
 logger = logging.getLogger(__name__)
@@ -44,8 +43,9 @@ class MbpoConfig:
     model: ModelTrainConfig = field(default_factory=ModelTrainConfig)
 
     def validate(self):
-        if self.rollout_branches < 1:
-            raise ValueError("rollout_branches must be >= 1")
+        for name in ("rollout_branches", "batch_size", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.warmup_steps < 2.0 / self.model.holdout_fraction:
             raise ValueError("warmup_steps below the model hold-out minimum")
 
@@ -68,13 +68,13 @@ class MbpoRunState:
     model: EnsembleModel
     d_env: TransitionBuffer
     d_model: TransitionBuffer
-    rng_env: SeededRng
-    rng_explore: SeededRng
-    rng_act: SeededRng
-    rng_model: SeededRng
-    rng_rollout: SeededRng
-    rng_update: SeededRng
-    rng_eval: SeededRng
+    rng_env: np.random.Generator
+    rng_explore: np.random.Generator
+    rng_act: np.random.Generator
+    rng_model: np.random.Generator
+    rng_rollout: np.random.Generator
+    rng_update: np.random.Generator
+    rng_eval: np.random.Generator
     cur_state: np.ndarray
     log: MbpoLog
     episode: int = 0
@@ -90,18 +90,18 @@ def init_run(env_name: str, config: MbpoConfig, hyper_config: HyperMdpConfig,
     config.validate()
     env = make_env(env_name)
     hyper_config.validate(env.spec.horizon)
-    root = SeededRng.from_seed(seed)
-    (r_env, r_explore, r_act, r_model, r_roll, r_upd, r_eval, r_init) = root.split(8)
+    root = np.random.default_rng(seed)
+    (r_env, r_explore, r_act, r_model, r_roll, r_upd, r_eval, r_init) = root.spawn(8)
     sd, ad = env.spec.state_dim, env.spec.action_dim
     agent = sac.init_agent(r_init, sd, ad, env.spec.action_low, env.spec.action_high,
                            hidden=config.agent_hidden, lr=config.lr,
                            alpha=config.alpha, polyak=config.polyak)
     model = world_model.init_ensemble(r_init, sd, ad, hidden=config.model_hidden,
                                       n_members=config.n_members)
-    d_env = TransitionBuffer(config.d_env_capacity, sd, ad, "real")
+    d_env = TransitionBuffer(config.d_env_capacity, sd, ad)
     cap = (config.rollout_branches * hyper_config.k_max * hyper_config.tau
            * config.model_buffer_retain)
-    d_model = TransitionBuffer(cap, sd, ad, "imaginary")
+    d_model = TransitionBuffer(cap, sd, ad)
     return MbpoRunState(
         config=config, hyper_config=hyper_config, env=env, agent=agent,
         model=model, d_env=d_env, d_model=d_model,
@@ -134,15 +134,16 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
         # policy-change feature uses, so an unchanged policy gives a gap of 0
         logp = run.agent.actor.log_density(run.cur_state[None, :], a_batch)[0]
         density = float(np.exp(min(logp, 500.0)))
-    tr = env.step(run.cur_state, a)
-    run.d_env.push(tr, behavior_density=density)
+    a, r, s2, done = env.step(run.cur_state, a)
+    run.d_env.push_batch(run.cur_state[None, :], a[None, :], np.array([r]), s2[None, :],
+                         np.array([done]), behavior_density=density)
     run.n_real += 1
     run.env_steps_since_reset += 1
-    if tr.done or run.env_steps_since_reset >= env.spec.horizon:
+    if done or run.env_steps_since_reset >= env.spec.horizon:
         run.cur_state = env.reset(run.rng_env)
         run.env_steps_since_reset = 0
     else:
-        run.cur_state = tr.s2
+        run.cur_state = s2
 
     # model training on schedule
     model_trained = False

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SeededRng
-
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 
@@ -119,7 +117,8 @@ class DenseNet:
         return DenseNet(self.sizes, self.activations, self.theta.copy())
 
 
-def init_dense(rng: SeededRng, sizes: list, activations: list | None = None) -> DenseNet:
+def init_dense(rng: np.random.Generator, sizes: list,
+               activations: list | None = None) -> DenseNet:
     """Glorot-uniform init; default activations are relu...relu, identity."""
     if len(sizes) < 2:
         raise ContractViolation("need at least input and output size")

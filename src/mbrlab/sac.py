@@ -18,7 +18,6 @@ import numpy as np
 from . import nets
 from .buffers import TransitionBuffer
 from .nets import AdamState, DenseNet, LOG_STD_MAX, LOG_STD_MIN, adam_step
-from .rng import SeededRng
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +54,7 @@ class GaussianPolicy:
         return (-0.5 * _LOG_2PI - log_std - 0.5 * z * z
                 - nets.tanh_log_jacobian(u) - self.log_scale).sum(axis=1)
 
-    def sample(self, s: np.ndarray, rng: SeededRng, deterministic: bool = False):
+    def sample(self, s: np.ndarray, rng: np.random.Generator, deterministic: bool = False):
         """Returns (env action, log density, cache for the actor backward)."""
         mean, log_std, raw_ls, cache = self._heads(s)
         std = np.exp(log_std)
@@ -104,7 +103,7 @@ class MixedBatchSpec:
 
 
 def sample_mixed_batch(d_env: TransitionBuffer, d_model: TransitionBuffer | None,
-                       spec: MixedBatchSpec, rng: SeededRng) -> dict:
+                       spec: MixedBatchSpec, rng: np.random.Generator) -> dict:
     """round(beta*B) real + remainder imaginary, uniform with replacement.
 
     Falls back to all-real (with a logged event) when imaginary data is not
@@ -172,10 +171,10 @@ class SacAgent:
         return self._workspaces[rows]
 
 
-def init_agent(rng: SeededRng, state_dim: int, action_dim: int,
+def init_agent(rng: np.random.Generator, state_dim: int, action_dim: int,
                action_low, action_high, hidden: tuple = (64, 64),
                lr: float = 3e-4, alpha: float = 0.2, polyak: float = 0.995) -> SacAgent:
-    r_actor, r_c1, r_c2 = rng.split(3)
+    r_actor, r_c1, r_c2 = rng.spawn(3)
     actor_net = nets.init_dense(r_actor, [state_dim, *hidden, 2 * action_dim])
     critic1 = nets.init_dense(r_c1, [state_dim + action_dim, *hidden, 1])
     critic2 = nets.init_dense(r_c2, [state_dim + action_dim, *hidden, 1])
@@ -191,12 +190,13 @@ def init_agent(rng: SeededRng, state_dim: int, action_dim: int,
     )
 
 
-def act(agent: SacAgent, s: np.ndarray, deterministic: bool, rng: SeededRng) -> np.ndarray:
+def act(agent: SacAgent, s: np.ndarray, deterministic: bool,
+        rng: np.random.Generator) -> np.ndarray:
     a, _, _ = agent.actor.sample(np.atleast_2d(s), rng, deterministic=deterministic)
     return a[0] if np.asarray(s).ndim == 1 else a
 
 
-def _critic_forward(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
+def _critic_forward(agent: SacAgent, batch: dict, gamma: float, rng: np.random.Generator):
     """One stacked forward: the critics at (s, a) and the targets at s' with
     a fresh actor sample there. Returns the Bellman targets (no bootstrap on
     done), the critics' Q of shape (2, B) and their cache."""
@@ -212,7 +212,8 @@ def _critic_forward(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
     return y, q[0, :, :, 0], ([h[0] for h in inputs], [z[0] for z in preacts])
 
 
-def critic_loss_and_grads(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng):
+def critic_loss_and_grads(agent: SacAgent, batch: dict, gamma: float,
+                          rng: np.random.Generator):
     """Summed twin critic loss and both gradients, stacked like
     agent.critics.theta."""
     y, q, cache = _critic_forward(agent, batch, gamma, rng)
@@ -226,7 +227,7 @@ def critic_loss_and_grads(agent: SacAgent, batch: dict, gamma: float, rng: Seede
     return loss, grads
 
 
-def actor_loss_and_grads(agent: SacAgent, batch: dict, rng: SeededRng):
+def actor_loss_and_grads(agent: SacAgent, batch: dict, rng: np.random.Generator):
     """mean(alpha*logp - min twin Q) at reparameterized actions; gradients
     flow only into the actor."""
     s = batch["s"]
@@ -255,7 +256,7 @@ def polyak_update(target: DenseNet, online: DenseNet, rho: float) -> None:
     target.theta += (1.0 - rho) * online.theta
 
 
-def sac_update(agent: SacAgent, batch: dict, gamma: float, rng: SeededRng) -> tuple:
+def sac_update(agent: SacAgent, batch: dict, gamma: float, rng: np.random.Generator) -> tuple:
     """One Adam step for the critics and one for the actor, then the polyak
     target update; returns (critic loss, actor loss). All or nothing: on a
     FloatingPointError the stepped critics and their Adam state are restored

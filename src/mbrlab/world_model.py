@@ -17,7 +17,6 @@ from . import nets
 from .buffers import TransitionBuffer
 from .envs import Env
 from .nets import AdamState, DenseNet, adam_step
-from .rng import SeededRng
 
 logger = logging.getLogger(__name__)
 
@@ -114,11 +113,11 @@ class EnsembleModel:
         return len(self.stack.theta)
 
 
-def init_ensemble(rng: SeededRng, state_dim: int, action_dim: int,
+def init_ensemble(rng: np.random.Generator, state_dim: int, action_dim: int,
                   hidden: tuple = (64, 64), n_members: int = 5) -> EnsembleModel:
     target = state_dim + 1  # delta_s plus reward
     sizes = [state_dim + action_dim, *hidden, 2 * target]
-    inits = [nets.init_dense(child, sizes) for child in rng.split(n_members)]
+    inits = [nets.init_dense(child, sizes) for child in rng.spawn(n_members)]
     theta = np.stack([np.concatenate([net.theta, np.full(target, 0.5), np.full(target, -10.0)])
                       for net in inits])
     return EnsembleModel(EnsembleMember(sizes, inits[0].activations, theta))
@@ -179,7 +178,7 @@ def _inputs(d: dict) -> np.ndarray:
 
 
 def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
-                   config: ModelTrainConfig, rng: SeededRng) -> np.ndarray:
+                   config: ModelTrainConfig, rng: np.random.Generator) -> np.ndarray:
     """Train every member on its own bootstrap resample with hold-out early
     stopping; returns per-member hold-out NLLs and sets the elite indices.
 
@@ -195,14 +194,14 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
         raise NotEnoughData(f"{n} transitions; need >= {2 / config.holdout_fraction:.0f}")
     data = d_env.gather(np.arange(n))
     x_all, y_all = _inputs(data), _targets(data)
-    perm = rng.gen.permutation(n)
+    perm = rng.permutation(n)
     n_hold = max(1, int(round(n * config.holdout_fraction)))
     hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
     x_hold, y_hold = x_all[hold_idx], y_all[hold_idx]
     x_train, y_train = x_all[train_idx], y_all[train_idx]
     n_train = len(train_idx)
 
-    member_rngs = rng.split(model.n_members)
+    member_rngs = rng.spawn(model.n_members)
     boot = np.stack([mrng.integers(0, n_train, size=n_train) for mrng in member_rngs])
     adams = [AdamState.for_theta(theta, lr=config.lr) for theta in model.stack.theta]
     best = model.stack.theta.copy()
@@ -213,7 +212,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     work, bad_epochs = model.stack[live], np.zeros_like(live)  # the live members' rows, copied
     for _ in range(config.max_epochs):
         epochs_run[live] += 1
-        rows = np.stack([boot[i][member_rngs[i].gen.permutation(n_train)] for i in live])
+        rows = np.stack([boot[i][member_rngs[i].permutation(n_train)] for i in live])
         for lo in range(0, n_train, config.minibatch):
             sel = rows[:, lo:lo + config.minibatch]
             _, grads = model_nll_grads(work, x_train[sel], y_train[sel])
@@ -245,7 +244,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     return best_loss
 
 
-def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: SeededRng,
+def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: np.random.Generator,
             env: Env, deterministic: bool = False):
     """One-step prediction: sample an elite uniformly, sample (delta_s, r)
     from its Gaussian, and apply the env's analytic termination to s'.
@@ -258,7 +257,7 @@ def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: SeededRng,
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     n = s.shape[0]
     x = np.concatenate([s, a], axis=1)
-    pick = rng.gen.choice(model.elites, size=n)
+    pick = rng.choice(model.elites, size=n)
     d = model.members[0].target_dim
     out_mean, out_lv = np.zeros((n, d)), np.zeros((n, d))
     for m_idx in set(pick.tolist()):
@@ -272,7 +271,7 @@ def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: SeededRng,
 
 
 def generate_rollouts(model: EnsembleModel, act_fn, d_env: TransitionBuffer,
-                      k: int, branches: int, rng: SeededRng,
+                      k: int, branches: int, rng: np.random.Generator,
                       buffer: TransitionBuffer, env: Env) -> int:
     """Branch `branches` rollouts of length <= k from states sampled uniformly
     out of D_env, following act_fn(states, rng); truncate branches at predicted

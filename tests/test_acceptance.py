@@ -15,7 +15,6 @@ from mbrlab.config import HarnessConfig, RunConfig
 from mbrlab.controller import BaselineCurve, PpoConfig
 from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
-from mbrlab.rng import SeededRng
 from mbrlab.stats import welch_t
 
 from test_harness import PINNED_VECTORS, _welch_reference
@@ -72,7 +71,7 @@ def test_criterion_03_oracle_consistency(lineworld_oracle):
 
 def test_criterion_04_half_normal_sampler():
     sigma = 0.7
-    out = fvi.error_histogram_check(sigma, 1_000_000, 50, SeededRng.from_seed(0))
+    out = fvi.error_histogram_check(sigma, 1_000_000, 50, np.random.default_rng(0))
     mean_ok = abs(out["mean"] - sigma * np.sqrt(2 / np.pi)) / (sigma * np.sqrt(2 / np.pi)) < 0.02
     ks_ok = out["ks_distance"] < 0.005
     _report(4, f"half-normal sampler (KS={out['ks_distance']:.4f})", mean_ok and ks_ok)
@@ -82,10 +81,10 @@ def test_criterion_05_gradient_suite():
     worst = 0.0
 
     # model NLL (with bound penalty), net <= 3x16
-    model = wm.init_ensemble(SeededRng.from_seed(1), 2, 1, hidden=(16,), n_members=1)
+    model = wm.init_ensemble(np.random.default_rng(1), 2, 1, hidden=(16,), n_members=1)
     member = model.members[0]
-    x = SeededRng.from_seed(2).normal(size=(6, 3))
-    y = SeededRng.from_seed(3).normal(size=(6, 3))
+    x = np.random.default_rng(2).normal(size=(6, 3))
+    y = np.random.default_rng(3).normal(size=(6, 3))
 
     # finite_difference perturbs each flat theta in place; the loss reads it
     def nll_fn(_):
@@ -97,30 +96,30 @@ def test_criterion_05_gradient_suite():
     worst = max(worst, assert_grads_close([analytic], finite_difference(nll_fn, [member.theta])))
 
     # SAC critic and actor
-    agent = sac.init_agent(SeededRng.from_seed(4), 3, 2, -np.ones(2), np.ones(2),
+    agent = sac.init_agent(np.random.default_rng(4), 3, 2, -np.ones(2), np.ones(2),
                            hidden=(16, 16))
-    rngb = SeededRng.from_seed(5)
+    rngb = np.random.default_rng(5)
     batch = {"s": rngb.normal(size=(5, 3)), "a": rngb.uniform(-1, 1, (5, 2)),
              "r": rngb.normal(size=5), "s2": rngb.normal(size=(5, 3)),
              "done": np.array([False, True, False, False, True])}
 
     def critic_fn(_):
-        return critic_loss(agent, batch, 0.99, SeededRng.from_seed(6))
+        return critic_loss(agent, batch, 0.99, np.random.default_rng(6))
 
-    _, (g1, g2) = sac.critic_loss_and_grads(agent, batch, 0.99, SeededRng.from_seed(6))
+    _, (g1, g2) = sac.critic_loss_and_grads(agent, batch, 0.99, np.random.default_rng(6))
     numeric = finite_difference(critic_fn, [agent.critic1.theta, agent.critic2.theta])
     worst = max(worst, assert_grads_close([g1, g2], numeric))
 
     def actor_fn(_):
-        return actor_loss(agent, batch, SeededRng.from_seed(7))
+        return actor_loss(agent, batch, np.random.default_rng(7))
 
-    _, agrad, _ = sac.actor_loss_and_grads(agent, batch, SeededRng.from_seed(7))
+    _, agrad, _ = sac.actor_loss_and_grads(agent, batch, np.random.default_rng(7))
     numeric = finite_difference(actor_fn, [agent.actor.net.theta])
     worst = max(worst, assert_grads_close([agrad], numeric))
 
     # PPO surrogate (with entropy bonus)
-    pol = ctrl.init_controller(SeededRng.from_seed(8), hidden=16)
-    rngp = SeededRng.from_seed(9)
+    pol = ctrl.init_controller(np.random.default_rng(8), hidden=16)
+    rngp = np.random.default_rng(9)
     states = rngp.uniform(size=(4, 8))
     idx = np.stack([rngp.integers(0, s, size=4) for s in (3, 2, 3, 3)], axis=1)
     old = joint_log_prob(pol, states, idx) - rngp.uniform(-0.1, 0.1, 4)
@@ -141,7 +140,7 @@ def test_criterion_06_degeneracy_chain():
                      n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=2).for_env("pointmass2d")
     log_default = mbpo.run_default_mbpo("pointmass2d", cfg, hc, 2, seed=100)
-    pol = ctrl.init_controller(SeededRng.from_seed(0), (True,) * 8,
+    pol = ctrl.init_controller(np.random.default_rng(0), (True,) * 8,
                                head_mask=(False,) * 4)
     traj, log_ctrl = ctrl.run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=100)
     ok = (np.array_equal(traj.rewards, np.array(log_default.hyper_rewards))
@@ -151,7 +150,7 @@ def test_criterion_06_degeneracy_chain():
 
 
 def test_criterion_07_advantage_oracle():
-    rng = SeededRng.from_seed(10)
+    rng = np.random.default_rng(10)
     ok = True
     for _ in range(1000):
         t = int(rng.integers(1, 30))
@@ -168,8 +167,8 @@ def test_criterion_07_advantage_oracle():
 
 
 def test_criterion_08_ppo_clipping_property():
-    pol = ctrl.init_controller(SeededRng.from_seed(11), hidden=16)
-    rng = SeededRng.from_seed(12)
+    pol = ctrl.init_controller(np.random.default_rng(11), hidden=16)
+    rng = np.random.default_rng(12)
     pcfg = PpoConfig(entropy_coef=0.0)
     ok = True
     checked = 0

@@ -12,14 +12,13 @@ from mbrlab.controller import (BaselineCurve, PpoConfig, advantage,
                                load_controller, ppo_loss_and_grads, ppo_update,
                                save_controller, train_controller)
 from mbrlab.hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig
-from mbrlab.rng import SeededRng
 
 from util import (assert_grads_close, crash_hyper_episode_at, finite_difference,
                   joint_log_prob)
 
 
 def _uniform_policy(seed=0, **kw):
-    pol = init_controller(SeededRng.from_seed(seed), **kw)
+    pol = init_controller(np.random.default_rng(seed), **kw)
     pol.net.weights[-1][:] = 0.0
     pol.net.biases[-1][:] = 0.0
     return pol
@@ -27,8 +26,8 @@ def _uniform_policy(seed=0, **kw):
 
 def test_uniform_logits_sample_each_ratio_op_one_third():
     pol = _uniform_policy()
-    rng = SeededRng.from_seed(1)
-    state = SeededRng.from_seed(2).uniform(size=8)
+    rng = np.random.default_rng(1)
+    state = np.random.default_rng(2).uniform(size=8)
     counts = np.zeros(3)
     for _ in range(100_000):
         action, _ = controller_act(pol, state, rng)
@@ -37,17 +36,17 @@ def test_uniform_logits_sample_each_ratio_op_one_third():
 
 
 def test_greedy_mode_is_deterministic():
-    pol = init_controller(SeededRng.from_seed(3))
-    state = SeededRng.from_seed(4).uniform(size=8)
-    a1, lp1 = controller_act(pol, state, SeededRng.from_seed(5), greedy=True)
-    a2, lp2 = controller_act(pol, state, SeededRng.from_seed(99), greedy=True)
+    pol = init_controller(np.random.default_rng(3))
+    state = np.random.default_rng(4).uniform(size=8)
+    a1, lp1 = controller_act(pol, state, np.random.default_rng(5), greedy=True)
+    a2, lp2 = controller_act(pol, state, np.random.default_rng(99), greedy=True)
     assert a1 == a2 and lp1 == lp2
 
 
 def test_joint_log_prob_enumeration_oracle():
     # sum over all 3*2*3*3 = 54 joint actions of exp(joint logp) is 1
-    pol = init_controller(SeededRng.from_seed(6))
-    state = SeededRng.from_seed(7).uniform(size=8)[None, :]
+    pol = init_controller(np.random.default_rng(6))
+    state = np.random.default_rng(7).uniform(size=8)[None, :]
     total = 0.0
     per_action = {}
     for idx in itertools.product(range(3), range(2), range(3), range(3)):
@@ -56,14 +55,14 @@ def test_joint_log_prob_enumeration_oracle():
         total += np.exp(lp)
     assert total == pytest.approx(1.0, abs=1e-10)
     # the sampled joint log-prob agrees with the enumerated table
-    action, lp = controller_act(pol, state[0], SeededRng.from_seed(8))
+    action, lp = controller_act(pol, state[0], np.random.default_rng(8))
     assert lp == pytest.approx(per_action[action], abs=1e-12)
 
 
 def test_masked_heads_neutral_and_zero_logp():
-    pol = init_controller(SeededRng.from_seed(9), head_mask=(True, False, False, True))
-    state = SeededRng.from_seed(10).uniform(size=8)
-    action, lp = controller_act(pol, state, SeededRng.from_seed(11))
+    pol = init_controller(np.random.default_rng(9), head_mask=(True, False, False, True))
+    state = np.random.default_rng(10).uniform(size=8)
+    action, lp = controller_act(pol, state, np.random.default_rng(11))
     assert action[1] == NEUTRAL_INDICES[1] and action[2] == NEUTRAL_INDICES[2]
     tables = controller.head_log_probs(pol, state[None, :])
     expect = tables[0][0][action[0]] + tables[3][0][action[3]]
@@ -73,12 +72,12 @@ def test_masked_heads_neutral_and_zero_logp():
 # ------------------------------------------------------------------ advantage
 
 def test_advantage_zero_when_rewards_equal_baseline():
-    r = SeededRng.from_seed(0).normal(size=12)
+    r = np.random.default_rng(0).normal(size=12)
     assert np.array_equal(advantage(r, r), np.zeros(12))
 
 
 def test_advantage_constant_offset():
-    base = SeededRng.from_seed(1).normal(size=9)
+    base = np.random.default_rng(1).normal(size=9)
     adv = advantage(base + 1.0, base)
     assert np.allclose(adv, np.arange(9, 0, -1), atol=1e-12)
 
@@ -86,7 +85,7 @@ def test_advantage_constant_offset():
 def test_advantage_matches_double_loop_oracle():
     # O(T^2) oracle: each suffix re-summed from scratch, accumulating from
     # the trajectory end (the suffix recurrence's association order)
-    rng = SeededRng.from_seed(2)
+    rng = np.random.default_rng(2)
     for _ in range(50):
         t = int(rng.integers(1, 21))
         r = rng.normal(size=t)
@@ -108,7 +107,7 @@ def test_advantage_length_mismatch_errors():
 # ------------------------------------------------------------------------ PPO
 
 def _ppo_batch(pol, n, seed):
-    rng = SeededRng.from_seed(seed)
+    rng = np.random.default_rng(seed)
     states = rng.uniform(size=(n, pol.input_dim))
     idx = np.stack([rng.integers(0, s, size=n) for s in HEAD_SIZES], axis=1)
     old = joint_log_prob(pol, states, idx)
@@ -117,7 +116,7 @@ def _ppo_batch(pol, n, seed):
 
 
 def test_unit_ratio_objective_equals_mean_advantage():
-    pol = init_controller(SeededRng.from_seed(12))
+    pol = init_controller(np.random.default_rng(12))
     states, idx, old, adv = _ppo_batch(pol, 32, 13)
     cfg = PpoConfig(entropy_coef=0.0)
     loss, _, diag = ppo_loss_and_grads(pol, states, idx, old, adv, cfg)
@@ -127,7 +126,7 @@ def test_unit_ratio_objective_equals_mean_advantage():
 
 def test_clipped_samples_contribute_zero_gradient():
     # single sample in the clipped-adverse regime: A>0 and ratio>1+eps
-    pol = init_controller(SeededRng.from_seed(14))
+    pol = init_controller(np.random.default_rng(14))
     states, idx, old, _ = _ppo_batch(pol, 1, 15)
     old = old - 1.0  # ratio = e > 1.2
     adv = np.array([2.0])
@@ -142,7 +141,7 @@ def test_clipped_samples_contribute_zero_gradient():
 
 
 def test_ppo_gradient_matches_finite_differences():
-    pol = init_controller(SeededRng.from_seed(16), hidden=16)
+    pol = init_controller(np.random.default_rng(16), hidden=16)
     states, idx, old, adv = _ppo_batch(pol, 1, 17)
     cfg = PpoConfig(entropy_coef=0.013)
 
@@ -155,27 +154,27 @@ def test_ppo_gradient_matches_finite_differences():
 
 
 def test_zero_advantage_zero_entropy_leaves_params_bit_unchanged():
-    pol = init_controller(SeededRng.from_seed(18))
+    pol = init_controller(np.random.default_rng(18))
     states, idx, old, _ = _ppo_batch(pol, 16, 19)
     before = pol.net.theta.copy()
     batch = {"states": states, "action_indices": idx, "old_log_probs": old,
              "advantages": np.zeros(16)}
     ppo_update(pol, batch, PpoConfig(entropy_coef=0.0, entropy_decay=1.0),
-               SeededRng.from_seed(20))
+               np.random.default_rng(20))
     assert np.array_equal(before, pol.net.theta)
 
 
 def test_ppo_update_pinned_bits():
     """Values recorded before the parameters became one flat vector."""
-    pol = init_controller(SeededRng.from_seed(27))
-    g = SeededRng.from_seed(28)
+    pol = init_controller(np.random.default_rng(27))
+    g = np.random.default_rng(28)
     states = g.uniform(size=(24, 8))
     idx = np.stack([g.integers(0, k, size=24) for k in (3, 2, 3, 3)], axis=1)
     old = joint_log_prob(pol, states, idx) - g.uniform(-0.1, 0.1, 24)
     batch = {"states": states, "action_indices": idx, "old_log_probs": old,
              "advantages": g.normal(size=24)}
     diag = ppo_update(pol, batch, PpoConfig(updates_per_round=6, minibatch=16),
-                      SeededRng.from_seed(29))
+                      np.random.default_rng(29))
     assert diag["mean_ratio"].hex() == "0x1.067786f9c3b80p+0"
     assert diag["clip_fraction"] == 1 / 32
     assert hashlib.sha256(pol.net.theta.tobytes()).hexdigest() == \
@@ -223,7 +222,7 @@ def test_train_controller_records_invalid_hyper_episodes(monkeypatch):
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
     baseline = BaselineCurve(values=np.zeros(200 // hc.tau), n_seeds=1,
                              env_name="pointmass2d", config_hash="test")
-    first_seed = int(SeededRng.from_seed(21).split(4)[3].integers(0, 2**31 - 1))
+    first_seed = int(np.random.default_rng(21).spawn(4)[3].integers(0, 2**31 - 1))
     crash_hyper_episode_at(monkeypatch, first_seed, 75)
     _, history = train_controller("pointmass2d", mc, hc, PpoConfig(), baseline,
                                   n_hyper_episodes=2, seed=21, episodes_per_round=2)
@@ -236,13 +235,13 @@ def test_train_controller_records_invalid_hyper_episodes(monkeypatch):
 # --------------------------------------------------------------- persistence
 
 def test_save_load_roundtrip_bit_exact(tmp_path):
-    pol = init_controller(SeededRng.from_seed(22), config_hash="abc123")
+    pol = init_controller(np.random.default_rng(22), config_hash="abc123")
     path = tmp_path / "controller.json"
     save_controller(pol, path)
     loaded = load_controller(path)
-    state = SeededRng.from_seed(23).uniform(size=8)
-    a1, lp1 = controller_act(pol, state, SeededRng.from_seed(24))
-    a2, lp2 = controller_act(loaded, state, SeededRng.from_seed(24))
+    state = np.random.default_rng(23).uniform(size=8)
+    a1, lp1 = controller_act(pol, state, np.random.default_rng(24))
+    a2, lp2 = controller_act(loaded, state, np.random.default_rng(24))
     assert a1 == a2 and lp1 == lp2
     assert np.array_equal(pol.net.theta, loaded.net.theta)
     assert loaded.config_hash == "abc123"
@@ -255,7 +254,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
 
 
 def test_load_controller_missing_tensor_is_a_checkpoint_error(tmp_path):
-    pol = init_controller(SeededRng.from_seed(22), hidden=8)
+    pol = init_controller(np.random.default_rng(22), hidden=8)
     path = tmp_path / "controller.json"
     save_controller(pol, path)
     for name in ("controller.layer0.weight", "controller.layer1.bias"):
@@ -268,7 +267,7 @@ def test_load_controller_missing_tensor_is_a_checkpoint_error(tmp_path):
 
 
 def test_transfer_warning_on_config_mismatch(tmp_path):
-    pol = init_controller(SeededRng.from_seed(25), config_hash="hash-a")
+    pol = init_controller(np.random.default_rng(25), config_hash="hash-a")
     with pytest.warns(UserWarning, match="transfer"):
         ok = controller.check_transfer(pol, "hash-b")
     assert not ok
@@ -277,14 +276,14 @@ def test_transfer_warning_on_config_mismatch(tmp_path):
 
 def test_checkpoint_distinguishes_trained_from_fresh(tmp_path):
     import hashlib
-    pol = init_controller(SeededRng.from_seed(26))
+    pol = init_controller(np.random.default_rng(26))
     p1 = tmp_path / "fresh.json"
     save_controller(pol, p1)
     batch_pol = copy.deepcopy(pol)
     states, idx, old, adv = _ppo_batch(batch_pol, 32, 27)
     ppo_update(batch_pol, {"states": states, "action_indices": idx,
                            "old_log_probs": old, "advantages": adv},
-               PpoConfig(), SeededRng.from_seed(28))
+               PpoConfig(), np.random.default_rng(28))
     p2 = tmp_path / "trained.json"
     save_controller(batch_pol, p2)
     h1 = hashlib.sha256(p1.read_bytes()).hexdigest()

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from mbrlab import envs
-from mbrlab.envs import DT, Transition, evaluate_policy, make_env
-from mbrlab.rng import SeededRng
+from mbrlab.envs import DT, evaluate_policy, make_env
 
 
 def test_pointmass_reset_region():
     env = make_env("pointmass2d")
     for seed in range(20):
-        s = env.reset(SeededRng.from_seed(seed))
+        s = env.reset(np.random.default_rng(seed))
         assert np.all(np.abs(s[:2]) <= 0.1)
         assert np.all(s[2:] == 0.0)
 
@@ -17,7 +16,7 @@ def test_pointmass_reset_region():
 def test_pendulum_reset_region():
     env = make_env("pendulum")
     for seed in range(20):
-        s = env.reset(SeededRng.from_seed(seed))
+        s = env.reset(np.random.default_rng(seed))
         theta = np.arctan2(s[1], s[0])
         assert -np.pi <= theta <= np.pi
         assert -1.0 <= s[2] <= 1.0
@@ -27,8 +26,8 @@ def test_pendulum_reset_region():
 def test_reset_deterministic_under_seed():
     for name in ("pendulum", "pointmass2d", "cartpole"):
         env = make_env(name)
-        assert np.array_equal(env.reset(SeededRng.from_seed(5)),
-                              env.reset(SeededRng.from_seed(5)))
+        assert np.array_equal(env.reset(np.random.default_rng(5)),
+                              env.reset(np.random.default_rng(5)))
 
 
 def test_pointmass_reward_at_goal_zero_action():
@@ -42,18 +41,18 @@ def test_pendulum_upright_equilibrium():
     # documented semi-implicit Euler step (sin 0 = 0 -> no acceleration)
     env = make_env("pendulum")
     s = np.array([1.0, 0.0, 0.0])
-    tr = env.step(s, np.zeros(1))
-    theta_next = np.arctan2(tr.s2[1], tr.s2[0])
+    _, _, s2, _ = env.step(s, np.zeros(1))
+    theta_next = np.arctan2(s2[1], s2[0])
     assert abs(theta_next) < 1e-6
     # hand-integrated comparison for a non-equilibrium state
     theta, thdot, torque = 0.3, -0.2, 0.5
     s = np.array([np.cos(theta), np.sin(theta), thdot])
-    tr = env.step(s, np.array([torque]))
+    _, _, s2, _ = env.step(s, np.array([torque]))
     thacc = 3 * 10.0 / 2 * np.sin(theta) + 3 * torque
     thdot2 = thdot + thacc * DT
     theta2 = theta + thdot2 * DT
-    assert abs(np.arctan2(tr.s2[1], tr.s2[0]) - theta2) < 1e-12
-    assert abs(tr.s2[2] - thdot2) < 1e-12
+    assert abs(np.arctan2(s2[1], s2[0]) - theta2) < 1e-12
+    assert abs(s2[2] - thdot2) < 1e-12
 
 
 def test_cartpole_termination_predicate():
@@ -67,18 +66,19 @@ def test_cartpole_termination_predicate():
 def test_step_is_pure_function():
     for name in ("pendulum", "pointmass2d", "cartpole"):
         env = make_env(name)
-        s = env.reset(SeededRng.from_seed(0))
+        s = env.reset(np.random.default_rng(0))
         a = env.spec.action_high * 0.37
-        t1 = env.step(s, a)
-        t2 = env.step(s, a)
-        assert np.array_equal(t1.s2, t2.s2) and t1.r == t2.r and t1.done == t2.done
+        a1, r1, s2_1, done1 = env.step(s, a)
+        a2, r2, s2_2, done2 = env.step(s, a)
+        assert np.array_equal(a1, a2) and r1 == r2
+        assert np.array_equal(s2_1, s2_2) and done1 == done2
 
 
 def test_step_clips_action_to_bounds():
     env = make_env("pointmass2d")
-    s = env.reset(SeededRng.from_seed(0))
-    tr = env.step(s, np.array([10.0, -10.0]))
-    assert np.array_equal(tr.a, [1.0, -1.0])
+    s = env.reset(np.random.default_rng(0))
+    a, _, _, _ = env.step(s, np.array([10.0, -10.0]))
+    assert np.array_equal(a, [1.0, -1.0])
 
 
 def test_step_aborts_on_non_finite_state():
@@ -89,21 +89,21 @@ def test_step_aborts_on_non_finite_state():
 
 def test_done_implies_termination_predicate():
     env = make_env("pointmass2d")
-    rng = SeededRng.from_seed(3)
+    rng = np.random.default_rng(3)
     s = env.reset(rng)
     for _ in range(500):
-        tr = env.step(s, rng.uniform(-1, 1, size=2))
-        if tr.done:
-            assert env.terminal(tr.s2)
+        _, _, s2, done = env.step(s, rng.uniform(-1, 1, size=2))
+        if done:
+            assert env.terminal(s2)
             s = env.reset(rng)
         else:
-            s = tr.s2
+            s = s2
 
 
 def test_reward_bound_fuzz():
     # |r| <= r_max over 1e6 uniformly sampled state/action pairs per env
     n = 1_000_000
-    rng = SeededRng.from_seed(17)
+    rng = np.random.default_rng(17)
     env = make_env("pendulum")
     s = np.stack([np.cos(th := rng.uniform(-np.pi, np.pi, n)), np.sin(th),
                   rng.uniform(-8, 8, n)], axis=1)
@@ -125,15 +125,14 @@ def test_reward_bound_fuzz():
 
 def test_episode_never_exceeds_horizon():
     env = make_env("pendulum")
-    rng = SeededRng.from_seed(1)
+    rng = np.random.default_rng(1)
     steps = 0
     s = env.reset(rng)
     for _ in range(env.spec.horizon):
-        tr = env.step(s, rng.uniform(-2, 2, size=1))
+        _, _, s, done = env.step(s, rng.uniform(-2, 2, size=1))
         steps += 1
-        if tr.done:
+        if done:
             break
-        s = tr.s2
     assert steps <= env.spec.horizon
 
 
@@ -161,7 +160,7 @@ class _ZeroRewardEnv(envs.Env):
 def test_evaluate_policy_zero_reward_env():
     env = _ZeroRewardEnv()
     policy = lambda s, rng: rng.uniform(-1, 1, size=2)
-    assert evaluate_policy(env, policy, 3, SeededRng.from_seed(0)) == 0.0
+    assert evaluate_policy(env, policy, 3, np.random.default_rng(0)) == 0.0
 
 
 def test_evaluate_policy_deterministic_env_and_policy():
@@ -180,19 +179,19 @@ def test_evaluate_policy_deterministic_env_and_policy():
 
     pinned = PinnedResetEnv()
     policy = lambda s, rng: np.array([0.5, 0.5])
-    r1 = evaluate_policy(pinned, policy, 1, SeededRng.from_seed(0))
-    r10 = evaluate_policy(pinned, policy, 10, SeededRng.from_seed(0))
+    r1 = evaluate_policy(pinned, policy, 1, np.random.default_rng(0))
+    r10 = evaluate_policy(pinned, policy, 10, np.random.default_rng(0))
     assert r1 == r10
 
 
 def test_random_policy_on_pointmass_is_negative():
     env = make_env("pointmass2d")
     policy = lambda s, rng: rng.uniform(-1, 1, size=2)
-    ret = evaluate_policy(env, policy, 5, SeededRng.from_seed(2))
+    ret = evaluate_policy(env, policy, 5, np.random.default_rng(2))
     assert ret < 0.0
 
 
 def test_evaluate_policy_requires_episode():
     env = make_env("pendulum")
     with pytest.raises(ValueError):
-        evaluate_policy(env, lambda s, r: np.zeros(1), 0, SeededRng.from_seed(0))
+        evaluate_policy(env, lambda s, r: np.zeros(1), 0, np.random.default_rng(0))

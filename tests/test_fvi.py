@@ -6,7 +6,6 @@ from dataclasses import replace
 from scipy.special import erf
 
 from mbrlab import fvi
-from mbrlab.rng import SeededRng
 
 from util import greedy_actions
 
@@ -44,18 +43,18 @@ def test_exact_vi_lineworld_peak_dominates_far_end():
 # --------------------------------------------------------------- half-normal
 
 def test_half_normal_sigma_zero():
-    draws = fvi.half_normal(0.0, SeededRng.from_seed(0), size=1000)
+    draws = fvi.half_normal(0.0, np.random.default_rng(0), size=1000)
     assert np.all(draws == 0.0)
 
 
 def test_half_normal_mean():
-    draws = fvi.half_normal(2.0, SeededRng.from_seed(1), size=1_000_000)
+    draws = fvi.half_normal(2.0, np.random.default_rng(1), size=1_000_000)
     expect = 2.0 * np.sqrt(2.0 / np.pi)
     assert abs(draws.mean() - expect) / expect < 0.02
 
 
 def test_half_normal_cdf_at_sigma():
-    draws = fvi.half_normal(1.5, SeededRng.from_seed(2), size=1_000_000)
+    draws = fvi.half_normal(1.5, np.random.default_rng(2), size=1_000_000)
     frac = (draws <= 1.5).mean()
     expect = erf(1.0 / np.sqrt(2.0))  # 2*Phi(1) - 1 ~ 0.6827
     assert abs(frac - expect) < 0.01
@@ -65,10 +64,10 @@ def test_half_normal_cdf_at_sigma():
 
 def test_backup_beta_one_is_exact_bellman():
     mdp = fvi.line_world()
-    v = fvi.ValueFn(1, 32, SeededRng.from_seed(0).uniform(0, 10, size=32), mdp.v_max)
-    states = SeededRng.from_seed(1).uniform(size=(50, 1))
+    v = fvi.ValueFn(1, 32, np.random.default_rng(0).uniform(0, 10, size=32), mdp.v_max)
+    states = np.random.default_rng(1).uniform(size=(50, 1))
     model = fvi.CorruptedModel(mdp, 0.3)
-    targets = fvi.beta_mixture_backup(v, states, mdp, model, 1.0, SeededRng.from_seed(2))
+    targets = fvi.beta_mixture_backup(v, states, mdp, model, 1.0, np.random.default_rng(2))
     expect = np.max([mdp.reward(states, a) + mdp.gamma * v(mdp.transition(states, a))
                      for a in range(3)], axis=0)
     assert np.array_equal(targets, np.clip(expect, 0, mdp.v_max))
@@ -76,18 +75,18 @@ def test_backup_beta_one_is_exact_bellman():
 
 def test_backup_sigma_zero_bit_identical_across_beta():
     mdp = fvi.line_world()
-    v = fvi.ValueFn(1, 32, SeededRng.from_seed(3).uniform(0, 10, size=32), mdp.v_max)
-    states = SeededRng.from_seed(4).uniform(size=(64, 1))
+    v = fvi.ValueFn(1, 32, np.random.default_rng(3).uniform(0, 10, size=32), mdp.v_max)
+    states = np.random.default_rng(4).uniform(size=(64, 1))
     model = fvi.CorruptedModel(mdp, 0.0)
-    outs = [fvi.beta_mixture_backup(v, states, mdp, model, b, SeededRng.from_seed(9))
+    outs = [fvi.beta_mixture_backup(v, states, mdp, model, b, np.random.default_rng(9))
             for b in (0.0, 0.3, 1.0)]
     assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[1], outs[2])
 
 
 def test_backup_computes_true_next_states_once_per_action(monkeypatch):
     mdp = fvi.grid_world_2d()
-    v = fvi.ValueFn(2, 8, SeededRng.from_seed(10).uniform(0, 10, size=64), mdp.v_max)
-    states = SeededRng.from_seed(11).uniform(size=(30, 2))
+    v = fvi.ValueFn(2, 8, np.random.default_rng(10).uniform(0, 10, size=64), mdp.v_max)
+    states = np.random.default_rng(11).uniform(size=(30, 2))
     calls = []
     real_transition = fvi.FviMdp.transition
 
@@ -97,7 +96,7 @@ def test_backup_computes_true_next_states_once_per_action(monkeypatch):
 
     monkeypatch.setattr(fvi.FviMdp, "transition", counting)
     model = fvi.CorruptedModel(mdp, 0.2)
-    fvi.beta_mixture_backup(v, states, mdp, model, 0.3, SeededRng.from_seed(12))
+    fvi.beta_mixture_backup(v, states, mdp, model, 0.3, np.random.default_rng(12))
     # the corrupted model displaces the stacked true next states in place of
     # recomputing them
     assert calls == list(range(mdp.n_actions))
@@ -106,9 +105,9 @@ def test_backup_computes_true_next_states_once_per_action(monkeypatch):
 def test_backup_gamma_zero_is_reward_max():
     mdp = replace(fvi.line_world(), gamma=0.0)
     v = fvi.ValueFn(1, 16, np.ones(16) * 5.0, mdp.v_max if mdp.gamma else 1.0)
-    states = SeededRng.from_seed(5).uniform(size=(40, 1))
+    states = np.random.default_rng(5).uniform(size=(40, 1))
     model = fvi.CorruptedModel(mdp, 0.5)
-    targets = fvi.beta_mixture_backup(v, states, mdp, model, 0.3, SeededRng.from_seed(6))
+    targets = fvi.beta_mixture_backup(v, states, mdp, model, 0.3, np.random.default_rng(6))
     expect = np.max([mdp.reward(states, a) for a in range(3)], axis=0)
     assert np.allclose(targets, np.clip(expect, 0, v.v_max))
 
@@ -117,8 +116,8 @@ def test_backup_gamma_zero_is_reward_max():
 
 def test_fit_recovers_in_class_function():
     prev = fvi.ValueFn.zeros(1, 16, 20.0)
-    truth = fvi.ValueFn(1, 16, SeededRng.from_seed(7).uniform(2, 18, size=16), 20.0)
-    states = SeededRng.from_seed(8).uniform(size=(4096, 1))
+    truth = fvi.ValueFn(1, 16, np.random.default_rng(7).uniform(2, 18, size=16), 20.0)
+    states = np.random.default_rng(8).uniform(size=(4096, 1))
     fitted = fvi.fit_value(states, truth(states), prev, p=2.0)
     assert np.max(np.abs(fitted.values - truth.values)) < 1e-8
 
@@ -132,9 +131,9 @@ def test_fit_single_sample_moves_only_supporting_knots():
 
 
 def test_fit_is_argmin_on_training_objective():
-    prev = fvi.ValueFn(1, 16, SeededRng.from_seed(9).uniform(0, 10, size=16), 20.0)
-    states = SeededRng.from_seed(10).uniform(size=(200, 1))
-    targets = SeededRng.from_seed(11).uniform(0, 18, size=200)
+    prev = fvi.ValueFn(1, 16, np.random.default_rng(9).uniform(0, 10, size=16), 20.0)
+    states = np.random.default_rng(10).uniform(size=(200, 1))
+    targets = np.random.default_rng(11).uniform(0, 18, size=200)
     fitted = fvi.fit_value(states, targets, prev, p=2.0)
     obj_new = ((fitted(states) - targets) ** 2).sum()
     obj_old = ((prev(states) - targets) ** 2).sum()
@@ -143,7 +142,7 @@ def test_fit_is_argmin_on_training_objective():
 
 def test_fit_p1_robust_to_outlier():
     prev = fvi.ValueFn.zeros(1, 8, 20.0)
-    states = np.concatenate([SeededRng.from_seed(12).uniform(size=(200, 1))])
+    states = np.concatenate([np.random.default_rng(12).uniform(size=(200, 1))])
     targets = np.full(200, 5.0)
     targets[0] = 19.0  # single outlier
     fit1 = fvi.fit_value(states, targets, prev, p=1.0)
@@ -154,10 +153,10 @@ def test_fit_p1_robust_to_outlier():
 
 def test_value_clipping_invariant():
     prev = fvi.ValueFn.zeros(1, 16, 10.0)
-    states = SeededRng.from_seed(13).uniform(size=(100, 1))
-    targets = SeededRng.from_seed(14).uniform(-50, 50, size=100)
+    states = np.random.default_rng(13).uniform(size=(100, 1))
+    targets = np.random.default_rng(14).uniform(-50, 50, size=100)
     fitted = fvi.fit_value(states, targets, prev, p=2.0)
-    grid = SeededRng.from_seed(15).uniform(size=(1000, 1))
+    grid = np.random.default_rng(15).uniform(size=(1000, 1))
     vals = fitted(grid)
     assert np.all(vals >= 0.0) and np.all(vals <= 10.0)
 
@@ -169,7 +168,7 @@ def test_run_fvi_k0_is_myopic():
     oracle = fvi.exact_vi(mdp)
     res = fvi.run_fvi(mdp, fvi.FviConfig(iterations=0, n_states=64, seed=0), oracle)
     assert np.all(res.value_fn.values == 0.0)
-    states = SeededRng.from_seed(16).uniform(size=(20, 1))
+    states = np.random.default_rng(16).uniform(size=(20, 1))
     acts = greedy_actions(mdp, res.value_fn, states)
     myopic = np.argmax([mdp.reward(states, a) for a in range(3)], axis=0)
     assert np.array_equal(acts, myopic)
@@ -243,16 +242,34 @@ def test_beta_sweep_row_count_and_schema():
     assert 0.0 <= out["bootstrap_monotone_frac"] <= 1.0
 
 
+
+@pytest.mark.parametrize("beta_grid, n_real_grid, bad", [
+    ([0.5, 0.0], [64], "beta 0.0"),
+    ([0.5, 1.5], [64], "beta 1.5"),
+    ([0.5, -0.1], [64], "beta -0.1"),
+    ([0.5, 1.0], [64, 0], "N_real 0"),
+], ids=["beta-zero", "beta-above-one", "beta-negative", "n-real-zero"])
+def test_beta_sweep_checks_its_grids_before_any_work(monkeypatch, beta_grid, n_real_grid, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep ran before checking its grids")
+
+    monkeypatch.setattr(fvi, "exact_vi", no_work)
+    monkeypatch.setattr(fvi, "_fit_and_score", no_work)
+    monkeypatch.setattr(fvi, "_oracle_scores", no_work)
+    with pytest.raises(ValueError, match=bad):
+        fvi.beta_sweep(fvi.line_world(), beta_grid, n_real_grid, sigma=0.0,
+                       iterations=3, seeds=[0], n_bootstrap=5)
+
 # ----------------------------------------------------------------- histogram
 
 def test_error_histogram_sums_to_one_and_ks():
-    out = fvi.error_histogram_check(1.0, 1_000_000, 50, SeededRng.from_seed(0))
+    out = fvi.error_histogram_check(1.0, 1_000_000, 50, np.random.default_rng(0))
     assert out["freqs"].sum() == pytest.approx(1.0, abs=1e-12)
     assert out["ks_distance"] < 0.005
 
 
 def test_error_histogram_sigma_zero_all_mass_at_zero():
-    out = fvi.error_histogram_check(0.0, 1000, 10, SeededRng.from_seed(1))
+    out = fvi.error_histogram_check(0.0, 1000, 10, np.random.default_rng(1))
     assert out["freqs"][0] == 1.0
     assert out["ks_distance"] == 0.0
 
@@ -271,8 +288,8 @@ def test_grid_world_2d_machinery():
 
 def test_fit_value_2d_recovery():
     prev = fvi.ValueFn.zeros(2, 8, 20.0)
-    truth = fvi.ValueFn(2, 8, SeededRng.from_seed(20).uniform(2, 18, size=64), 20.0)
-    states = SeededRng.from_seed(21).uniform(size=(8192, 2))
+    truth = fvi.ValueFn(2, 8, np.random.default_rng(20).uniform(2, 18, size=64), 20.0)
+    states = np.random.default_rng(21).uniform(size=(8192, 2))
     fitted = fvi.fit_value(states, truth(states), prev, p=2.0)
     assert np.max(np.abs(fitted.values - truth.values)) < 1e-7
 
@@ -320,8 +337,8 @@ def test_grid_world_run_fvi_pinned_bits():
 
 def test_p1_fit_pinned_bits():
     prev = fvi.ValueFn.zeros(1, 12, 20.0)
-    states = SeededRng.from_seed(30).uniform(size=(300, 1))
-    targets = SeededRng.from_seed(31).uniform(0, 18, size=300)
+    states = np.random.default_rng(30).uniform(size=(300, 1))
+    targets = np.random.default_rng(31).uniform(0, 18, size=300)
     fitted = fvi.fit_value(states, targets, prev, p=1.0)
     assert _sha(fitted.values) == \
         "919b3a07bbaa32b7561b4fecf7a22b3590e02d495227e294b2dbe57f9eaf7884"
@@ -378,16 +395,16 @@ def _reference_backup(value_fn, states, mdp, model, beta, rng):
 def test_blocked_backup_and_interpolation_match_unblocked_reference(mdp_fn, grid_size):
     mdp = mdp_fn()
     n = 2 * fvi.BACKUP_BLOCK + 777  # two full blocks and a ragged one
-    v = fvi.ValueFn(mdp.dim, grid_size, SeededRng.from_seed(50).uniform(
+    v = fvi.ValueFn(mdp.dim, grid_size, np.random.default_rng(50).uniform(
         0, mdp.v_max, size=grid_size ** mdp.dim), mdp.v_max)
-    states = SeededRng.from_seed(51).uniform(size=(n, mdp.dim))
+    states = np.random.default_rng(51).uniform(size=(n, mdp.dim))
     model = fvi.CorruptedModel(mdp, 0.2)
-    rngs = [SeededRng.from_seed(52), SeededRng.from_seed(52)]
+    rngs = [np.random.default_rng(52), np.random.default_rng(52)]
     got = fvi.beta_mixture_backup(v, states, mdp, model, 0.4, rngs[0])
     assert np.array_equal(got, _reference_backup(v, states, mdp, model, 0.4, rngs[1]))
     assert rngs[0].uniform() == rngs[1].uniform()  # the same draws were consumed
     assert (got > 0.0).all() and np.unique(got).size > n // 2
-    off_box = SeededRng.from_seed(53).uniform(-0.3, 1.3, size=(n, mdp.dim))
+    off_box = np.random.default_rng(53).uniform(-0.3, 1.3, size=(n, mdp.dim))
     for s in (states, off_box):
         assert np.array_equal(v(s), _reference_value(v, s))
 
@@ -442,7 +459,7 @@ def _reference_basis(states, grid_size):
 
 @pytest.mark.parametrize("dim,grid_size", [(1, 7), (2, 5)])
 def test_basis_matches_per_corner_reference(dim, grid_size):
-    states = SeededRng.from_seed(40).uniform(-0.3, 1.3, size=(200, dim))
+    states = np.random.default_rng(40).uniform(-0.3, 1.3, size=(200, dim))
     states[:4] = [[0.0] * dim, [1.0] * dim, [0.5] * dim, [-1e-3] * dim]
     vf = fvi.ValueFn.zeros(dim, grid_size, 1.0)
     idx, wgt = vf.basis(states)
@@ -485,8 +502,8 @@ def test_policy_return_matches_stepwise_reference(mdp_fn, grid_size):
     knots = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mdp.dim)
     bump.values = mdp.reward(knots, 0) * mdp.v_max
     noisy = fvi.ValueFn(mdp.dim, grid_size,
-                        SeededRng.from_seed(42).uniform(0, mdp.v_max, size=n_knots), mdp.v_max)
-    states = SeededRng.from_seed(43).uniform(size=(64, mdp.dim))
+                        np.random.default_rng(42).uniform(0, mdp.v_max, size=n_knots), mdp.v_max)
+    states = np.random.default_rng(43).uniform(size=(64, mdp.dim))
     for vf in (bump, noisy):
         for horizon in (3, 30):
             got = fvi.policy_return(mdp, vf, states, horizon)
@@ -507,7 +524,7 @@ def test_exact_vi_non_finite_backup_raises():
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_fit_value_rejects_non_finite_input(p):
     prev = fvi.ValueFn.zeros(1, 8, 20.0)
-    states = SeededRng.from_seed(41).uniform(size=(50, 1))
+    states = np.random.default_rng(41).uniform(size=(50, 1))
     targets = np.full(50, 3.0)
     bad_targets = targets.copy()
     bad_targets[7] = np.nan

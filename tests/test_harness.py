@@ -13,7 +13,6 @@ from mbrlab.config import (ConfigError, FviSweepConfig, HarnessConfig, RunConfig
                            from_dict, load)
 from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
-from mbrlab.rng import SeededRng
 from mbrlab.stats import DegenerateSamples, welch_t
 from util import agent_fingerprint, crash_hyper_episode_at
 
@@ -190,7 +189,7 @@ def test_train_controller_history_keeps_rounds_and_invalid(tmp_path, monkeypatch
     baseline_path = tmp_path / "baseline.json"
     harness.save_baseline(harness.build_baseline(cfg), baseline_path)
     # the first hyper-episode's seed: the first draw of train_controller's seed stream
-    first_seed = int(SeededRng.from_seed(cfg.harness.seeds[0]).split(4)[3]
+    first_seed = int(np.random.default_rng(cfg.harness.seeds[0]).spawn(4)[3]
                      .integers(0, 2**31 - 1))
     crash_hyper_episode_at(monkeypatch, first_seed, 90)
     info = harness.cmd_train_controller(cfg, baseline_path=baseline_path)
@@ -211,7 +210,7 @@ def test_eval_controller_leaves_crashed_seeds_out_of_the_comparison(tmp_path, mo
     cfg = _tiny_config(tmp_path)
     ckpt = tmp_path / "controller.json"
     controller.save_controller(controller.init_controller(
-        SeededRng.from_seed(0), config_hash=cfg.content_hash()), ckpt)
+        np.random.default_rng(0), config_hash=cfg.content_hash()), ckpt)
     crash_hyper_episode_at(monkeypatch, 0, 90)  # seed 0's controller run
     info = harness.cmd_eval_controller(cfg, ckpt)
     directory = Path(info["directory"])
@@ -225,6 +224,26 @@ def test_eval_controller_leaves_crashed_seeds_out_of_the_comparison(tmp_path, mo
     manifest = json.loads((directory / "manifest.json").read_text())
     assert manifest["seed_status"] == {"0": "invalid", "1": "ok"}
 
+
+
+def test_eval_controller_with_every_seed_crashed_writes_valid_json(tmp_path, monkeypatch):
+    cfg = _tiny_config(tmp_path)
+    ckpt = tmp_path / "controller.json"
+    controller.save_controller(controller.init_controller(
+        np.random.default_rng(0), config_hash=cfg.content_hash()), ckpt)
+    for seed in cfg.harness.seeds:
+        crash_hyper_episode_at(monkeypatch, seed, 90)
+    info = harness.cmd_eval_controller(cfg, ckpt)
+
+    def reject(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    text = (Path(info["directory"]) / "report.json").read_text()
+    report = json.loads(text, parse_constant=reject)
+    assert report["n_seeds"] == 0
+    assert report["mean_controller"] is None and report["mean_default"] is None
+    assert report["win_fraction"] is None
+    assert [e["seed"] for e in report["invalid"]] == list(cfg.harness.seeds)
 
 # -------------------------------------------------------------------- baseline
 

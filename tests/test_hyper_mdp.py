@@ -11,7 +11,6 @@ from mbrlab.envs import EnvDiverged
 from mbrlab.hyper_mdp import (FEATURE_NAMES, NEUTRAL_INDICES, HyperMdpConfig,
                               HyperParams, apply_action, extract_state,
                               hyper_reward, policy_change)
-from mbrlab.rng import SeededRng
 
 
 def _cfg(**kw):
@@ -69,7 +68,7 @@ def test_beta_feature_log_transform():
 
 def test_state_features_in_unit_interval_fuzz():
     run, _, hc = _tiny_run()
-    rng = SeededRng.from_seed(1)
+    rng = np.random.default_rng(1)
     mbpo.run_target_episode(run, mbpo.default_schedule, hc)
     for _ in range(300):
         run.n_real = int(rng.integers(0, 5000))
@@ -97,23 +96,26 @@ def test_feature_mask_shrinks_vector():
 def test_policy_change_zero_when_policy_unchanged():
     run, _, hc = _tiny_run()
     # collect data whose stored behavior densities come from the current actor
+    rows = []
     for _ in range(30):
         s = run.env.reset(run.rng_env)
         a, _, _ = run.agent.actor.sample(s[None, :], run.rng_act)
-        tr = run.env.step(s, a[0])
         logp = run.agent.actor.log_density(s[None, :], a)[0]
-        run.d_env.push(tr, behavior_density=float(np.exp(logp)))
+        rows.append((s, *run.env.step(s, a[0]), float(np.exp(logp))))
+    run.d_env.push_batch(*(np.array(column) for column in zip(*rows)))
     eps = policy_change(run.d_env.recent(hc.policy_change_window), run.agent.actor)
     assert eps == 0.0
 
 
 def test_policy_change_strictly_below_one():
     run, _, hc = _tiny_run()
-    rng = SeededRng.from_seed(2)
+    rng = np.random.default_rng(2)
+    rows = []
     for _ in range(50):
         s = run.env.reset(rng)
-        tr = run.env.step(s, rng.uniform(-1, 1, size=2))
-        run.d_env.push(tr, behavior_density=float(rng.uniform(0, 100.0)))
+        rows.append((s, *run.env.step(s, rng.uniform(-1, 1, size=2)),
+                     float(rng.uniform(0, 100.0))))
+    run.d_env.push_batch(*(np.array(column) for column in zip(*rows)))
     eps = policy_change(run.d_env.recent(hc.policy_change_window), run.agent.actor)
     assert 0.0 <= eps < 1.0
 
@@ -169,7 +171,7 @@ def test_apply_action_masked_heads_no_op():
 
 def test_params_stay_in_bounds_under_random_actions_fuzz():
     hc = _cfg()
-    rng = SeededRng.from_seed(3)
+    rng = np.random.default_rng(3)
     p = hc.initial_params()
     for _ in range(100_000):
         a = (int(rng.integers(-1, 2)) + 1, int(rng.integers(0, 2)),
@@ -228,7 +230,7 @@ def test_hyper_episode_transition_count():
     cfg = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=1, tau=50).for_env("pointmass2d")
-    pol = controller.init_controller(SeededRng.from_seed(0), (True,) * 8)
+    pol = controller.init_controller(np.random.default_rng(0), (True,) * 8)
     traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1)
     assert len(traj) == 1 * 200 // 50 == 4
     assert traj.valid
@@ -239,7 +241,7 @@ def test_hyper_episode_states_follow_the_policy_feature_mask():
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
     mask = (False, False, True, True, True, True, True, True)  # SA ablation
-    pol = controller.init_controller(SeededRng.from_seed(0), mask)
+    pol = controller.init_controller(np.random.default_rng(0), mask)
     traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1)
     assert traj.valid and traj.states.shape == (4, 6)
     # the first state: nothing trained or evaluated yet, initial params
@@ -276,7 +278,7 @@ def test_hyper_episode_pinned_bits(greedy):
     cfg = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=2).for_env("pointmass2d")
-    pol = controller.init_controller(SeededRng.from_seed(4))  # all four heads
+    pol = controller.init_controller(np.random.default_rng(4))  # all four heads
     traj, log = controller.run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=14,
                                              greedy=greedy)
     rows = [[r["real_step"], r["beta"].hex(), r["g"], r["k"], r["model_trained"]]
@@ -297,7 +299,7 @@ def _crashing_hyper_episode(monkeypatch, exc):
     cfg = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
-    pol = controller.init_controller(SeededRng.from_seed(0), (True,) * 8)
+    pol = controller.init_controller(np.random.default_rng(0), (True,) * 8)
     traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1)
     return traj
 
@@ -322,7 +324,7 @@ def test_neutral_controller_reproduces_default_mbpo_bit_exactly():
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=2).for_env("pointmass2d")
     log_default = mbpo.run_default_mbpo("pointmass2d", cfg, hc, 2, seed=12)
-    pol = controller.init_controller(SeededRng.from_seed(5), (True,) * 8,
+    pol = controller.init_controller(np.random.default_rng(5), (True,) * 8,
                                      head_mask=(False,) * 4)
     traj, log_ctrl = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=12)
     assert np.array_equal(traj.rewards, np.array(log_default.hyper_rewards))
@@ -334,7 +336,7 @@ def test_reward_placement_within_trajectory():
     cfg = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=2).for_env("pointmass2d")
-    pol = controller.init_controller(SeededRng.from_seed(2), (True,) * 8)
+    pol = controller.init_controller(np.random.default_rng(2), (True,) * 8)
     traj, log = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=13)
     n_b = 200 // hc.tau
     for i, r in enumerate(traj.rewards):

@@ -1,9 +1,14 @@
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mbrlab import config as run_config
 from mbrlab import mbpo, nets, sac
 from mbrlab.hyper_mdp import HyperMdpConfig, HyperParams
-from mbrlab.rng import SeededRng
 
 
 def _configs(env="pointmass2d", warmup=60, **kw):
@@ -179,6 +184,42 @@ def test_warmup_below_holdout_minimum_rejected():
         mbpo.MbpoConfig(warmup_steps=2).validate()
 
 
+
+@pytest.mark.parametrize("field", ["batch_size", "eval_episodes"])
+def test_init_run_rejects_empty_batches_and_evaluations(monkeypatch, field):
+    cfg, hc = _configs()
+    cfg = dataclasses.replace(cfg, **{field: 0})
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran before the config was checked")
+
+    monkeypatch.setattr(mbpo, "mbpo_step", no_step)
+    with pytest.raises(ValueError, match=field):
+        mbpo.init_run("pointmass2d", cfg, hc, seed=0)
+
+def _buffer_sha(buf) -> str:
+    h = hashlib.sha256()
+    for name in ("s", "a", "r", "s2", "done", "behavior_density"):
+        h.update(np.ascontiguousarray(getattr(buf, name)[:len(buf)]).tobytes())
+    return h.hexdigest()
+
+
+def test_buffer_contents_pinned_bits():
+    # every column of D_env and D_model after one smoke-config episode, real
+    # rows with their behavior densities and imaginary rows with density 0
+    doc = json.loads((Path(__file__).resolve().parent.parent
+                      / "configs" / "smoke.json").read_text())
+    c = run_config.from_dict(doc)
+    hc = c.resolved_hyper()
+    run = mbpo.init_run(c.env_name, c.mbpo, hc, seed=0)
+    mbpo.run_target_episode(run, mbpo.default_schedule, hc)
+    assert (len(run.d_env), len(run.d_model)) == (200, 2000)
+    assert _buffer_sha(run.d_env) == \
+        "1b025692cd27486e0c78407ff41e98d46dbd8452f945d39dc61b2b0dd19ff70e"
+    assert _buffer_sha(run.d_model) == \
+        "7ae00002c794c89a13ee7af46eb9986a5678336874b6befdc1bb604910a27a85"
+
+
 @pytest.mark.nightly
 def test_default_run_beats_random_policy_pinned():
     # pinned from the first successful run (seed 0): final eval -25.8 vs
@@ -189,7 +230,7 @@ def test_default_run_beats_random_policy_pinned():
     log = mbpo.run_default_mbpo("pointmass2d", cfg, hc, m_episodes=30, seed=0)
     env = make_env("pointmass2d")
     rand = evaluate_policy(env, lambda s, rng: rng.uniform(-1, 1, 2), 20,
-                           SeededRng.from_seed(1))
+                           np.random.default_rng(1))
     final = log.eval_rows[-1]["eval_return"]
     assert final - rand >= 200.0
 
@@ -204,5 +245,5 @@ def test_sac1_improves_on_pendulum_pinned():
     log = run_mbpo_mode(cfg, "sac1", 30, 0)
     env = make_env("pendulum")
     rand = evaluate_policy(env, lambda s, rng: rng.uniform(-2, 2, 1), 20,
-                           SeededRng.from_seed(2))
+                           np.random.default_rng(2))
     assert log.eval_rows[-1]["eval_return"] - rand >= 300.0

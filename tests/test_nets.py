@@ -3,7 +3,6 @@ import pytest
 
 from mbrlab import nets
 from mbrlab.nets import AdamState, DenseNet, adam_step
-from mbrlab.rng import SeededRng
 
 from util import assert_grads_close, finite_difference
 
@@ -21,9 +20,9 @@ def test_forward_relu_clamps_negative():
 
 
 def test_forward_matches_straight_line_reimplementation():
-    rng = SeededRng.from_seed(7)
+    rng = np.random.default_rng(7)
     net = nets.init_dense(rng, [3, 5, 2], ["tanh", "identity"])
-    x = SeededRng.from_seed(8).normal(size=(4, 3))
+    x = np.random.default_rng(8).normal(size=(4, 3))
     # independent straight-line recomputation
     h = np.tanh(x @ net.weights[0].T + net.biases[0])
     expect = h @ net.weights[1].T + net.biases[1]
@@ -31,14 +30,14 @@ def test_forward_matches_straight_line_reimplementation():
 
 
 def test_forward_dimension_mismatch():
-    net = nets.init_dense(SeededRng.from_seed(0), [3, 2])
+    net = nets.init_dense(np.random.default_rng(0), [3, 2])
     with pytest.raises(nets.ContractViolation):
         nets.forward(net, np.zeros((4, 5)))
 
 
 def test_backward_zero_upstream():
-    net = nets.init_dense(SeededRng.from_seed(1), [3, 4, 2])
-    x = SeededRng.from_seed(2).normal(size=(5, 3))
+    net = nets.init_dense(np.random.default_rng(1), [3, 4, 2])
+    x = np.random.default_rng(2).normal(size=(5, 3))
     grads, dx = nets.backward(net, x, np.zeros((5, 2)))
     assert np.all(grads == 0)
     assert np.all(dx == 0)
@@ -54,10 +53,10 @@ def test_backward_linear_scalar_case():
 
 
 def test_backward_matches_finite_differences():
-    rng = SeededRng.from_seed(11)
+    rng = np.random.default_rng(11)
     net = nets.init_dense(rng, [4, 16, 16, 3], ["tanh", "relu", "identity"])
-    x = SeededRng.from_seed(12).normal(size=(6, 4))
-    up = SeededRng.from_seed(13).normal(size=(6, 3))
+    x = np.random.default_rng(12).normal(size=(6, 4))
+    up = np.random.default_rng(13).normal(size=(6, 3))
 
     def loss_fn(_):  # finite_difference perturbs net.theta in place
         return float((nets.forward(net, x) * up).sum())
@@ -72,10 +71,10 @@ def test_backward_matches_finite_differences():
 
 def _stacked(lead, hidden, seed=0):
     """A stack of nets (tanh, relu, identity layers) with theta (*lead, n)."""
-    rng = SeededRng.from_seed(seed)
+    rng = np.random.default_rng(seed)
     sizes = [6, hidden, hidden, 3]
     thetas = [nets.init_dense(r, sizes, ["tanh", "relu", "identity"]).theta
-              for r in rng.split(int(np.prod(lead)))]
+              for r in rng.spawn(int(np.prod(lead)))]
     return DenseNet(sizes, ["tanh", "relu", "identity"],
                     np.stack(thetas).reshape(*lead, -1))
 
@@ -91,7 +90,7 @@ def _inputs(lead, rows, how, rng):
 @pytest.mark.parametrize("hidden", [8, 16, 32])
 @pytest.mark.parametrize("rows", [1, 2, 64, 128, 256])
 def test_stacked_forward_and_backward_match_each_net_bit_for_bit(rows, hidden):
-    rng = SeededRng.from_seed(rows + hidden)
+    rng = np.random.default_rng(rows + hidden)
     for lead, how in [((2,), "shared"), ((2,), "per-slice"), ((2, 2), "shared"),
                       ((2, 2), "broadcast"), ((2, 2), "per-slice")]:
         stack = _stacked(lead, hidden, seed=rows)
@@ -117,7 +116,7 @@ def test_stacked_forward_and_backward_match_each_net_bit_for_bit(rows, hidden):
 
 def test_stacked_backward_matches_finite_differences():
     stack = _stacked((2, 2), 8, seed=3)
-    rng = SeededRng.from_seed(4)
+    rng = np.random.default_rng(4)
     x = _inputs((2, 2), 5, "broadcast", rng)
     up = rng.normal(size=(2, 2, 5, 3))
 
@@ -207,9 +206,9 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit():
             out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
         return out
 
-    net = nets.init_dense(SeededRng.from_seed(3), [5, 32, 32, 4])
-    x = SeededRng.from_seed(4).normal(size=(64, 5))
-    up = SeededRng.from_seed(5).normal(size=(64, 4))
+    net = nets.init_dense(np.random.default_rng(3), [5, 32, 32, 4])
+    x = np.random.default_rng(4).normal(size=(64, 5))
+    up = np.random.default_rng(5).normal(size=(64, 4))
     ref = [p.copy() for p in net.params()]
     m = [np.zeros_like(p) for p in ref]
     v = [np.zeros_like(p) for p in ref]
@@ -226,7 +225,7 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit():
 
 def test_parameter_trajectory_bit_determinism():
     def run():
-        rng = SeededRng.from_seed(42)
+        rng = np.random.default_rng(42)
         net = nets.init_dense(rng, [3, 8, 2])
         state = AdamState.for_theta(net.theta, lr=1e-3)
         x = rng.normal(size=(16, 3))
@@ -241,7 +240,7 @@ def test_parameter_trajectory_bit_determinism():
 # ------------------------------------------------------- flat parameter layout
 
 def test_theta_layout_and_views():
-    net = nets.init_dense(SeededRng.from_seed(9), [3, 5, 4, 2])
+    net = nets.init_dense(np.random.default_rng(9), [3, 5, 4, 2])
     assert net.theta.shape == (3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2,)
     assert np.array_equal(net.theta, np.concatenate([p.ravel() for p in net.params()]))
     for w, b, (fan_in, fan_out) in zip(net.weights, net.biases,
@@ -249,13 +248,13 @@ def test_theta_layout_and_views():
         assert w.shape == (fan_out, fan_in) and b.shape == (fan_out,)
         assert np.shares_memory(w, net.theta) and np.shares_memory(b, net.theta)
     # init draws each layer's weights in order, biases start at zero
-    rng = SeededRng.from_seed(9)
+    rng = np.random.default_rng(9)
     for w, b in zip(net.weights, net.biases):
         bound = np.sqrt(6.0 / sum(w.shape))
         assert np.array_equal(w, rng.uniform(-bound, bound, size=w.shape))
         assert not b.any()
     # an in-place update of theta is what forward reads
-    x = SeededRng.from_seed(10).normal(size=(4, 3))
+    x = np.random.default_rng(10).normal(size=(4, 3))
     net.theta *= 0.5
     fresh = DenseNet(net.sizes, net.activations, net.theta.copy())
     assert np.array_equal(nets.forward(net, x), nets.forward(fresh, x))
@@ -271,7 +270,7 @@ def test_dense_net_rejects_bad_theta():
 
 
 def test_split_streams_are_independent_and_reproducible():
-    a1, b1 = SeededRng.from_seed(5).split(2)
-    a2, b2 = SeededRng.from_seed(5).split(2)
+    a1, b1 = np.random.default_rng(5).spawn(2)
+    a2, b2 = np.random.default_rng(5).spawn(2)
     assert np.array_equal(a1.normal(size=8), a2.normal(size=8))
     assert not np.array_equal(b1.normal(size=8), a2.normal(size=8))

@@ -14,7 +14,6 @@ import pytest
 from mbrlab import harness, mbpo, nets, sac
 from mbrlab import world_model as wm
 from mbrlab.hyper_mdp import HyperMdpConfig
-from mbrlab.rng import SeededRng
 
 ENV = "pointmass2d"
 HC = HyperMdpConfig().for_env(ENV)
@@ -70,11 +69,11 @@ def test_copies_keep_their_views(how):
         assert not np.shares_memory(member.theta, src.model.stack.theta)
 
     # step every container of the copy in place
-    g = SeededRng.from_seed(2)
+    g = np.random.default_rng(2)
     batch = {"s": g.normal(size=(16, 4)), "a": g.uniform(-1, 1, (16, 2)),
              "r": g.normal(size=16), "s2": g.normal(size=(16, 4)),
              "done": np.zeros(16, dtype=bool)}
-    sac.sac_update(agent, batch, 0.99, SeededRng.from_seed(3))
+    sac.sac_update(agent, batch, 0.99, np.random.default_rng(3))
     x = np.concatenate([batch["s"], batch["a"]], axis=1)
     y = g.normal(size=(16, 5))
     for member in model.members:
@@ -98,11 +97,11 @@ def test_copies_keep_their_views(how):
 @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
 def test_agent_copies_rebuild_the_critic_stack_without_its_workspace(how):
     src = _run(0).agent
-    g = SeededRng.from_seed(4)
+    g = np.random.default_rng(4)
     batch = {"s": g.normal(size=(8, 4)), "a": g.uniform(-1, 1, (8, 2)),
              "r": g.normal(size=8), "s2": g.normal(size=(8, 4)),
              "done": np.zeros(8, dtype=bool)}
-    sac.sac_update(src, batch, 0.99, SeededRng.from_seed(5))  # allocates a workspace
+    sac.sac_update(src, batch, 0.99, np.random.default_rng(5))  # allocates a workspace
     before = src.q.theta.copy()
     agent = copy.deepcopy(src) if how == "deepcopy" else pickle.loads(pickle.dumps(src))
     assert agent._workspaces == {} and src._workspaces
@@ -114,7 +113,7 @@ def test_agent_copies_rebuild_the_critic_stack_without_its_workspace(how):
     assert agent.critic_adam.m.shape == agent.critics.theta.shape
     assert not np.shares_memory(agent.critic_adam.m, src.critic_adam.m)
     critic1 = agent.critic1.theta.copy()
-    sac.sac_update(agent, batch, 0.99, SeededRng.from_seed(6))
+    sac.sac_update(agent, batch, 0.99, np.random.default_rng(6))
     assert not np.array_equal(agent.critic1.theta, critic1)
     assert np.array_equal(agent.q.theta[:, 0].ravel(),
                           np.concatenate([agent.critic1.theta, agent.target1.theta]))

@@ -5,21 +5,20 @@ import pytest
 
 from mbrlab import nets, sac
 from mbrlab.buffers import TransitionBuffer
-from mbrlab.envs import Transition, make_env
-from mbrlab.rng import SeededRng
+from mbrlab.envs import make_env
 
 from util import (actor_loss, assert_grads_close, critic_loss, critic_targets,
-                  finite_difference)
+                  finite_difference, random_policy_columns)
 
 
 def _agent(seed=0, state_dim=3, action_dim=1, hidden=(8,), **kw):
-    return sac.init_agent(SeededRng.from_seed(seed), state_dim, action_dim,
+    return sac.init_agent(np.random.default_rng(seed), state_dim, action_dim,
                           -np.ones(action_dim), np.ones(action_dim),
                           hidden=hidden, **kw)
 
 
 def _batch(seed, n, state_dim=3, action_dim=1, done=False):
-    rng = SeededRng.from_seed(seed)
+    rng = np.random.default_rng(seed)
     return {
         "s": rng.normal(size=(n, state_dim)),
         "a": rng.uniform(-1, 1, size=(n, action_dim)),
@@ -33,12 +32,13 @@ def _sha(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
 
 
-def _fill(buf, n, seed, source):
-    rng = SeededRng.from_seed(seed)
+def _fill(buf, n, seed):
+    rng = np.random.default_rng(seed)
     sd, ad = buf.s.shape[1], buf.a.shape[1]
-    for _ in range(n):
-        buf.push(Transition(rng.normal(size=sd), rng.uniform(-1, 1, size=ad),
-                            float(rng.normal()), rng.normal(size=sd), False, source))
+    rows = [(rng.normal(size=sd), rng.uniform(-1, 1, size=ad), rng.normal(),
+             rng.normal(size=sd)) for _ in range(n)]
+    s, a, r, s2 = (np.array(column) for column in zip(*rows))
+    buf.push_batch(s, a, r, s2, np.zeros(n, dtype=bool))
 
 
 # ------------------------------------------------------ squashed Gaussian policy
@@ -55,14 +55,14 @@ def _constant_policy(mean, log_std, low=-1.0, high=1.0):
 def test_gaussian_policy_degenerate_variance():
     policy = _constant_policy(0.7, nets.LOG_STD_MIN, low=-2.0, high=3.0)
     s = np.zeros((1, 1))
-    a, _, _ = policy.sample(s, SeededRng.from_seed(0))
-    a_det, _, _ = policy.sample(s, SeededRng.from_seed(0), deterministic=True)
+    a, _, _ = policy.sample(s, np.random.default_rng(0))
+    a_det, _, _ = policy.sample(s, np.random.default_rng(0), deterministic=True)
     assert np.allclose(a, a_det, atol=1e-6)
 
 
 def test_gaussian_policy_deterministic_mode():
     policy = _constant_policy([0.3, -1.0], [0.0, 0.0], low=-2.0, high=3.0)
-    a, _, cache = policy.sample(np.zeros((1, 1)), SeededRng.from_seed(0),
+    a, _, cache = policy.sample(np.zeros((1, 1)), np.random.default_rng(0),
                                 deterministic=True)
     assert np.array_equal(cache["eps"], np.zeros((1, 2)))
     assert np.allclose(cache["unit"], np.tanh([[0.3, -1.0]]))
@@ -84,15 +84,15 @@ def test_gaussian_policy_density_integrates_to_one():
 def test_gaussian_policy_samples_strictly_inside_bounds():
     low, high = -2.0, 3.0
     policy = _constant_policy(0.0, 0.0, low=low, high=high)
-    a, _, _ = policy.sample(np.zeros((1000, 1)), SeededRng.from_seed(3))
+    a, _, _ = policy.sample(np.zeros((1000, 1)), np.random.default_rng(3))
     assert np.all(a > low) and np.all(a < high)
 
 
 def test_gaussian_policy_seed_reproducibility():
     policy = _constant_policy(np.zeros(4), np.zeros(4))
     s = np.zeros((1, 1))
-    a1, logp1, c1 = policy.sample(s, SeededRng.from_seed(9))
-    a2, logp2, c2 = policy.sample(s, SeededRng.from_seed(9))
+    a1, logp1, c1 = policy.sample(s, np.random.default_rng(9))
+    a2, logp2, c2 = policy.sample(s, np.random.default_rng(9))
     assert np.array_equal(a1, a2)
     assert np.array_equal(logp1, logp2)
     assert np.array_equal(c1["eps"], c2["eps"])
@@ -101,43 +101,43 @@ def test_gaussian_policy_seed_reproducibility():
 # ---------------------------------------------------------------- mixed batch
 
 def test_mixed_batch_all_real_at_beta_one():
-    d_env = TransitionBuffer(100, 3, 1, "real")
-    _fill(d_env, 50, 0, "real")
+    d_env = TransitionBuffer(100, 3, 1)
+    _fill(d_env, 50, 0)
     spec = sac.MixedBatchSpec(batch_size=32, real_ratio=1.0)
-    batch = sac.sample_mixed_batch(d_env, None, spec, SeededRng.from_seed(1))
+    batch = sac.sample_mixed_batch(d_env, None, spec, np.random.default_rng(1))
     assert batch["n_real"] == 32 and len(batch["r"]) == 32
 
 
 def test_mixed_batch_five_percent_split():
     # MBPO's default: 5% real of a 100-sample batch -> 5 real + 95 imaginary
-    d_env = TransitionBuffer(100, 3, 1, "real")
-    d_model = TransitionBuffer(100, 3, 1, "imaginary")
-    _fill(d_env, 50, 0, "real")
-    _fill(d_model, 50, 1, "imaginary")
+    d_env = TransitionBuffer(100, 3, 1)
+    d_model = TransitionBuffer(100, 3, 1)
+    _fill(d_env, 50, 0)
+    _fill(d_model, 50, 1)
     spec = sac.MixedBatchSpec(batch_size=100, real_ratio=0.05)
-    batch = sac.sample_mixed_batch(d_env, d_model, spec, SeededRng.from_seed(2))
+    batch = sac.sample_mixed_batch(d_env, d_model, spec, np.random.default_rng(2))
     assert batch["n_real"] == 5
 
 
 def test_mixed_batch_split_is_exact_over_many_draws():
-    d_env = TransitionBuffer(100, 3, 1, "real")
-    d_model = TransitionBuffer(100, 3, 1, "imaginary")
-    _fill(d_env, 30, 0, "real")
-    _fill(d_model, 30, 1, "imaginary")
+    d_env = TransitionBuffer(100, 3, 1)
+    d_model = TransitionBuffer(100, 3, 1)
+    _fill(d_env, 30, 0)
+    _fill(d_model, 30, 1)
     spec = sac.MixedBatchSpec(batch_size=20, real_ratio=0.3)
-    rng = SeededRng.from_seed(3)
+    rng = np.random.default_rng(3)
     fracs = {sac.sample_mixed_batch(d_env, d_model, spec, rng)["n_real"]
              for _ in range(10_000)}
     assert fracs == {6}  # round(0.3*20) every single time
 
 
 def test_mixed_batch_falls_back_to_real_when_model_empty(caplog):
-    d_env = TransitionBuffer(100, 3, 1, "real")
-    _fill(d_env, 30, 0, "real")
-    d_model = TransitionBuffer(100, 3, 1, "imaginary")
+    d_env = TransitionBuffer(100, 3, 1)
+    _fill(d_env, 30, 0)
+    d_model = TransitionBuffer(100, 3, 1)
     spec = sac.MixedBatchSpec(batch_size=16, real_ratio=0.25)
     with caplog.at_level("INFO", logger="mbrlab.sac"):
-        batch = sac.sample_mixed_batch(d_env, d_model, spec, SeededRng.from_seed(4))
+        batch = sac.sample_mixed_batch(d_env, d_model, spec, np.random.default_rng(4))
     assert batch["n_real"] == 16
     assert any("all-real" in r.message for r in caplog.records)
 
@@ -154,10 +154,10 @@ def test_n_real_equals_the_clipped_round(batch_size):
 
 
 def test_mixed_batch_errors_when_both_empty():
-    d_env = TransitionBuffer(10, 3, 1, "real")
-    d_model = TransitionBuffer(10, 3, 1, "imaginary")
+    d_env = TransitionBuffer(10, 3, 1)
+    d_model = TransitionBuffer(10, 3, 1)
     with pytest.raises(ValueError):
-        sac.sample_mixed_batch(d_env, d_model, sac.MixedBatchSpec(), SeededRng.from_seed(0))
+        sac.sample_mixed_batch(d_env, d_model, sac.MixedBatchSpec(), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- critic loss
@@ -175,13 +175,13 @@ def test_critic_loss_zero_case():
     agent.alpha = 0.0
     batch = _batch(1, 8, done=True)
     batch["r"] = np.zeros(8)
-    assert critic_loss(agent, batch, 0.99, SeededRng.from_seed(0)) == 0.0
+    assert critic_loss(agent, batch, 0.99, np.random.default_rng(0)) == 0.0
 
 
 def test_critic_target_no_bootstrap_on_done():
     agent = _agent(seed=2)
     batch = _batch(3, 6, done=True)
-    y = critic_targets(agent, batch, 0.99, SeededRng.from_seed(1))
+    y = critic_targets(agent, batch, 0.99, np.random.default_rng(1))
     assert np.array_equal(y, batch["r"])
 
 
@@ -204,7 +204,7 @@ def test_critic_loss_matches_hand_computation():
              "s2": np.array([[0.3]]), "done": np.array([False])}
     gamma = 0.9
     # freeze the sampled a': same noise draw the loss consumes from seed 0
-    eps = SeededRng.from_seed(0).normal(size=(1, 1))[0, 0]
+    eps = np.random.default_rng(0).normal(size=(1, 1))[0, 0]
     a2 = np.tanh(0.5 + np.exp(nets.LOG_STD_MIN) * eps)
     # relu trunk: h = relu(w*(s+a)); критик out = h
     q1t = max(1.0 * (0.3 + a2), 0.0)
@@ -213,7 +213,7 @@ def test_critic_loss_matches_hand_computation():
     q1 = max(1.0 * (0.2 + 0.4), 0.0)
     q2 = max(2.0 * (0.2 + 0.4), 0.0)
     expect = 0.5 * (q1 - y) ** 2 + 0.5 * (q2 - y) ** 2
-    loss = critic_loss(agent, batch, gamma, SeededRng.from_seed(0))
+    loss = critic_loss(agent, batch, gamma, np.random.default_rng(0))
     assert loss == pytest.approx(expect, rel=1e-12)
 
 
@@ -222,9 +222,9 @@ def test_critic_gradients_match_finite_differences():
     batch = _batch(6, 5, state_dim=2)
 
     def loss_fn(_):  # finite_difference perturbs both critic thetas in place
-        return critic_loss(agent, batch, 0.99, SeededRng.from_seed(42))
+        return critic_loss(agent, batch, 0.99, np.random.default_rng(42))
 
-    _, (g1, g2) = sac.critic_loss_and_grads(agent, batch, 0.99, SeededRng.from_seed(42))
+    _, (g1, g2) = sac.critic_loss_and_grads(agent, batch, 0.99, np.random.default_rng(42))
     numeric = finite_difference(loss_fn, [agent.critic1.theta, agent.critic2.theta])
     assert_grads_close([g1, g2], numeric, rtol=1e-4)
 
@@ -237,7 +237,7 @@ def test_actor_loss_zero_alpha_zero_critics():
     _zero_net(agent.critic2)
     agent.alpha = 0.0
     batch = _batch(2, 8)
-    loss, grads, _ = sac.actor_loss_and_grads(agent, batch, SeededRng.from_seed(0))
+    loss, grads, _ = sac.actor_loss_and_grads(agent, batch, np.random.default_rng(0))
     assert loss == 0.0
     assert np.all(grads == 0)
 
@@ -248,9 +248,9 @@ def test_actor_loss_pure_entropy_pressure():
     _zero_net(agent.critic2)
     agent.alpha = 0.7
     batch = _batch(2, 64)
-    rng = SeededRng.from_seed(3)
-    _, logp, _ = agent.actor.sample(batch["s"], SeededRng.from_seed(3))
-    loss = actor_loss(agent, batch, SeededRng.from_seed(3))
+    rng = np.random.default_rng(3)
+    _, logp, _ = agent.actor.sample(batch["s"], np.random.default_rng(3))
+    loss = actor_loss(agent, batch, np.random.default_rng(3))
     assert loss == pytest.approx(0.7 * float(logp.mean()), rel=1e-12)
 
 
@@ -259,9 +259,9 @@ def test_actor_gradients_match_finite_differences():
     batch = _batch(8, 4, state_dim=2, action_dim=2)
 
     def loss_fn(_):  # finite_difference perturbs the actor's theta in place
-        return actor_loss(agent, batch, SeededRng.from_seed(11))
+        return actor_loss(agent, batch, np.random.default_rng(11))
 
-    _, grad, _ = sac.actor_loss_and_grads(agent, batch, SeededRng.from_seed(11))
+    _, grad, _ = sac.actor_loss_and_grads(agent, batch, np.random.default_rng(11))
     numeric = finite_difference(loss_fn, [agent.actor.net.theta])
     assert_grads_close([grad], numeric, rtol=1e-4)
 
@@ -273,7 +273,7 @@ def test_polyak_one_keeps_targets():
     agent.polyak = 1.0
     before = agent.target1.theta.copy()
     batch = _batch(4, 16)
-    sac.sac_update(agent, batch, 0.99, SeededRng.from_seed(1))
+    sac.sac_update(agent, batch, 0.99, np.random.default_rng(1))
     assert np.array_equal(before, agent.target1.theta)
 
 
@@ -281,7 +281,7 @@ def test_polyak_zero_copies_critics():
     agent = _agent(seed=3)
     agent.polyak = 0.0
     batch = _batch(4, 16)
-    sac.sac_update(agent, batch, 0.99, SeededRng.from_seed(1))
+    sac.sac_update(agent, batch, 0.99, np.random.default_rng(1))
     assert np.array_equal(agent.target1.theta, agent.critic1.theta)
 
 
@@ -297,7 +297,7 @@ def _optimizer_state(agent):
 def test_sac_update_is_all_or_nothing(monkeypatch, error):
     agent = _agent(seed=4, hidden=(8, 8))
     batch = _batch(5, 16)
-    rng = SeededRng.from_seed(6)
+    rng = np.random.default_rng(6)
     for _ in range(3):  # non-trivial moments and counters
         sac.sac_update(agent, batch, 0.99, rng)
     before = _optimizer_state(agent)
@@ -320,13 +320,13 @@ def test_sac_update_is_all_or_nothing(monkeypatch, error):
 def test_sac_update_pinned_bits():
     """20 updates on a fixed batch; values recorded before the parameters
     became one flat vector per net, so the refactor moved no bit."""
-    agent = sac.init_agent(SeededRng.from_seed(21), 4, 2, -np.ones(2), np.ones(2),
+    agent = sac.init_agent(np.random.default_rng(21), 4, 2, -np.ones(2), np.ones(2),
                            hidden=(32, 32))
-    g = SeededRng.from_seed(22)
+    g = np.random.default_rng(22)
     batch = {"s": g.normal(size=(64, 4)), "a": g.uniform(-1, 1, (64, 2)),
              "r": g.normal(size=64), "s2": g.normal(size=(64, 4)),
              "done": g.uniform(size=64) < 0.1}
-    rng = SeededRng.from_seed(23)
+    rng = np.random.default_rng(23)
     for _ in range(20):
         c_loss, a_loss = sac.sac_update(agent, batch, 0.99, rng)
     assert (c_loss.hex(), a_loss.hex()) == ("0x1.f9c3256a23286p-1", "-0x1.1e22e0074e442p-3")
@@ -343,29 +343,25 @@ def test_sac_update_pinned_bits():
 
 def test_act_respects_bounds_and_seed():
     env = make_env("pendulum")
-    agent = sac.init_agent(SeededRng.from_seed(0), 3, 1,
+    agent = sac.init_agent(np.random.default_rng(0), 3, 1,
                            env.spec.action_low, env.spec.action_high)
-    s = env.reset(SeededRng.from_seed(1))
-    a1 = sac.act(agent, s, False, SeededRng.from_seed(2))
-    a2 = sac.act(agent, s, False, SeededRng.from_seed(2))
+    s = env.reset(np.random.default_rng(1))
+    a1 = sac.act(agent, s, False, np.random.default_rng(2))
+    a2 = sac.act(agent, s, False, np.random.default_rng(2))
     assert np.array_equal(a1, a2)
     assert np.all(a1 >= env.spec.action_low) and np.all(a1 <= env.spec.action_high)
-    d1 = sac.act(agent, s, True, SeededRng.from_seed(3))
-    d2 = sac.act(agent, s, True, SeededRng.from_seed(4))
+    d1 = sac.act(agent, s, True, np.random.default_rng(3))
+    d2 = sac.act(agent, s, True, np.random.default_rng(4))
     assert np.array_equal(d1, d2)
 
 
 def test_critic_loss_decreases_on_pointmass_real_data():
     # run-and-record threshold: 5k updates on beta=1 random-policy data
     env = make_env("pointmass2d")
-    rng = SeededRng.from_seed(0)
-    env_rng, agent_rng, upd_rng = rng.split(3)
-    d_env = TransitionBuffer(20_000, 4, 2, "real")
-    s = env.reset(env_rng)
-    for _ in range(5_000):
-        tr = env.step(s, env_rng.uniform(-1, 1, size=2))
-        d_env.push(tr)
-        s = env.reset(env_rng) if tr.done else tr.s2
+    rng = np.random.default_rng(0)
+    env_rng, agent_rng, upd_rng = rng.spawn(3)
+    d_env = TransitionBuffer(20_000, 4, 2)
+    d_env.push_batch(*random_policy_columns(env, env_rng, 5_000))
     agent = sac.init_agent(agent_rng, 4, 2, env.spec.action_low,
                            env.spec.action_high, hidden=(64, 64))
     spec = sac.MixedBatchSpec(batch_size=256, real_ratio=1.0)
@@ -380,8 +376,8 @@ def test_critic_loss_decreases_on_pointmass_real_data():
 
 def test_log_density_matches_sample_density():
     agent = _agent(seed=9, state_dim=2, action_dim=2)
-    s = SeededRng.from_seed(1).normal(size=(16, 2))
-    a, logp, _ = agent.actor.sample(s, SeededRng.from_seed(2))
+    s = np.random.default_rng(1).normal(size=(16, 2))
+    a, logp, _ = agent.actor.sample(s, np.random.default_rng(2))
     recomputed = agent.actor.log_density(s, a)
     assert np.allclose(recomputed, logp, atol=1e-6)
 
@@ -390,17 +386,13 @@ def test_log_density_matches_sample_density():
 def test_gradients_finite_over_ten_thousand_updates():
     # smoke invariant: default desk config, 1e4 consecutive updates
     env = make_env("pointmass2d")
-    rng = SeededRng.from_seed(0)
-    env_rng, agent_rng, upd_rng = rng.split(3)
-    d_env = TransitionBuffer(10_000, 4, 2, "real")
-    d_model = TransitionBuffer(10_000, 4, 2, "imaginary")
-    s = env.reset(env_rng)
-    for _ in range(2_000):
-        tr = env.step(s, env_rng.uniform(-1, 1, size=2))
-        d_env.push(tr)
-        imag = Transition(tr.s, tr.a, tr.r, tr.s2, tr.done, "imaginary")
-        d_model.push(imag)
-        s = env.reset(env_rng) if tr.done else tr.s2
+    rng = np.random.default_rng(0)
+    env_rng, agent_rng, upd_rng = rng.spawn(3)
+    d_env = TransitionBuffer(10_000, 4, 2)
+    d_model = TransitionBuffer(10_000, 4, 2)
+    columns = random_policy_columns(env, env_rng, 2_000)
+    d_env.push_batch(*columns)
+    d_model.push_batch(*columns)
     agent = sac.init_agent(agent_rng, 4, 2, env.spec.action_low,
                            env.spec.action_high, hidden=(32, 32))
     spec = sac.MixedBatchSpec(batch_size=128, real_ratio=0.05)

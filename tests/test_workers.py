@@ -7,11 +7,11 @@ import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from mbrlab import controller, mbpo, workers
 from mbrlab.hyper_mdp import HyperMdpConfig
-from mbrlab.rng import SeededRng
 
 TWO_CORES = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                                reason="needs two usable cores for worker processes")
@@ -47,7 +47,7 @@ def test_map_units_on_hyper_episodes_equals_the_serial_list():
     mc = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
                          n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
-    policy = controller.init_controller(SeededRng.from_seed(4))
+    policy = controller.init_controller(np.random.default_rng(4))
     unit = functools.partial(controller._training_trajectory, policy, "pointmass2d",
                              mc, hc)
     seeds = [11, 12, 13]

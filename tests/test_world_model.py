@@ -7,14 +7,13 @@ import pytest
 
 from mbrlab import world_model as wm
 from mbrlab.buffers import TransitionBuffer
-from mbrlab.envs import Transition, make_env
-from mbrlab.rng import SeededRng
+from mbrlab.envs import make_env
 
 from util import assert_grads_close, finite_difference
 
 
 def _member(seed=0, in_dim=3, target_dim=2, hidden=(8,)):
-    rng = SeededRng.from_seed(seed)
+    rng = np.random.default_rng(seed)
     model = wm.init_ensemble(rng, state_dim=target_dim - 1, action_dim=in_dim - (target_dim - 1),
                              hidden=hidden, n_members=1)
     return model.members[0]
@@ -33,7 +32,7 @@ def _member_with_unit_variance(in_dim, target_dim):
 
 def test_nll_zero_for_exact_prediction_unit_variance():
     m = _member_with_unit_variance(3, 2)
-    x = SeededRng.from_seed(1).normal(size=(5, 3))
+    x = np.random.default_rng(1).normal(size=(5, 3))
     mean, lv, _ = m.heads(x)
     assert np.allclose(lv, 0.0, atol=1e-10)
     assert abs(wm.model_nll(m, x, mean)) < 1e-12
@@ -42,7 +41,7 @@ def test_nll_zero_for_exact_prediction_unit_variance():
 def test_nll_log_det_additivity():
     # doubling one diagonal variance entry with zero error adds log 2
     m = _member_with_unit_variance(3, 2)
-    x = SeededRng.from_seed(2).normal(size=(4, 3))
+    x = np.random.default_rng(2).normal(size=(4, 3))
     mean, _, _ = m.heads(x)
     base = wm.model_nll(m, x, mean)
     m.net.biases[-1][2] = np.log(2.0)  # raw log-var of dim 0 -> log 2
@@ -53,8 +52,8 @@ def test_nll_log_det_additivity():
 
 def test_nll_matches_independent_gaussian_nll():
     m = _member(seed=3)
-    x = SeededRng.from_seed(4).normal(size=(6, 3))
-    y = SeededRng.from_seed(5).normal(size=(6, 2))
+    x = np.random.default_rng(4).normal(size=(6, 3))
+    y = np.random.default_rng(5).normal(size=(6, 2))
     mean, lv, _ = m.heads(x)
     # independent implementation: diagonal Gaussian NLL without the 2pi constant
     per = ((mean - y) ** 2 / np.exp(lv) + lv).sum(axis=1)
@@ -63,8 +62,8 @@ def test_nll_matches_independent_gaussian_nll():
 
 def test_nll_gradients_match_finite_differences():
     m = _member(seed=6, hidden=(8,))
-    x = SeededRng.from_seed(7).normal(size=(5, 3))
-    y = SeededRng.from_seed(8).normal(size=(5, 2))
+    x = np.random.default_rng(7).normal(size=(5, 3))
+    y = np.random.default_rng(8).normal(size=(5, 2))
 
     def loss_fn(_):  # finite_difference perturbs m.theta in place
         per, _ = wm._nll_terms(m, x, y)
@@ -90,33 +89,32 @@ def test_member_theta_holds_net_and_bounds():
 
 
 def _linear_system_buffer(n=5000, seed=0):
-    rng = SeededRng.from_seed(seed)
+    rng = np.random.default_rng(seed)
     a_mat = np.array([[0.9, 0.1], [-0.05, 0.95]])
     b_mat = np.array([[0.1], [0.05]])
     bias = np.array([0.01, -0.02])
-    buf = TransitionBuffer(n, 2, 1, "real")
+    buf = TransitionBuffer(n, 2, 1)
     s = rng.uniform(-1, 1, size=(n, 2))
     a = rng.uniform(-1, 1, size=(n, 1))
     s2 = s @ a_mat.T + a @ b_mat.T + bias
     r = (s ** 2).sum(axis=1)
-    for i in range(n):
-        buf.push(Transition(s[i], a[i], float(r[i]), s2[i], False, "real"))
+    buf.push_batch(s, a, r, s2, np.zeros(n, dtype=bool))
     return buf, (a_mat, b_mat, bias)
 
 
 def test_train_ensemble_learns_linear_dynamics():
     buf, (a_mat, b_mat, bias) = _linear_system_buffer()
-    rng = SeededRng.from_seed(1)
+    rng = np.random.default_rng(1)
     model = wm.init_ensemble(rng, 2, 1, hidden=(64, 64), n_members=2)
     cfg = wm.ModelTrainConfig(max_epochs=60, patience=8)
     holdout = wm.train_ensemble(model, buf, cfg, rng)
     assert holdout.shape == (2,)
-    test_rng = SeededRng.from_seed(99)
+    test_rng = np.random.default_rng(99)
     s = test_rng.uniform(-1, 1, size=(500, 2))
     a = test_rng.uniform(-1, 1, size=(500, 1))
     true_s2 = s @ a_mat.T + a @ b_mat.T + bias
     env = make_env("pointmass2d")  # only used for its terminal(); dims differ is fine
-    s2, _, _ = wm.predict(model, s, a, SeededRng.from_seed(5), _FakeEnv(), deterministic=True)
+    s2, _, _ = wm.predict(model, s, a, np.random.default_rng(5), _FakeEnv(), deterministic=True)
     err = np.linalg.norm(s2 - true_s2, axis=1).mean()
     assert err < 0.01
 
@@ -132,7 +130,7 @@ class _FakeEnv:
 
 def test_early_stopping_with_frozen_lr_stops_after_patience():
     buf, _ = _linear_system_buffer(n=200)
-    rng = SeededRng.from_seed(2)
+    rng = np.random.default_rng(2)
     model = wm.init_ensemble(rng, 2, 1, hidden=(8,), n_members=1)
     cfg = wm.ModelTrainConfig(patience=1, max_epochs=50, lr=0.0)
     wm.train_ensemble(model, buf, cfg, rng)
@@ -141,23 +139,24 @@ def test_early_stopping_with_frozen_lr_stops_after_patience():
 
 def test_single_member_elite_set():
     buf, _ = _linear_system_buffer(n=200)
-    rng = SeededRng.from_seed(3)
+    rng = np.random.default_rng(3)
     model = wm.init_ensemble(rng, 2, 1, hidden=(8,), n_members=1)
     wm.train_ensemble(model, buf, wm.ModelTrainConfig(max_epochs=2), rng)
     assert model.elites == [0]
 
 
 def test_train_requires_enough_data():
-    buf = TransitionBuffer(10, 2, 1, "real")
-    buf.push(Transition(np.zeros(2), np.zeros(1), 0.0, np.zeros(2), False, "real"))
-    model = wm.init_ensemble(SeededRng.from_seed(0), 2, 1, n_members=1)
+    buf = TransitionBuffer(10, 2, 1)
+    buf.push_batch(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros(1), np.zeros((1, 2)),
+                   np.zeros(1, dtype=bool))
+    model = wm.init_ensemble(np.random.default_rng(0), 2, 1, n_members=1)
     with pytest.raises(wm.NotEnoughData):
-        wm.train_ensemble(model, buf, wm.ModelTrainConfig(), SeededRng.from_seed(1))
+        wm.train_ensemble(model, buf, wm.ModelTrainConfig(), np.random.default_rng(1))
 
 
 def test_early_stopping_restores_best_holdout_params():
     buf, _ = _linear_system_buffer(n=1000)
-    rng = SeededRng.from_seed(4)
+    rng = np.random.default_rng(4)
     model = wm.init_ensemble(rng, 2, 1, hidden=(16,), n_members=1)
     cfg = wm.ModelTrainConfig(max_epochs=30, patience=3)
     holdout = wm.train_ensemble(model, buf, cfg, rng)
@@ -168,38 +167,38 @@ def test_early_stopping_restores_best_holdout_params():
 
 def test_predict_deterministic_and_seeded():
     buf, _ = _linear_system_buffer(n=1000)
-    rng = SeededRng.from_seed(5)
+    rng = np.random.default_rng(5)
     model = wm.init_ensemble(rng, 2, 1, hidden=(16,), n_members=2)
     wm.train_ensemble(model, buf, wm.ModelTrainConfig(max_epochs=5), rng)
     s, a = np.zeros((3, 2)), np.zeros((3, 1))
-    out1 = wm.predict(model, s, a, SeededRng.from_seed(7), _FakeEnv())
-    out2 = wm.predict(model, s, a, SeededRng.from_seed(7), _FakeEnv())
+    out1 = wm.predict(model, s, a, np.random.default_rng(7), _FakeEnv())
+    out2 = wm.predict(model, s, a, np.random.default_rng(7), _FakeEnv())
     assert np.array_equal(out1[0], out2[0])
     # deterministic mode ignores the Gaussian noise but still picks an elite
     # per transition from the same stream, so identical seeds reproduce
-    det1 = wm.predict(model, s, a, SeededRng.from_seed(8), _FakeEnv(), deterministic=True)
-    det2 = wm.predict(model, s, a, SeededRng.from_seed(8), _FakeEnv(), deterministic=True)
+    det1 = wm.predict(model, s, a, np.random.default_rng(8), _FakeEnv(), deterministic=True)
+    det2 = wm.predict(model, s, a, np.random.default_rng(8), _FakeEnv(), deterministic=True)
     assert np.array_equal(det1[0], det2[0])
     # with the noise path active but variances pushed to the floor, the
     # prediction collapses onto the mean head
     for member in model.members:
         member.max_logvar[:] = -60.0
         member.min_logvar[:] = -80.0
-    noisy = wm.predict(model, s, a, SeededRng.from_seed(8), _FakeEnv())
-    floor_det = wm.predict(model, s, a, SeededRng.from_seed(8), _FakeEnv(), deterministic=True)
+    noisy = wm.predict(model, s, a, np.random.default_rng(8), _FakeEnv())
+    floor_det = wm.predict(model, s, a, np.random.default_rng(8), _FakeEnv(), deterministic=True)
     assert np.allclose(noisy[0], floor_det[0], atol=1e-10)
 
 
 def test_predict_requires_trained_model():
-    model = wm.init_ensemble(SeededRng.from_seed(0), 2, 1, n_members=1)
+    model = wm.init_ensemble(np.random.default_rng(0), 2, 1, n_members=1)
     with pytest.raises(wm.UntrainedModel):
         wm.predict(model, np.zeros((1, 2)), np.zeros((1, 1)),
-                   SeededRng.from_seed(0), _FakeEnv())
+                   np.random.default_rng(0), _FakeEnv())
 
 
 def test_one_step_error_distribution_unimodal_near_zero():
     buf, (a_mat, b_mat, bias) = _linear_system_buffer()
-    rng = SeededRng.from_seed(6)
+    rng = np.random.default_rng(6)
     model = wm.init_ensemble(rng, 2, 1, hidden=(64, 64), n_members=2)
     wm.train_ensemble(model, buf, wm.ModelTrainConfig(max_epochs=40, patience=6), rng)
     test = buf.gather(np.arange(2000))
@@ -215,10 +214,10 @@ def test_one_step_error_distribution_unimodal_near_zero():
 
 def test_rollout_counts_without_termination():
     buf, _ = _linear_system_buffer(n=500)
-    rng = SeededRng.from_seed(7)
+    rng = np.random.default_rng(7)
     model = wm.init_ensemble(rng, 2, 1, hidden=(16,), n_members=2)
     wm.train_ensemble(model, buf, wm.ModelTrainConfig(max_epochs=3), rng)
-    out = TransitionBuffer(10_000, 2, 1, "imaginary")
+    out = TransitionBuffer(10_000, 2, 1)
     act = lambda s, r: np.zeros((s.shape[0], 1))
     n = wm.generate_rollouts(model, act, buf, k=1, branches=7, rng=rng,
                              buffer=out, env=_FakeEnv())
@@ -235,10 +234,10 @@ def test_rollout_skips_terminal_start_states():
             return np.ones(np.atleast_2d(s).shape[0], dtype=bool)
 
     buf, _ = _linear_system_buffer(n=300)
-    rng = SeededRng.from_seed(8)
+    rng = np.random.default_rng(8)
     model = wm.init_ensemble(rng, 2, 1, hidden=(8,), n_members=1)
     wm.train_ensemble(model, buf, wm.ModelTrainConfig(max_epochs=2), rng)
-    out = TransitionBuffer(100, 2, 1, "imaginary")
+    out = TransitionBuffer(100, 2, 1)
     n = wm.generate_rollouts(model, lambda s, r: np.zeros((s.shape[0], 1)), buf,
                              k=3, branches=5, rng=rng, buffer=out, env=AlwaysDone())
     assert n == 0
@@ -246,22 +245,21 @@ def test_rollout_skips_terminal_start_states():
 
 def test_rollout_requires_trained_model():
     buf, _ = _linear_system_buffer(n=100)
-    model = wm.init_ensemble(SeededRng.from_seed(0), 2, 1, n_members=1)
-    out = TransitionBuffer(100, 2, 1, "imaginary")
+    model = wm.init_ensemble(np.random.default_rng(0), 2, 1, n_members=1)
+    out = TransitionBuffer(100, 2, 1)
     with pytest.raises(wm.UntrainedModel):
         wm.generate_rollouts(model, lambda s, r: np.zeros((s.shape[0], 1)), buf,
-                             k=1, branches=1, rng=SeededRng.from_seed(1),
+                             k=1, branches=1, rng=np.random.default_rng(1),
                              buffer=out, env=_FakeEnv())
 
 
 def test_histogram_perfect_model_mass_in_first_bin():
     # hand-built exact predictor for s' = s dynamics: mean head outputs 0
     n = 400
-    buf = TransitionBuffer(n, 1, 1, "real")
-    rng = SeededRng.from_seed(9)
-    for _ in range(n):
-        s = rng.uniform(-1, 1, size=1)
-        buf.push(Transition(s, np.zeros(1), 0.0, s, False, "real"))  # s' = s
+    buf = TransitionBuffer(n, 1, 1)
+    rng = np.random.default_rng(9)
+    s = rng.uniform(-1, 1, size=(n, 1))
+    buf.push_batch(s, np.zeros((n, 1)), np.zeros(n), s, np.zeros(n, dtype=bool))  # s' = s
     model = wm.init_ensemble(rng, 1, 1, hidden=(16,), n_members=1)
     member = model.members[0]
     member.net.weights[-1][:] = 0.0
@@ -276,16 +274,16 @@ def test_histogram_perfect_model_mass_in_first_bin():
 def test_train_ensemble_pinned_bits():
     """One train_ensemble with early stopping and best-epoch restore; values
     recorded before the parameters became one flat vector per member."""
-    model = wm.init_ensemble(SeededRng.from_seed(24), 4, 2, hidden=(32, 32), n_members=5)
-    g = SeededRng.from_seed(25)
+    model = wm.init_ensemble(np.random.default_rng(24), 4, 2, hidden=(32, 32), n_members=5)
+    g = np.random.default_rng(25)
     n = 300
-    d_env = TransitionBuffer(1000, 4, 2, "real")
+    d_env = TransitionBuffer(1000, 4, 2)
     s = g.normal(size=(n, 4))
     a = g.uniform(-1, 1, (n, 2))
     s2 = s + 0.1 * a.sum(axis=1, keepdims=True) + 0.01 * g.normal(size=(n, 4))
     d_env.push_batch(s, a, -(s2 ** 2).sum(axis=1), s2, np.zeros(n, dtype=bool))
     cfg = wm.ModelTrainConfig(max_epochs=40, patience=2, improvement_tol=0.05, minibatch=64)
-    hold = wm.train_ensemble(model, d_env, cfg, SeededRng.from_seed(26))
+    hold = wm.train_ensemble(model, d_env, cfg, np.random.default_rng(26))
     assert [h.hex() for h in hold] == [
         "-0x1.0965773851237p+2", "-0x1.7202f57cee01fp+1", "-0x1.cf5889c1a4496p-1",
         "-0x1.5fce1f2cf381cp+1", "-0x1.39763f58f8c97p+0"]
@@ -307,7 +305,7 @@ def _reference_train(model, d_env, config, rng):
     n = len(d_env)
     data = d_env.gather(np.arange(n))
     x_all, y_all = wm._inputs(data), wm._targets(data)
-    perm = rng.gen.permutation(n)
+    perm = rng.permutation(n)
     n_hold = max(1, int(round(n * config.holdout_fraction)))
     hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
     x_hold, y_hold = x_all[hold_idx], y_all[hold_idx]
@@ -316,7 +314,7 @@ def _reference_train(model, d_env, config, rng):
     holdout = np.zeros(model.n_members)
     epochs_run = [0] * model.n_members
     adams = []
-    for m_idx, (member, mrng) in enumerate(zip(model.members, rng.split(model.n_members))):
+    for m_idx, (member, mrng) in enumerate(zip(model.members, rng.spawn(model.n_members))):
         boot = mrng.integers(0, n_train, size=n_train)
         xb, yb = x_train[boot], y_train[boot]
         adam = wm.AdamState.for_theta(member.theta, lr=config.lr)
@@ -326,7 +324,7 @@ def _reference_train(model, d_env, config, rng):
         bad_epochs = 0
         for _ in range(config.max_epochs):
             epochs_run[m_idx] += 1
-            order = mrng.gen.permutation(n_train)
+            order = mrng.permutation(n_train)
             for lo in range(0, n_train, config.minibatch):
                 sel = order[lo:lo + config.minibatch]
                 try:
@@ -355,8 +353,8 @@ def _reference_train(model, d_env, config, rng):
 
 
 def _training_data(n):
-    g = SeededRng.from_seed(25)
-    d_env = TransitionBuffer(1000, 4, 2, "real")
+    g = np.random.default_rng(25)
+    d_env = TransitionBuffer(1000, 4, 2)
     s = g.normal(size=(n, 4))
     a = g.uniform(-1, 1, (n, 2))
     s2 = s + 0.1 * a.sum(axis=1, keepdims=True) + 0.01 * g.normal(size=(n, 4))
@@ -388,10 +386,10 @@ def test_stacked_training_matches_per_member_loop_bit_for_bit(members, n, miniba
     d_env = _training_data(n)
     cfg = wm.ModelTrainConfig(max_epochs=max_epochs, patience=patience,
                               improvement_tol=0.05, minibatch=minibatch)
-    model, ref = (wm.init_ensemble(SeededRng.from_seed(24), 4, 2, hidden=(32, 32),
+    model, ref = (wm.init_ensemble(np.random.default_rng(24), 4, 2, hidden=(32, 32),
                                    n_members=members) for _ in range(2))
-    hold = wm.train_ensemble(model, d_env, cfg, SeededRng.from_seed(26))
-    _reference_train(ref, d_env, cfg, SeededRng.from_seed(26))
+    hold = wm.train_ensemble(model, d_env, cfg, np.random.default_rng(26))
+    _reference_train(ref, d_env, cfg, np.random.default_rng(26))
     assert hold is model.holdout_losses
     _assert_same_training(model, ref)
     if patience == 1 and members > 1:
@@ -425,14 +423,14 @@ def _poison_one_step(monkeypatch, member, step):
 def test_non_finite_gradient_rejects_only_its_members_step(monkeypatch, caplog):
     d_env = _training_data(300)
     cfg = wm.ModelTrainConfig(max_epochs=40, patience=2, improvement_tol=0.05, minibatch=64)
-    models = [wm.init_ensemble(SeededRng.from_seed(24), 4, 2, hidden=(32, 32), n_members=5)
+    models = [wm.init_ensemble(np.random.default_rng(24), 4, 2, hidden=(32, 32), n_members=5)
               for _ in range(3)]
     clean, poisoned, ref = models
-    wm.train_ensemble(clean, d_env, cfg, SeededRng.from_seed(26))
+    wm.train_ensemble(clean, d_env, cfg, np.random.default_rng(26))
 
     states, calls = _poison_one_step(monkeypatch, member=2, step=3)
     with caplog.at_level("WARNING", logger=wm.__name__):
-        wm.train_ensemble(poisoned, d_env, cfg, SeededRng.from_seed(26))
+        wm.train_ensemble(poisoned, d_env, cfg, np.random.default_rng(26))
     rejected = [r for r in caplog.records if r.getMessage().startswith("model step rejected")]
     assert len(rejected) == 1 and "entry 3" in rejected[0].getMessage()
     assert poisoned.last_steps_rejected == [0, 0, 1, 0, 0]
@@ -450,6 +448,6 @@ def test_non_finite_gradient_rejects_only_its_members_step(monkeypatch, caplog):
     # the per-member loop under the same fault lands on the same bits
     monkeypatch.undo()
     _, ref_calls = _poison_one_step(monkeypatch, member=2, step=3)
-    adams = _reference_train(ref, d_env, cfg, SeededRng.from_seed(26))
+    adams = _reference_train(ref, d_env, cfg, np.random.default_rng(26))
     _assert_same_training(poisoned, ref)
     assert [a.t for a in adams] == [s.t for s in states] and ref_calls == calls

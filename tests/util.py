@@ -53,6 +53,17 @@ def crash_hyper_episode_at(monkeypatch, seed, n_real):
     monkeypatch.setattr(mbpo, "mbpo_step", step)
 
 
+def random_policy_columns(env, rng, n):
+    """n real steps of a uniformly random policy, resetting at termination,
+    as the columns (s, a, r, s2, done) that TransitionBuffer.push_batch takes."""
+    rows, s = [], env.reset(rng)
+    for _ in range(n):
+        a, r, s2, done = env.step(s, rng.uniform(-1, 1, size=env.spec.action_dim))
+        rows.append((s, a, r, s2, done))
+        s = env.reset(rng) if done else s2
+    return tuple(np.array(column) for column in zip(*rows))
+
+
 def assert_grads_close(analytic, numeric, rtol=1e-4, floor=1e-7):
     """Relative error <= rtol componentwise, with an absolute floor below
     which both gradients count as zero."""
