@@ -17,11 +17,18 @@ the best beta toward 1.
 Run:  python3 demos/fvi_tradeoff.py [--sigma 0.05] [--seeds 5] [--fast]
 """
 
-import argparse
+import os
 
-import numpy as np
+# one BLAS thread per process unless the caller chose otherwise, set before
+# numpy loads, as the `mbrlab` CLI does
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from mbrlab import fvi
+import argparse  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from mbrlab import fvi  # noqa: E402
 
 
 def main():

@@ -10,12 +10,19 @@ step at this scale; SAC(20) shows what raw update count alone does.
 Run:  python3 demos/mbpo_vs_sac.py [--episodes 8] [--seed 0]
 """
 
-import argparse
+import os
 
-from mbrlab.config import RunConfig
-from mbrlab.harness import run_mbpo_mode
-from mbrlab.hyper_mdp import HyperMdpConfig
-from mbrlab.mbpo import MbpoConfig
+# one BLAS thread per process unless the caller chose otherwise, set before
+# numpy loads, as the `mbrlab` CLI does
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+
+from mbrlab.config import RunConfig  # noqa: E402
+from mbrlab.harness import run_mbpo_mode  # noqa: E402
+from mbrlab.hyper_mdp import HyperMdpConfig  # noqa: E402
+from mbrlab.mbpo import MbpoConfig  # noqa: E402
 
 
 def main():

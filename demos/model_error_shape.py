@@ -10,11 +10,18 @@ Kolmogorov-Smirnov distance to its analytic CDF.
 Run:  python3 demos/model_error_shape.py
 """
 
-import numpy as np
+import os
 
-from mbrlab import fvi, world_model as wm
-from mbrlab.buffers import TransitionBuffer
-from mbrlab.envs import make_env
+# one BLAS thread per process unless the caller chose otherwise, set before
+# numpy loads, as the `mbrlab` CLI does
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from mbrlab import fvi, world_model as wm  # noqa: E402
+from mbrlab.buffers import TransitionBuffer  # noqa: E402
+from mbrlab.envs import make_env  # noqa: E402
 
 
 def bar(frac, width=50):

@@ -13,15 +13,22 @@ protocol.
 Run:  python3 demos/schedule_controller.py [--hyper-episodes 12] [--m 3]
 """
 
-import argparse
+import os
 
-import numpy as np
+# one BLAS thread per process unless the caller chose otherwise, set before
+# numpy loads, as the `mbrlab` CLI does
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from mbrlab import controller as ctrl
-from mbrlab import harness
-from mbrlab.config import RunConfig
-from mbrlab.hyper_mdp import HyperMdpConfig
-from mbrlab.mbpo import MbpoConfig
+import argparse  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from mbrlab import controller as ctrl  # noqa: E402
+from mbrlab import harness  # noqa: E402
+from mbrlab.config import RunConfig  # noqa: E402
+from mbrlab.hyper_mdp import HyperMdpConfig  # noqa: E402
+from mbrlab.mbpo import MbpoConfig  # noqa: E402
 
 
 def main():

@@ -7,13 +7,21 @@ Failures exit nonzero with a machine-readable error record on stderr.
 
 from __future__ import annotations
 
-import argparse
-import json
-import logging
-import sys
+import os
 
-from . import config as config_mod
-from . import harness
+# one BLAS thread per process unless the caller chose otherwise, set before
+# numpy loads: subcommands fork workers, which is unsafe with BLAS threads
+# alive, and a multi-threaded BLAS makes results depend on the core count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import logging  # noqa: E402
+import sys  # noqa: E402
+
+from . import config as config_mod  # noqa: E402
+from . import harness  # noqa: E402
 
 
 def _load_config(path):

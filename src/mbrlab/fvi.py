@@ -9,6 +9,7 @@ beta moves as the real-sample budget grows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -16,15 +17,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import workers
+
 
 logger = logging.getLogger(__name__)
 
 
-def _bump_reward(center: np.ndarray):
-    def reward(states, a_idx):
-        d2 = ((states - center) ** 2).sum(axis=-1)
-        return np.exp(-d2 / 0.02)
-    return reward
+def _bump(center: np.ndarray, states: np.ndarray, a_idx: int) -> np.ndarray:
+    """Gaussian reward bump at `center`, whatever the action."""
+    d2 = ((states - center) ** 2).sum(axis=-1)
+    return np.exp(-d2 / 0.02)
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,8 @@ class FviMdp:
     """Deterministic MDP on the unit box with a finite action set.
 
     Transitions are clipped displacements; reward_fn(states, a_idx) must stay
-    within [0, r_max].
+    within [0, r_max], and must pickle for `beta_sweep` to send the MDP to its
+    workers.
     """
 
     name: str
@@ -62,7 +65,7 @@ def line_world() -> FviMdp:
     return FviMdp(
         name="LineWorld", dim=1,
         actions=0.05 * np.array([[-1.0], [0.0], [1.0]]),
-        gamma=0.95, r_max=1.0, reward_fn=_bump_reward(np.array([0.8])),
+        gamma=0.95, r_max=1.0, reward_fn=functools.partial(_bump, np.array([0.8])),
     )
 
 
@@ -72,7 +75,7 @@ def grid_world_2d() -> FviMdp:
         name="GridWorld2D", dim=2,
         actions=0.05 * np.array(
             [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-        gamma=0.95, r_max=1.0, reward_fn=_bump_reward(np.array([0.7, 0.3])),
+        gamma=0.95, r_max=1.0, reward_fn=functools.partial(_bump, np.array([0.7, 0.3])),
     )
 
 
@@ -339,6 +342,12 @@ class FviConfig:
             raise ValueError("beta must lie in [0, 1]")
         if self.sigma < 0 or self.n_states < 1 or self.iterations < 0:
             raise ValueError("invalid FVI configuration")
+        if self.p not in (1.0, 2.0):
+            raise ValueError(f"p {self.p} is not 1 or 2")
+        if self.grid_size < 2:
+            raise ValueError(f"grid_size {self.grid_size} is below 2")
+        if self.n_eval < 1:
+            raise ValueError(f"n_eval {self.n_eval} is below 1")
 
 
 @dataclass
@@ -378,6 +387,11 @@ def _fit_and_score(mdp: FviMdp, config: FviConfig, eval_states: np.ndarray,
     return FviResult(value_fn=v, discrepancy=disc, config=config)
 
 
+def _sweep_cell(mdp: FviMdp, cell) -> float:
+    """The discrepancy of one sweep cell: (config, eval_states, v_star)."""
+    return _fit_and_score(mdp, *cell).discrepancy
+
+
 def states_per_iteration(n_real: float, beta: float, n_actions: int) -> int:
     """Invert N_real = N * |A| * beta (expected real samples per iteration)."""
     return max(1, int(round(n_real / (beta * n_actions))))
@@ -392,36 +406,45 @@ def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: in
     Returns rows (beta, n_real, sigma, iterations, seed, discrepancy), a per
     (n_real, beta) mean/std table, the argmin beta per N_real row, and a
     bootstrap-over-seeds estimate of how often the argmin curve is
-    non-decreasing in N_real. Every beta must lie in (0, 1] and every N_real
-    be >= 1; a bad grid value raises ValueError before any work.
+    non-decreasing in N_real. Every beta must lie in (0, 1], every N_real be
+    >= 1, every cell's FviConfig be valid, and there must be at least one
+    seed and one bootstrap draw; otherwise ValueError is raised before any
+    work. The cells run on `workers.map_units`, so `mdp` must pickle; each
+    owns its seed's streams, and the results do not depend on the worker count.
     """
     beta_grid = list(beta_grid)
     n_real_grid = list(n_real_grid)
+    seeds = list(seeds)
     for beta in beta_grid:
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta {beta} is outside (0, 1]")
     for n_real in n_real_grid:
         if not n_real >= 1:
             raise ValueError(f"N_real {n_real} is below 1")
+    if not seeds:
+        raise ValueError("the sweep has no seeds")
+    if n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap {n_bootstrap} is below 1")
     base = base or FviConfig()
+    rows, cells = [], []
+    for n_real, beta in itertools.product(n_real_grid, beta_grid):
+        n_states = states_per_iteration(n_real, beta, mdp.n_actions)
+        for seed in seeds:
+            cfg = replace(base, beta=beta, sigma=sigma, n_states=n_states,
+                          iterations=iterations, seed=seed)
+            cfg.validate()
+            cells.append(cfg)
+            rows.append({"beta": beta, "n_real": n_real, "sigma": sigma,
+                         "iterations": iterations, "seed": seed})
     oracle = oracle or exact_vi(mdp)
-    seeds = list(seeds)
-    rows = []
-    disc = np.zeros((len(n_real_grid), len(beta_grid), len(seeds)))
-    # the oracle side of every cell of a seed, scored once per sweep
+    # the oracle side of every cell of a seed, scored once per sweep; each cell
+    # carries only its own seed's arrays to its worker
     scored = [_oracle_scores(mdp, replace(base, seed=seed), oracle) for seed in seeds]
-    for i, n_real in enumerate(n_real_grid):
-        for j, beta in enumerate(beta_grid):
-            n_states = states_per_iteration(n_real, beta, mdp.n_actions)
-            for k, seed in enumerate(seeds):
-                cfg = replace(base, beta=beta, sigma=sigma, n_states=n_states,
-                              iterations=iterations, seed=seed)
-                cfg.validate()
-                d = _fit_and_score(mdp, cfg, *scored[k]).discrepancy
-                disc[i, j, k] = d
-                rows.append({"beta": beta, "n_real": n_real, "sigma": sigma,
-                             "iterations": iterations, "seed": seed,
-                             "discrepancy": d})
+    flat = workers.map_units(functools.partial(_sweep_cell, mdp),
+                             [(cfg, *scored[i % len(seeds)]) for i, cfg in enumerate(cells)])
+    for row, d in zip(rows, flat):
+        row["discrepancy"] = d
+    disc = np.reshape(flat, (len(n_real_grid), len(beta_grid), len(seeds)))
     mean = disc.mean(axis=2)
     std = disc.std(axis=2)
     argmin_beta = [beta_grid[int(np.argmin(mean[i]))] for i in range(len(n_real_grid))]

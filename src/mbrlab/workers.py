@@ -1,9 +1,10 @@
 """Independent units of work mapped over forked worker processes.
 
-A unit is one hyper-episode or one seed's run. Each unit owns its random
-streams, so its result does not depend on which process computes it or on
-how many run beside it. Workers are forked: they inherit the imported modules
-and start at once, and the pool forks them before it starts its own thread.
+A unit is one hyper-episode, one seed's run or one FVI sweep cell. Each unit
+owns its random streams, so its result does not depend on which process
+computes it or on how many run beside it. Workers are forked: they inherit the
+imported modules and start at once, and the pool forks them before it starts
+its own thread.
 BLAS must run one thread per process (OPENBLAS_NUM_THREADS=1 before numpy
 loads) for runs to be bit-reproducible and for the fork to be safe.
 """

@@ -1,11 +1,14 @@
 import hashlib
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
 from dataclasses import replace
 from scipy.special import erf
 
-from mbrlab import fvi
+from mbrlab import fvi, workers
 
 from util import greedy_actions
 
@@ -243,22 +246,30 @@ def test_beta_sweep_row_count_and_schema():
 
 
 
-@pytest.mark.parametrize("beta_grid, n_real_grid, bad", [
-    ([0.5, 0.0], [64], "beta 0.0"),
-    ([0.5, 1.5], [64], "beta 1.5"),
-    ([0.5, -0.1], [64], "beta -0.1"),
-    ([0.5, 1.0], [64, 0], "N_real 0"),
-], ids=["beta-zero", "beta-above-one", "beta-negative", "n-real-zero"])
-def test_beta_sweep_checks_its_grids_before_any_work(monkeypatch, beta_grid, n_real_grid, bad):
+@pytest.mark.parametrize("sweep_args, bad", [
+    ({"beta_grid": [0.5, 0.0]}, "beta 0.0"),
+    ({"beta_grid": [0.5, 1.5]}, "beta 1.5"),
+    ({"beta_grid": [0.5, -0.1]}, "beta -0.1"),
+    ({"n_real_grid": [64, 0]}, "N_real 0"),
+    ({"seeds": []}, "no seeds"),
+    ({"n_bootstrap": 0}, "n_bootstrap 0"),
+    ({"base": fvi.FviConfig(p=3.0)}, "p 3.0"),
+    ({"base": fvi.FviConfig(grid_size=1)}, "grid_size 1"),
+    ({"base": fvi.FviConfig(n_eval=0)}, "n_eval 0"),
+], ids=["beta-zero", "beta-above-one", "beta-negative", "n-real-zero", "no-seeds",
+        "no-bootstrap", "p-three", "grid-size-one", "n-eval-zero"])
+def test_beta_sweep_checks_its_grids_before_any_work(monkeypatch, sweep_args, bad):
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep ran before checking its grids")
 
     monkeypatch.setattr(fvi, "exact_vi", no_work)
     monkeypatch.setattr(fvi, "_fit_and_score", no_work)
     monkeypatch.setattr(fvi, "_oracle_scores", no_work)
+    kwargs = {"beta_grid": [0.5, 1.0], "n_real_grid": [64], "sigma": 0.0,
+              "iterations": 3, "seeds": [0], "n_bootstrap": 5, **sweep_args}
     with pytest.raises(ValueError, match=bad):
-        fvi.beta_sweep(fvi.line_world(), beta_grid, n_real_grid, sigma=0.0,
-                       iterations=3, seeds=[0], n_bootstrap=5)
+        fvi.beta_sweep(fvi.line_world(), **kwargs)
+
 
 # ----------------------------------------------------------------- histogram
 
@@ -415,25 +426,74 @@ def test_beta_sweep_scores_oracle_once_per_seed(monkeypatch):
     mdp = fvi.line_world()
     oracle = fvi.exact_vi(mdp, fine_grid_size=64, n_eval=32)
     base = fvi.FviConfig(grid_size=16, n_eval=32)
-    calls = []
+    oracle_calls = []
     real_policy_return = fvi.policy_return
 
     def counting(mdp_, value_fn, states, horizon=None):
-        calls.append(value_fn is oracle.value_fn)
+        # cells may run in forked workers, whose appends the test never sees:
+        # a cell that scores the oracle raises there, and surfaces here
+        if value_fn is oracle.value_fn:
+            if multiprocessing.parent_process() is not None:
+                raise AssertionError("a sweep cell scored the oracle")
+            oracle_calls.append(states.shape[0])
         return real_policy_return(mdp_, value_fn, states, horizon)
 
     monkeypatch.setattr(fvi, "policy_return", counting)
     sweeps = [fvi.beta_sweep(mdp, [0.5, 1.0], [64, 128], sigma=0.1, iterations=3,
                              seeds=[3, 5, 7], base=base, oracle=oracle, n_bootstrap=5)
               for _ in range(2)]
-    # 3 oracle calls and 12 cell calls per sweep; nothing carries over
-    assert sum(calls) == 2 * 3 and len(calls) == 2 * (3 + 12)
+    # 3 oracle scorings per sweep, all in this process; nothing carries over
+    assert oracle_calls == [32] * (2 * 3)
     assert sweeps[0]["rows"] == sweeps[1]["rows"]
     for row in sweeps[0]["rows"]:
         cfg = replace(base, beta=row["beta"], sigma=row["sigma"], seed=row["seed"],
                       iterations=row["iterations"],
                       n_states=fvi.states_per_iteration(row["n_real"], row["beta"], 3))
         assert fvi.run_fvi(mdp, cfg, oracle).discrepancy == row["discrepancy"]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable cores for worker processes")
+def test_beta_sweep_on_workers_equals_inline_sweep(monkeypatch):
+    mdp = fvi.line_world()
+    oracle = fvi.exact_vi(mdp, fine_grid_size=96, n_eval=64)
+
+    def sweep():
+        return fvi.beta_sweep(mdp, [0.1, 0.4, 1.0], [128, 512], sigma=0.05,
+                              iterations=6, seeds=[0, 1, 2],
+                              base=fvi.FviConfig(grid_size=24, n_eval=64),
+                              oracle=oracle, n_bootstrap=20)
+
+    cells_in = []
+    real_fit_and_score = fvi._fit_and_score
+
+    def noting_pid(*args):
+        cells_in.append(os.getpid())
+        return real_fit_and_score(*args)
+
+    monkeypatch.setattr(fvi, "_fit_and_score", noting_pid)
+    on_workers = sweep()
+    assert cells_in == []  # every cell ran in a worker
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: {0})
+    inline = sweep()
+    assert cells_in == [os.getpid()] * 18
+    assert [r["discrepancy"].hex() for r in on_workers["rows"]] == \
+        [r["discrepancy"].hex() for r in inline["rows"]]
+    assert on_workers["rows"] == inline["rows"]
+    for key in ("mean", "std"):
+        assert on_workers[key].tobytes() == inline[key].tobytes()
+    assert on_workers["argmin_beta"] == inline["argmin_beta"]
+    assert on_workers["bootstrap_monotone_frac"] == inline["bootstrap_monotone_frac"]
+
+
+@pytest.mark.parametrize("mdp_fn", [fvi.line_world, fvi.grid_world_2d])
+def test_mdp_pickles_with_bit_equal_rewards(mdp_fn):
+    mdp = mdp_fn()
+    copy = pickle.loads(pickle.dumps(mdp))
+    states = np.random.default_rng(60).uniform(size=(500, mdp.dim))
+    for a in range(mdp.n_actions):
+        assert copy.reward(states, a).tobytes() == mdp.reward(states, a).tobytes()
+    assert copy.actions.tobytes() == mdp.actions.tobytes()
 
 
 def _reference_basis(states, grid_size):

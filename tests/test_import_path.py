@@ -4,15 +4,21 @@ so every CLI call and every worker process starts without it. Nor does it
 load `multiprocessing` or `concurrent.futures`: `workers.map_units` imports
 them only when it starts workers. No function imports an mbrlab module, so
 the module graph is what the module-level imports say. Every random stream
-is a Generator from `np.random.default_rng`, spawned from a run's root."""
+is a Generator from `np.random.default_rng`, spawned from a run's root. The
+CLI and the demos pin BLAS to one thread before numpy loads."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC_DIR = ROOT / "src"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _CHILD = """
 import importlib, json, pkgutil, sys
@@ -90,3 +96,32 @@ def test_streams_come_only_from_default_rng():
             if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
                 found.append(f"{path.name}:{node.lineno} from numpy.random import")
     assert not found, f"streams not from np.random.default_rng: {found}"
+
+
+_PIN_CHILD = """
+import json, os, runpy, sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "cli":
+    import mbrlab.cli
+else:
+    runpy.run_path(sys.argv[2])  # the top level only: __name__ is not "__main__"
+import numpy as np
+a = np.ones((256, 256))
+a @ a
+with open("/proc/self/status") as f:
+    threads = int(f.read().split("Threads:")[1].split()[0])
+print(json.dumps({"env": [os.environ.get(v) for v in sys.argv[3:]], "threads": threads}))
+"""
+
+
+@pytest.mark.parametrize("entry", ["cli"] + sorted(
+    str(p.relative_to(ROOT)) for p in (ROOT / "demos").glob("*.py")))
+def test_cli_and_demos_pin_blas_to_one_thread(entry):
+    # the suite pins BLAS itself, so the child starts without the variables
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    res = subprocess.run([sys.executable, "-c", _PIN_CHILD, str(SRC_DIR), entry, *BLAS_VARS],
+                         capture_output=True, text=True, cwd=ROOT, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["env"] == ["1"] * len(BLAS_VARS)
+    assert out["threads"] == 1  # no BLAS thread beside the main one after a gemm
