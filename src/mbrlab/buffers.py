@@ -7,18 +7,9 @@ capacity is reached.
 
 from __future__ import annotations
 
-import mmap
-
 import numpy as np
 
-
-def _zeros(shape, dtype=np.float64) -> np.ndarray:
-    """Zeros on an anonymous mapping of their own: only written pages become
-    resident and a freed buffer returns to the system, whatever the heap
-    layout (np.zeros may reuse freed heap and then write all of it)."""
-    count = int(np.prod(shape))
-    mapping = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
-    return np.frombuffer(mapping, dtype=dtype, count=count).reshape(shape)
+from .nets import mapped_zeros
 
 
 class TransitionBuffer:
@@ -26,14 +17,14 @@ class TransitionBuffer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.s = _zeros((capacity, state_dim))
-        self.a = _zeros((capacity, action_dim))
-        self.r = _zeros(capacity)
-        self.s2 = _zeros((capacity, state_dim))
-        self.done = _zeros(capacity, dtype=bool)
+        self.s = mapped_zeros((capacity, state_dim))
+        self.a = mapped_zeros((capacity, action_dim))
+        self.r = mapped_zeros(capacity)
+        self.s2 = mapped_zeros((capacity, state_dim))
+        self.done = mapped_zeros(capacity, dtype=bool)
         # behavior-policy density of a given s at collection time (real data
         # only; used by the policy-change feature)
-        self.behavior_density = _zeros(capacity)
+        self.behavior_density = mapped_zeros(capacity)
         self.cursor = 0
         self.size = 0
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .controller import PpoConfig
+from .fvi import MDPS
 from .hyper_mdp import HyperMdpConfig
 from .mbpo import MbpoConfig
 from .world_model import ModelTrainConfig
@@ -37,6 +38,10 @@ class FviSweepConfig:
     n_eval: int = 512
     p: float = 2.0
     n_bootstrap: int = 20
+
+    def validate(self):
+        if self.mdp not in MDPS:
+            raise ConfigError(f"fvi.mdp {self.mdp!r} is not one of {sorted(MDPS)}")
 
 
 @dataclass

@@ -79,6 +79,9 @@ def grid_world_2d() -> FviMdp:
     )
 
 
+MDPS = {"lineworld": line_world, "gridworld2d": grid_world_2d}  # config name -> constructor
+
+
 # ---------------------------------------------------------------------------
 # Piecewise-multilinear value functions on a uniform knot grid
 # ---------------------------------------------------------------------------

@@ -126,9 +126,10 @@ def _finish(manifest: ExperimentManifest, directory: Path, artifacts) -> dict:
 # ------------------------------------------------------------------ fvi-sweep
 
 def cmd_fvi_sweep(config: RunConfig) -> dict:
-    manifest, directory = new_experiment(config, "fvi-sweep")
     fc = config.fvi
-    mdp = fvi.line_world() if fc.mdp == "lineworld" else fvi.grid_world_2d()
+    fc.validate()
+    manifest, directory = new_experiment(config, "fvi-sweep")
+    mdp = fvi.MDPS[fc.mdp]()
     base = fvi.FviConfig(grid_size=fc.grid_size, n_eval=fc.n_eval, p=fc.p)
     out = fvi.beta_sweep(mdp, list(fc.beta_grid), list(fc.n_real_grid), fc.sigma,
                          fc.iterations, range(fc.n_seeds), base=base,

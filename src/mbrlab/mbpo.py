@@ -128,7 +128,7 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
         a = run.rng_explore.uniform(env.spec.action_low, env.spec.action_high)
         density = _uniform_density(env)
     else:
-        a_batch, _, _ = run.agent.actor.sample(run.cur_state[None, :], run.rng_act)
+        a_batch = run.agent.actor.action(run.cur_state[None, :], run.rng_act)
         a = a_batch[0]
         # record the behavior density through the same evaluator the
         # policy-change feature uses, so an unchanged policy gives a gap of 0
@@ -158,10 +158,9 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
     # branched short rollouts from real states
     rollouts_added = 0
     if run.model.trained and not warmup:
-        act_fn = lambda s, rng: run.agent.actor.sample(s, rng)[0]
         rollouts_added = world_model.generate_rollouts(
-            run.model, act_fn, run.d_env, k=hyper.k, branches=cfg.rollout_branches,
-            rng=run.rng_rollout, buffer=run.d_model, env=env)
+            run.model, run.agent.actor.action, run.d_env, k=hyper.k,
+            branches=cfg.rollout_branches, rng=run.rng_rollout, buffer=run.d_model, env=env)
 
     # G gradient updates on the beta-mixed batch; beta forced to 1 until
     # imaginary data exists

@@ -9,6 +9,7 @@ machinery.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,12 @@ class ContractViolation(ValueError):
 
 
 class NonFiniteGradient(FloatingPointError):
-    """An optimizer step was handed a NaN/inf gradient; the step was rejected."""
+    """An optimizer step was handed a NaN/inf gradient; the step was rejected.
+    `rows` lists the rejected rows of a stacked step (None otherwise)."""
+
+    def __init__(self, message: str, rows: np.ndarray | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -148,6 +154,16 @@ def forward(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     return y[0] if was_1d else y
 
 
+def mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
+    """Zeros on an anonymous mapping of their own: only written pages become
+    resident and a freed array returns to the system, whatever the heap
+    layout (np.zeros may reuse freed heap and then write all of it), and
+    freeing it leaves the allocator's mmap threshold where it was."""
+    count = int(np.prod(shape))
+    mapping = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(mapping, dtype=dtype, count=count).reshape(shape)
+
+
 class Workspace:
     """Preallocated per-layer arrays for `forward_cache` and
     `backward_from_cache` at one leading shape and batch size.
@@ -164,13 +180,15 @@ class Workspace:
 
     @classmethod
     def for_net(cls, net: DenseNet, lead: tuple, rows: int) -> "Workspace":
-        # one allocation carved into contiguous buffers: one long-lived heap
+        # one mapping carved into contiguous buffers: one long-lived heap
         # block per buffer fragmented the heap of a process that builds many
-        # runs, and its peak RSS rose by ~12 MB in half the runs
+        # runs, and its peak RSS rose by ~12 MB in half the runs; a
+        # short-lived heap block raised glibc's mmap threshold when freed,
+        # and a model-heavy run's peak RSS by ~0.7 MB
         outs, ins = net.sizes[1:], net.sizes[:-1]
         widths = (*outs, *outs, *outs, *ins)
         size = int(np.prod(lead, dtype=int)) * rows
-        block = np.empty(size * sum(widths))
+        block = mapped_zeros(size * sum(widths))
         bufs = [b.reshape(*lead, rows, w) for b, w in
                 zip(np.split(block, np.cumsum([size * w for w in widths])[:-1]), widths)]
         k = len(outs)
@@ -254,33 +272,65 @@ def backward(net: DenseNet, batch: np.ndarray, upstream_grad: np.ndarray) -> tup
 
 @dataclass
 class AdamState:
+    """Adam moments for a theta of the same shape. With `t` an int array of
+    shape (E,) it is a stack: row i of theta (axis 0) is its own Adam run
+    with step count t[i] (see `adam_step`); `rows` selects some of them."""
+
     m: np.ndarray
     v: np.ndarray
     lr: float
-    t: int = 0
+    t: int | np.ndarray = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def for_theta(cls, theta: np.ndarray, lr: float) -> "AdamState":
-        return cls(np.zeros_like(theta), np.zeros_like(theta), lr)
+    def for_theta(cls, theta: np.ndarray, lr: float, stacked: bool = False) -> "AdamState":
+        t = np.zeros(len(theta), dtype=int) if stacked else 0
+        return cls(np.zeros_like(theta), np.zeros_like(theta), lr, t)
+
+    def rows(self, index) -> "AdamState":
+        return AdamState(self.m[index], self.v[index], self.lr, self.t[index],
+                         self.beta1, self.beta2, self.eps)
+
+
+def _first_bad(grad: np.ndarray) -> int:
+    return int(np.argmin(np.isfinite(grad)))
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray) -> None:
     """One bias-corrected Adam update of theta, m and v, all in place.
 
     A non-finite gradient rejects the whole step before anything is written
-    (theta and state untouched) and names the first offending entry.
+    (theta and state untouched) and names the first offending entry. A
+    stacked state steps every row whose gradient is finite, bit for bit as
+    that row's own `adam_step` would, then raises for the other rows, which
+    are left untouched; the error's `rows` lists them.
     """
     if not (grad.shape == theta.shape == state.m.shape):
         raise ContractViolation(f"gradient {grad.shape} != theta {theta.shape} or Adam state")
+    stacked = np.ndim(state.t) == 1
     if not np.isfinite(grad).all():
-        raise NonFiniteGradient(f"non-finite gradient at entry {int(np.argmin(np.isfinite(grad)))}")
+        if not stacked:
+            raise NonFiniteGradient(f"non-finite gradient at entry {_first_bad(grad)}")
+        ok = np.isfinite(grad.reshape(len(grad), -1)).all(axis=1)
+        good = state.rows(ok)
+        good_theta = theta[ok]
+        adam_step(good, good_theta, grad[ok])
+        theta[ok], state.m[ok], state.v[ok], state.t[ok] = good_theta, good.m, good.v, good.t
+        bad = np.flatnonzero(~ok)
+        raise NonFiniteGradient("; ".join(f"row {i}: non-finite gradient at entry "
+                                          f"{_first_bad(grad[i])}" for i in bad), bad)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    if stacked:
+        # per-row Python floats, as an unstacked step computes them
+        col = (len(theta),) + (1,) * (theta.ndim - 1)
+        bc1 = np.array([1.0 - b1 ** t for t in state.t.tolist()]).reshape(col)
+        bc2 = np.array([1.0 - b2 ** t for t in state.t.tolist()]).reshape(col)
+    else:
+        bc1 = 1.0 - b1 ** state.t
+        bc2 = 1.0 - b2 ** state.t
     state.m[:] = b1 * state.m + (1.0 - b1) * grad
     state.v[:] = b2 * state.v + (1.0 - b2) * grad * grad
     m_hat = state.m / bc1

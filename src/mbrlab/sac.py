@@ -54,17 +54,27 @@ class GaussianPolicy:
         return (-0.5 * _LOG_2PI - log_std - 0.5 * z * z
                 - nets.tanh_log_jacobian(u) - self.log_scale).sum(axis=1)
 
-    def sample(self, s: np.ndarray, rng: np.random.Generator, deterministic: bool = False):
-        """Returns (env action, log density, cache for the actor backward)."""
+    def _draw(self, s: np.ndarray, rng: np.random.Generator, deterministic: bool):
+        """One reparameterized draw: the env action and the parts of it that
+        `sample` and the actor backward use."""
         mean, log_std, raw_ls, cache = self._heads(s)
         std = np.exp(log_std)
         eps = np.zeros_like(mean) if deterministic else rng.normal(size=mean.shape)
         u = mean + std * eps
         unit = np.tanh(u)
-        a = self.center + self.scale * unit
+        return self.center + self.scale * unit, (u, unit, eps, std, log_std, raw_ls, cache)
+
+    def action(self, s: np.ndarray, rng: np.random.Generator,
+               deterministic: bool = False) -> np.ndarray:
+        """The env action `sample` returns, from the same draw, without its
+        log density or backward cache."""
+        return self._draw(s, rng, deterministic)[0]
+
+    def sample(self, s: np.ndarray, rng: np.random.Generator, deterministic: bool = False):
+        """Returns (env action, log density, cache for the actor backward)."""
+        a, (u, unit, eps, std, log_std, raw_ls, cache) = self._draw(s, rng, deterministic)
         logp = self._log_density(u, eps, log_std)
-        return a, logp, {"mean": mean, "std": std, "raw_ls": raw_ls,
-                         "eps": eps, "unit": unit, "cache": cache}
+        return a, logp, {"std": std, "raw_ls": raw_ls, "eps": eps, "unit": unit, "cache": cache}
 
     def log_density(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Density of a stored env-space action under the current policy."""
@@ -192,7 +202,7 @@ def init_agent(rng: np.random.Generator, state_dim: int, action_dim: int,
 
 def act(agent: SacAgent, s: np.ndarray, deterministic: bool,
         rng: np.random.Generator) -> np.ndarray:
-    a, _, _ = agent.actor.sample(np.atleast_2d(s), rng, deterministic=deterministic)
+    a = agent.actor.action(np.atleast_2d(s), rng, deterministic)
     return a[0] if np.asarray(s).ndim == 1 else a
 
 

@@ -61,9 +61,10 @@ class EnsembleMember:
     def params(self) -> list:
         return self.net.params() + [self.max_logvar, self.min_logvar]
 
-    def heads(self, x: np.ndarray):
-        """Mean and soft-bounded log-variance heads, plus the backward cache."""
-        out, cache = nets.forward_cache(self.net, x)
+    def heads(self, x: np.ndarray, ws: nets.Workspace | None = None):
+        """Mean and soft-bounded log-variance heads, plus the backward cache
+        (written into `ws` when given)."""
+        out, cache = nets.forward_cache(self.net, x, ws)
         d = self.target_dim
         mean, raw_lv = out[..., :d], out[..., d:]
         hi, lo = self.max_logvar[..., None, :], self.min_logvar[..., None, :]
@@ -123,8 +124,9 @@ def init_ensemble(rng: np.random.Generator, state_dim: int, action_dim: int,
     return EnsembleModel(EnsembleMember(sizes, inits[0].activations, theta))
 
 
-def _nll_terms(member: EnsembleMember, x: np.ndarray, y: np.ndarray):
-    mean, lv, aux = member.heads(x)
+def _nll_terms(member: EnsembleMember, x: np.ndarray, y: np.ndarray,
+               ws: nets.Workspace | None = None):
+    mean, lv, aux = member.heads(x, ws)
     err = mean - y
     inv_var = np.exp(-lv)
     # Mahalanobis + log-det per sample; the Gaussian constant is dropped
@@ -132,25 +134,29 @@ def _nll_terms(member: EnsembleMember, x: np.ndarray, y: np.ndarray):
     return per_sample, (mean, lv, err, inv_var, aux)
 
 
-def model_nll(member: EnsembleMember, x: np.ndarray, y: np.ndarray):
+def model_nll(member: EnsembleMember, x: np.ndarray, y: np.ndarray,
+              ws: nets.Workspace | None = None):
     """Batch-mean Gaussian NLL (Mahalanobis + log det, constant dropped), one
-    per member of a stack."""
+    per member of a stack; the forward runs in `ws` when given."""
     x, y = np.atleast_2d(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     if x.shape[-2] == 0:
         raise ValueError("batch must be non-empty")
-    per_sample, _ = _nll_terms(member, x, y)
+    per_sample, _ = _nll_terms(member, x, y, ws)
     loss = per_sample.mean(axis=-1)
     if not np.isfinite(loss).all():
         raise FloatingPointError("non-finite model NLL")
     return loss
 
 
-def model_nll_grads(member: EnsembleMember, x: np.ndarray, y: np.ndarray):
+def model_nll_grads(member: EnsembleMember, x: np.ndarray, y: np.ndarray,
+                    ws: nets.Workspace | None = None):
     """Loss (incl. bound penalty) and its exact gradient, laid out like
-    member.theta; a stack takes a batch of shape (E, B, in) or a shared one."""
+    member.theta; a stack takes a batch of shape (E, B, in) or a shared one.
+    A workspace for the net at this batch's shape holds the per-layer
+    temporaries."""
     x, y = np.atleast_2d(x, y)
     b = x.shape[-2]
-    per_sample, (mean, lv, err, inv_var, (cache, raw_lv, lv1)) = _nll_terms(member, x, y)
+    per_sample, (mean, lv, err, inv_var, (cache, raw_lv, lv1)) = _nll_terms(member, x, y, ws)
     hi, lo = member.max_logvar[..., None, :], member.min_logvar[..., None, :]
     loss = per_sample.mean(axis=-1)
     loss += BOUND_PENALTY * (member.max_logvar.sum(axis=-1) - member.min_logvar.sum(axis=-1))
@@ -165,7 +171,7 @@ def model_nll_grads(member: EnsembleMember, x: np.ndarray, y: np.ndarray):
     d_max = (d_lv1 * (1.0 - s_hi)).sum(axis=-2) + BOUND_PENALTY
     d_min = (d_lv * (1.0 - s_lo)).sum(axis=-2) - BOUND_PENALTY
     upstream = np.concatenate([d_mean, d_raw], axis=-1)
-    net_grad, _ = nets.backward_from_cache(member.net, cache, upstream)
+    net_grad, _ = nets.backward_from_cache(member.net, cache, upstream, ws=ws)
     return loss, np.concatenate([net_grad, d_max, d_min], axis=-1)
 
 
@@ -203,32 +209,40 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
 
     member_rngs = rng.spawn(model.n_members)
     boot = np.stack([mrng.integers(0, n_train, size=n_train) for mrng in member_rngs])
-    adams = [AdamState.for_theta(theta, lr=config.lr) for theta in model.stack.theta]
+    adam = AdamState.for_theta(model.stack.theta, lr=config.lr, stacked=True)
     best = model.stack.theta.copy()
     best_loss = np.full(model.n_members, np.inf)
     epochs_run = np.zeros(model.n_members, dtype=int)
     rejected = np.zeros(model.n_members, dtype=int)
     live = np.arange(model.n_members)
     work, bad_epochs = model.stack[live], np.zeros_like(live)  # the live members' rows, copied
+    # every forward of the call runs in one workspace, on its first rows
+    # (live members, batch rows): a hold-out pass with its own temporaries
+    # would add them to the workspace's memory at the peak
+    ws = nets.Workspace.for_net(work.net, (len(live),),
+                                max(min(config.minibatch, n_train), n_hold))
     for _ in range(config.max_epochs):
         epochs_run[live] += 1
         rows = np.stack([boot[i][member_rngs[i].permutation(n_train)] for i in live])
         for lo in range(0, n_train, config.minibatch):
             sel = rows[:, lo:lo + config.minibatch]
-            _, grads = model_nll_grads(work, x_train[sel], y_train[sel])
-            for i, theta, grad in zip(live, work.theta, grads):
-                try:
-                    adam_step(adams[i], theta, grad)
-                except FloatingPointError as exc:
-                    rejected[i] += 1
-                    logger.warning("model step rejected: %s", exc)
-        hold_loss = model_nll(work, x_hold, y_hold)
+            _, grads = model_nll_grads(work, x_train[sel], y_train[sel],
+                                       ws[:len(live), :sel.shape[1]])
+            try:
+                adam_step(adam, work.theta, grads)
+            except nets.NonFiniteGradient as exc:
+                for row in exc.rows:
+                    rejected[live[row]] += 1
+                    logger.warning("model step rejected for member %d: %s", live[row], exc)
+        hold_loss = model_nll(work, x_hold, y_hold, ws[:len(live), :n_hold])
         better = best_loss[live] - hold_loss > config.improvement_tol
         best_loss[live[better]] = hold_loss[better]
         best[live[better]] = work.theta[better]
         bad_epochs = np.where(better, 0, bad_epochs + 1)
         going = bad_epochs < config.patience
-        live, work, bad_epochs = live[going], work[going], bad_epochs[going]
+        if not going.all():
+            live, work, bad_epochs = live[going], work[going], bad_epochs[going]
+            adam = adam.rows(going)
         if not len(live):
             break
     model.stack.theta[:] = best
@@ -239,7 +253,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     model.last_steps_rejected = rejected.tolist()
     model.trained = True
     # nonnegative validation error on next-state prediction, for the hyper-state
-    mean, _, _ = model.stack[model.elites].heads(x_hold)
+    mean, _, _ = model.stack[model.elites].heads(x_hold, ws[:len(model.elites), :n_hold])
     model.holdout_mse = float(((mean - y_hold) ** 2).sum(axis=-1).mean(axis=-1).mean())
     return best_loss
 
@@ -257,12 +271,15 @@ def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: np.random.G
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     n = s.shape[0]
     x = np.concatenate([s, a], axis=1)
-    pick = rng.choice(model.elites, size=n)
+    # each elite runs on exactly its own rows: a gemm's row bits depend on
+    # its row count, so one stacked pass over all rows would change them
+    pick = rng.integers(0, len(model.elites), n)  # the draws of rng.choice(elites, n)
     d = model.members[0].target_dim
-    out_mean, out_lv = np.zeros((n, d)), np.zeros((n, d))
-    for m_idx in set(pick.tolist()):
-        mask = pick == m_idx
-        out_mean[mask], out_lv[mask], _ = model.members[m_idx].heads(x[mask])
+    out_mean, out_lv = np.empty((n, d)), np.empty((n, d))
+    for j, m_idx in enumerate(model.elites):
+        mask = pick == j
+        if mask.any():
+            out_mean[mask], out_lv[mask], _ = model.members[m_idx].heads(x[mask])
     noise = rng.normal(size=(n, d))
     draw = out_mean if deterministic else out_mean + np.exp(0.5 * out_lv) * noise
     s2 = s + draw[:, :-1]
@@ -283,22 +300,20 @@ def generate_rollouts(model: EnsembleModel, act_fn, d_env: TransitionBuffer,
     if not model.trained:
         raise UntrainedModel("ensemble not trained")
     idx = d_env.sample_indices(branches, rng)
-    s = d_env.s[idx].copy()
-    alive = ~np.asarray(env.terminal(s), dtype=bool)
-    added = 0
+    s = d_env.s[idx]
+    s = s[~np.asarray(env.terminal(s), dtype=bool)]  # only live rows are carried
+    steps = []
     for _ in range(k):
-        if not alive.any():
+        if not len(s):
             break
-        cur = s[alive]
-        a = act_fn(cur, rng)
-        s2, r, done = predict(model, cur, a, rng, env)
-        added += buffer.push_batch(cur, a, r, s2, done)
-        nxt = s.copy()
-        nxt[alive] = s2
-        still = alive.copy()
-        still[alive] = ~done
-        s, alive = nxt, still
-    return added
+        a = act_fn(s, rng)
+        s2, r, done = predict(model, s, a, rng, env)
+        steps.append((s, a, r, s2, done))
+        s = s2[~done]
+    if not steps:
+        return 0
+    # one write, in step order: the same rows as a push per step
+    return buffer.push_batch(*(np.concatenate(col) for col in zip(*steps)))
 
 
 def model_error_histogram(model: EnsembleModel, test: dict, n_bins: int) -> tuple:

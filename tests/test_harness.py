@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbrlab import controller, harness, mbpo
+from mbrlab import controller, fvi, harness, mbpo
 from mbrlab.config import (ConfigError, FviSweepConfig, HarnessConfig, RunConfig,
                            from_dict, load)
 from mbrlab.hyper_mdp import HyperMdpConfig
@@ -182,6 +182,30 @@ def test_fvi_sweep_row_count(tmp_path):
     fc = cfg.fvi
     assert len(rows) == len(fc.beta_grid) * len(fc.n_real_grid) * fc.n_seeds
     assert list(rows[0]) == harness.SCHEMAS["fvi_rows"]
+
+
+@pytest.mark.parametrize("name", ["LineWorld", "gridworld", ""])
+def test_fvi_sweep_rejects_an_unknown_mdp_name(tmp_path, name):
+    cfg = _tiny_config(tmp_path)
+    cfg.fvi.mdp = name
+    with pytest.raises(ConfigError, match="fvi.mdp"):
+        harness.cmd_fvi_sweep(cfg)
+    assert not (tmp_path / "runs").exists()  # rejected before any experiment directory
+
+
+def test_fvi_sweep_runs_the_named_mdp(tmp_path, monkeypatch):
+    class Swept(Exception):
+        pass
+
+    def beta_sweep(mdp, *args, **kwargs):
+        raise Swept(mdp.name)
+
+    monkeypatch.setattr(fvi, "beta_sweep", beta_sweep)
+    for name, mdp_name in (("lineworld", "LineWorld"), ("gridworld2d", "GridWorld2D")):
+        cfg = _tiny_config(tmp_path)
+        cfg.fvi.mdp = name
+        with pytest.raises(Swept, match=f"^{mdp_name}$"):
+            harness.cmd_fvi_sweep(cfg)
 
 
 def test_train_controller_history_keeps_rounds_and_invalid(tmp_path, monkeypatch):

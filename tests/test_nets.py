@@ -223,6 +223,57 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit():
     assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v]))
 
 
+@pytest.mark.parametrize("shape", [(5, 37), (4, 2, 6)])
+def test_stacked_adam_rows_match_their_own_steps_bit_for_bit(shape):
+    g = np.random.default_rng(8)
+    rows = shape[0]
+    # each row has its own history: mixed step counts, lr and moments
+    flat = [AdamState.for_theta(np.zeros(shape[1:]), lr=1e-2) for _ in range(rows)]
+    thetas = [g.normal(size=shape[1:]) for _ in range(rows)]
+    for i, (state, theta) in enumerate(zip(flat, thetas)):
+        for _ in range((0, 1, 9, 140)[i % 4] + i):
+            adam_step(state, theta, g.normal(size=shape[1:]))
+    stacked = AdamState(np.stack([s.m for s in flat]), np.stack([s.v for s in flat]), 1e-2,
+                        np.array([s.t for s in flat]))
+    theta = np.stack(thetas)
+    assert len(set(stacked.t.tolist())) == rows
+    for step in range(6):
+        grad = g.normal(size=shape)
+        bad = 1 if step in (2, 3) else None  # one non-finite row, twice
+        if bad is not None:
+            grad[bad].flat[4] = np.nan if step == 2 else np.inf
+        if bad is None:
+            adam_step(stacked, theta, grad)
+        else:
+            with pytest.raises(nets.NonFiniteGradient, match="row 1: .* at entry 4") as err:
+                adam_step(stacked, theta, grad)
+            assert err.value.rows.tolist() == [bad]
+        for i in range(rows):
+            if i == bad:
+                with pytest.raises(nets.NonFiniteGradient):
+                    adam_step(flat[i], thetas[i], grad[i])
+            else:
+                adam_step(flat[i], thetas[i], grad[i])
+            assert theta[i].tobytes() == thetas[i].tobytes()
+            assert stacked.m[i].tobytes() == flat[i].m.tobytes()
+            assert stacked.v[i].tobytes() == flat[i].v.tobytes()
+            assert stacked.t[i] == flat[i].t
+    picked = stacked.rows(np.array([True, False, True] + [False] * (rows - 3)))
+    assert picked.t.tolist() == [flat[0].t, flat[2].t]
+    assert np.array_equal(picked.m, stacked.m[[0, 2]])
+
+
+def test_unstacked_adam_over_a_stack_steps_every_row_or_none():
+    # one step count for a (2, n) theta: the critics' state in sac
+    state = AdamState.for_theta(np.zeros((2, 3)), lr=0.1)
+    theta, grad = np.zeros((2, 3)), np.ones((2, 3))
+    grad[1, 2] = np.nan
+    with pytest.raises(nets.NonFiniteGradient, match="entry 5") as err:
+        adam_step(state, theta, grad)
+    assert err.value.rows is None
+    assert state.t == 0 and not theta.any() and not state.m.any()
+
+
 def test_parameter_trajectory_bit_determinism():
     def run():
         rng = np.random.default_rng(42)

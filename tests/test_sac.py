@@ -88,6 +88,25 @@ def test_gaussian_policy_samples_strictly_inside_bounds():
     assert np.all(a > low) and np.all(a < high)
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_action_is_samples_action_from_the_same_draw(rows, deterministic):
+    agent = _agent(seed=5, state_dim=3, action_dim=2, hidden=(16, 16))
+    policy = agent.actor
+    # clamped log-stds at both ends, so the clip is inside the compared path
+    policy.net.biases[-1][2:] = [nets.LOG_STD_MIN - 5.0, nets.LOG_STD_MAX + 5.0]
+    s = np.random.default_rng(6).normal(size=(rows, 3))
+    rng_a, rng_s = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):  # consecutive draws stay in step
+        a = policy.action(s, rng_a, deterministic)
+        want, _, _ = policy.sample(s, rng_s, deterministic)
+        assert a.tobytes() == want.tobytes() and a.shape == (rows, 2)
+        assert rng_a.bit_generator.state == rng_s.bit_generator.state
+    assert sac.act(agent, s[0], deterministic, rng_a).tobytes() == \
+        policy.sample(s[:1], rng_s, deterministic)[0][0].tobytes()
+    assert rng_a.bit_generator.state == rng_s.bit_generator.state
+
+
 def test_gaussian_policy_seed_reproducibility():
     policy = _constant_policy(np.zeros(4), np.zeros(4))
     s = np.zeros((1, 1))

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from mbrlab import sac
 from mbrlab import world_model as wm
 from mbrlab.buffers import TransitionBuffer
 from mbrlab.envs import make_env
@@ -399,8 +400,11 @@ def test_stacked_training_matches_per_member_loop_bit_for_bit(members, n, miniba
 
 
 def _poison_one_step(monkeypatch, member, step):
-    """Wrap world_model.adam_step so the `step`-th step of the `member`-th
-    Adam state to appear gets a NaN gradient; returns the states in order of
+    """Wrap world_model.adam_step so that the `member`-th member's `step`-th
+    step gets a NaN at entry 3 of its gradient row. An unstacked step's state
+    is one member's, numbered in order of appearance; a stacked step's first
+    state holds every member, one row each, so the NaN goes into row
+    `member` of that state's `step`-th call. Returns the states in order of
     appearance and their call counts."""
     states, calls = [], []
     real_step = wm.adam_step
@@ -411,13 +415,33 @@ def _poison_one_step(monkeypatch, member, step):
             calls.append(0)
         i = next(j for j, s in enumerate(states) if s is state)
         calls[i] += 1
-        if i == member and calls[i] == step:
+        stacked = np.ndim(state.t) == 1
+        if i == (0 if stacked else member) and calls[i] == step:
             grad = grad.copy()
-            grad[3] = np.nan
+            grad[(member, 3) if stacked else 3] = np.nan
         return real_step(state, theta, grad)
 
     monkeypatch.setattr(wm, "adam_step", adam_step)
     return states, calls
+
+
+def _per_member(states, calls, last_epochs):
+    """Each member's Adam step count and number of steps, from the stacked
+    states train_ensemble stepped: it starts a new state when members stop,
+    and a state's rows are the members still live, in order."""
+    live_sets = []
+    for epoch in range(1, max(last_epochs) + 1):
+        live = [i for i, n in enumerate(last_epochs) if n >= epoch]
+        if not live_sets or live != live_sets[-1]:
+            live_sets.append(live)
+    assert len(live_sets) == len(states)
+    t, n_calls = [0] * len(last_epochs), [0] * len(last_epochs)
+    for live, state, c in zip(live_sets, states, calls):
+        assert len(state.t) == len(live)
+        for row, i in enumerate(live):
+            t[i] = int(state.t[row])
+            n_calls[i] += c
+    return t, n_calls
 
 
 def test_non_finite_gradient_rejects_only_its_members_step(monkeypatch, caplog):
@@ -438,7 +462,8 @@ def test_non_finite_gradient_rejects_only_its_members_step(monkeypatch, caplog):
     assert clean.last_steps_rejected == [0] * 5
     for copied in (copy.deepcopy(poisoned), pickle.loads(pickle.dumps(poisoned))):
         assert copied.last_steps_rejected == poisoned.last_steps_rejected
-    assert [s.t for s in states] == [c - (i == 2) for i, c in enumerate(calls)]
+    t, n_calls = _per_member(states, calls, poisoned.last_epochs)
+    assert t == [c - (i == 2) for i, c in enumerate(n_calls)]
     for i in (0, 1, 3, 4):
         assert np.array_equal(poisoned.stack.theta[i], clean.stack.theta[i])
         assert poisoned.holdout_losses[i] == clean.holdout_losses[i]
@@ -450,4 +475,142 @@ def test_non_finite_gradient_rejects_only_its_members_step(monkeypatch, caplog):
     _, ref_calls = _poison_one_step(monkeypatch, member=2, step=3)
     adams = _reference_train(ref, d_env, cfg, np.random.default_rng(26))
     _assert_same_training(poisoned, ref)
-    assert [a.t for a in adams] == [s.t for s in states] and ref_calls == calls
+    assert [a.t for a in adams] == t and ref_calls == n_calls
+
+
+# ------------------------------------------------ rollouts against the row-mask loop
+
+def _reference_predict(model, s, a, rng, env, deterministic=False):
+    """predict as it was before the lean path: rng.choice over the elites,
+    zeroed outputs, one masked heads call per distinct pick."""
+    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    n = s.shape[0]
+    x = np.concatenate([s, a], axis=1)
+    pick = rng.choice(model.elites, size=n)
+    d = model.members[0].target_dim
+    out_mean, out_lv = np.zeros((n, d)), np.zeros((n, d))
+    for m_idx in set(pick.tolist()):
+        mask = pick == m_idx
+        out_mean[mask], out_lv[mask], _ = model.members[m_idx].heads(x[mask])
+    noise = rng.normal(size=(n, d))
+    draw = out_mean if deterministic else out_mean + np.exp(0.5 * out_lv) * noise
+    s2 = s + draw[:, :-1]
+    done = np.asarray(env.terminal(s2), dtype=bool)
+    return s2, draw[:, -1], done
+
+
+def _reference_rollouts(model, act_fn, d_env, k, branches, rng, buffer, env):
+    """generate_rollouts as it was: every branch's row carried with an alive
+    mask, and one push per step."""
+    idx = d_env.sample_indices(branches, rng)
+    s = d_env.s[idx].copy()
+    alive = ~np.asarray(env.terminal(s), dtype=bool)
+    added = 0
+    for _ in range(k):
+        if not alive.any():
+            break
+        cur = s[alive]
+        a = act_fn(cur, rng)
+        s2, r, done = _reference_predict(model, cur, a, rng, env)
+        added += buffer.push_batch(cur, a, r, s2, done)
+        nxt = s.copy()
+        nxt[alive] = s2
+        still = alive.copy()
+        still[alive] = ~done
+        s, alive = nxt, still
+    return added
+
+
+class _HashDone(_FakeEnv):
+    """Terminal on about one state in five, as a pure function of the state."""
+
+    def terminal(self, s):
+        return np.floor(np.atleast_2d(s)[:, 0] * 1e4) % 5 == 0
+
+
+class _AlwaysDone(_FakeEnv):
+    def terminal(self, s):
+        return np.ones(np.atleast_2d(s).shape[0], dtype=bool)
+
+
+@pytest.fixture(scope="module")
+def rollout_setup():
+    buf, _ = _linear_system_buffer(n=400)
+    rng = np.random.default_rng(11)
+    model = wm.init_ensemble(rng, 2, 1, hidden=(16, 16), n_members=3)
+    wm.train_ensemble(model, buf, wm.ModelTrainConfig(max_epochs=3), rng)
+    policy = sac.init_agent(np.random.default_rng(12), 2, 1, [-1.0], [1.0], hidden=(8,)).actor
+    return buf, model, policy
+
+
+def _buffer_state(buf):
+    return ([getattr(buf, c).tobytes() for c in ("s", "a", "r", "s2", "done", "behavior_density")],
+            buf.cursor, buf.size)
+
+
+# (env, k, branches, capacity, prefill): a prefilled D_model whose cursor
+# sits near its end wraps during the call; capacity 4 keeps only the last
+# rows of one write, as the one-row-per-step pushes did
+@pytest.mark.parametrize("env,k,branches,capacity,prefill", [
+    (_AlwaysDone(), 10, 8, 100, 0),
+    (_HashDone(), 10, 40, 1000, 0),
+    (_HashDone(), 1, 40, 1000, 0),
+    (_FakeEnv(), 10, 1, 100, 0),
+    (_FakeEnv(), 1, 1, 100, 0),
+    (_HashDone(), 10, 12, 50, 37),
+    (_HashDone(), 10, 12, 4, 3),
+], ids=["all-terminal", "die-mid-k10", "k1", "one-row-k10", "one-row-k1", "wraps",
+        "longer-than-capacity"])
+def test_rollouts_match_the_row_mask_loop_bit_for_bit(rollout_setup, env, k, branches,
+                                                       capacity, prefill):
+    buf, model, policy = rollout_setup
+    assert len(model.elites) == 2
+    outs, rngs = [], []
+    for rollouts, act_fn in ((wm.generate_rollouts, policy.action),
+                             (_reference_rollouts, lambda s, rng: policy.sample(s, rng)[0])):
+        out = TransitionBuffer(capacity, 2, 1)
+        if prefill:
+            g = np.random.default_rng(13)
+            out.push_batch(g.normal(size=(prefill, 2)), g.normal(size=(prefill, 1)),
+                           g.normal(size=prefill), g.normal(size=(prefill, 2)),
+                           np.zeros(prefill, dtype=bool), behavior_density=0.5)
+        rng = np.random.default_rng(14)
+        n = rollouts(model, act_fn, buf, k, branches, rng, out, env)
+        outs.append((n, _buffer_state(out)))
+        rngs.append(rng.bit_generator.state)
+    assert outs[0] == outs[1]
+    assert rngs[0] == rngs[1]
+    n = outs[0][0]
+    if isinstance(env, _AlwaysDone):
+        assert n == 0
+    elif isinstance(env, _HashDone):
+        assert 0 < n < k * branches  # some branches stopped, at the start or later
+    else:
+        assert n == k * branches
+    if prefill:
+        assert prefill + n > capacity  # the write wrapped
+
+
+def test_predict_matches_the_row_mask_loop_with_one_row_and_no_rows(rollout_setup):
+    buf, model, _ = rollout_setup
+    rows = []
+    for member in model.members:
+        member.heads = lambda x, ws=None, member=member: (
+            rows.append(len(x)) or type(member).heads(member, x, ws))
+    try:
+        d = buf.gather(np.arange(64))
+        for n, seed in [(1, 0), (1, 1), (2, 2), (3, 3), (64, 4)]:
+            for deterministic in (False, True):
+                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = wm.predict(model, d["s"][:n], d["a"][:n], rngs[0], _HashDone(),
+                                 deterministic)
+                want = _reference_predict(model, d["s"][:n], d["a"][:n], rngs[1], _HashDone(),
+                                          deterministic)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    finally:
+        for member in model.members:
+            del member.heads
+    assert 1 in rows  # an elite drew exactly one row (and the other then none)
