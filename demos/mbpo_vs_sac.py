@@ -35,7 +35,7 @@ def main():
                     hyper=HyperMdpConfig(m_train=args.episodes))
     curves = {}
     for mode in ("default", "sac1", "sac20"):
-        log = run_mbpo_mode(cfg, mode, args.episodes, args.seed)
+        log = run_mbpo_mode(cfg, mode, args.seed)
         curves[mode] = [row["eval_return"] for row in log.eval_rows]
         print(f"{mode}: done")
 

@@ -26,7 +26,7 @@ import numpy as np  # noqa: E402
 
 from mbrlab import controller as ctrl  # noqa: E402
 from mbrlab import harness  # noqa: E402
-from mbrlab.config import RunConfig  # noqa: E402
+from mbrlab.config import HarnessConfig, RunConfig  # noqa: E402
 from mbrlab.hyper_mdp import HyperMdpConfig  # noqa: E402
 from mbrlab.mbpo import MbpoConfig  # noqa: E402
 
@@ -40,11 +40,12 @@ def main():
 
     cfg = RunConfig(env_name="pointmass2d",
                     mbpo=MbpoConfig(warmup_steps=200),
-                    hyper=HyperMdpConfig(m_train=args.m, m_eval=args.m))
+                    hyper=HyperMdpConfig(m_train=args.m, m_eval=args.m),
+                    harness=HarnessConfig(n_baseline_seeds=3))
     hc = cfg.resolved_hyper()
 
-    print("building the baseline curve (3 default runs)...")
-    baseline = harness.build_baseline(cfg, n_seeds=3)
+    print(f"building the baseline curve ({cfg.harness.n_baseline_seeds} default runs)...")
+    baseline = harness.build_baseline(cfg)
 
     print(f"training the controller for {args.hyper_episodes} hyper-episodes...")
     policy, history = ctrl.train_controller(

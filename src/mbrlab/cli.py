@@ -1,7 +1,10 @@
 """Command-line experiment driver.
 
-Every subcommand reads one JSON config (defaults apply when omitted), writes
-its outputs under a fresh manifest directory, and prints a JSON summary.
+Every subcommand reads one JSON config (defaults apply when omitted), the
+only source of its settings: episode, seed and population counts are config
+keys, not flags. Arguments only select the experiment (mode, checkpoint,
+paths). A command writes its outputs under a fresh run directory whose
+manifest records the config and the run's status, and prints a JSON summary.
 Failures exit nonzero with a machine-readable error record on stderr.
 """
 
@@ -44,21 +47,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-mbpo", help="train an MBPO/SAC instance")
     p.add_argument("--mode", default="default",
                    choices=["default", "sac1", "sac20", "fixed-schedule-file"])
-    p.add_argument("--episodes", type=int, default=None)
     p.add_argument("--schedule-file", default=None,
                    help="schedule CSV to replay (fixed-schedule-file mode)")
 
-    p = sub.add_parser("build-baseline", help="average default runs into a baseline curve")
-    p.add_argument("--n-seeds", type=int, default=None)
+    sub.add_parser("build-baseline", help="average default runs into a baseline curve")
 
     p = sub.add_parser("train-controller", help="PPO over the hyper-MDP")
     p.add_argument("--baseline", default=None, help="baseline curve JSON")
-    p.add_argument("--episodes", type=int, default=None, help="hyper-episodes")
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("eval-controller", help="controller vs default comparison")
     p.add_argument("controller", help="controller checkpoint path")
-    p.add_argument("--episodes", type=int, default=None)
 
     p = sub.add_parser("ablate", help="single-hyperparameter scheduling / state ablation")
     p.add_argument("--mode", required=True, choices=["R", "M", "P", "L", "SA"])
@@ -69,11 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("controller")
     p.add_argument("target_env")
 
-    p = sub.add_parser("pbt", help="population based training baseline")
-    p.add_argument("--population", type=int, default=None)
-    p.add_argument("--replace-frac", type=float, default=None)
-    p.add_argument("--episodes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("pbt", help="population based training baseline")
 
     p = sub.add_parser("plot-data", help="tidy CSVs for figures from an experiment dir")
     p.add_argument("experiment_dir")
@@ -85,23 +79,19 @@ def run_command(args) -> dict:
     if args.command == "fvi-sweep":
         return harness.cmd_fvi_sweep(cfg)
     if args.command == "train-mbpo":
-        return harness.cmd_train_mbpo(cfg, args.mode, args.episodes,
-                                      args.schedule_file)
+        return harness.cmd_train_mbpo(cfg, args.mode, args.schedule_file)
     if args.command == "build-baseline":
-        return harness.cmd_build_baseline(cfg, args.n_seeds)
+        return harness.cmd_build_baseline(cfg)
     if args.command == "train-controller":
-        return harness.cmd_train_controller(cfg, args.baseline, args.episodes,
-                                            args.seed)
+        return harness.cmd_train_controller(cfg, args.baseline)
     if args.command == "eval-controller":
-        return harness.cmd_eval_controller(cfg, args.controller,
-                                           n_episodes=args.episodes)
+        return harness.cmd_eval_controller(cfg, args.controller)
     if args.command == "ablate":
         return harness.cmd_ablate(cfg, args.mode, args.controller, args.baseline)
     if args.command == "transfer":
         return harness.cmd_transfer(cfg, args.controller, args.target_env)
     if args.command == "pbt":
-        return harness.cmd_pbt(cfg, args.population, args.replace_frac,
-                               args.episodes, args.seed)
+        return harness.cmd_pbt(cfg)
     if args.command == "plot-data":
         return harness.cmd_plot_data(cfg, args.experiment_dir)
     raise ValueError(f"unhandled command {args.command}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .controller import PpoConfig
+from .envs import make_env
 from .fvi import MDPS
 from .hyper_mdp import HyperMdpConfig
 from .mbpo import MbpoConfig
@@ -55,6 +56,18 @@ class HarnessConfig:
     pbt_replace_frac: float = 0.2
     pbt_reinit_prob: float = 0.25
 
+    def validate(self):
+        if not self.seeds:
+            raise ConfigError("harness.seeds is empty")
+        for name in ("n_baseline_seeds", "n_hyper_episodes", "episodes_per_round",
+                     "pbt_population"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"harness.{name} must be >= 1")
+        if not 0.0 < self.pbt_replace_frac <= 1.0:
+            raise ConfigError("harness.pbt_replace_frac must lie in (0, 1]")
+        if not 0.0 <= self.pbt_reinit_prob <= 1.0:
+            raise ConfigError("harness.pbt_reinit_prob must lie in [0, 1]")
+
 
 @dataclass
 class RunConfig:
@@ -67,6 +80,16 @@ class RunConfig:
 
     def __post_init__(self):
         self.hyper = dataclasses.replace(self.hyper)  # keep instances private
+
+    def validate(self) -> None:
+        """Every section's check, `hyper` at the env's horizon: settings that
+        would hang, crash or run zero episodes raise before any work."""
+        self.mbpo.validate()
+        self.mbpo.model.validate()
+        self.hyper.validate(make_env(self.env_name).spec.horizon)
+        self.ppo.validate()
+        self.fvi.validate()
+        self.harness.validate()
 
     def resolved_hyper(self) -> HyperMdpConfig:
         return self.hyper.for_env(self.env_name)

@@ -296,6 +296,8 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
     to its end but its length differs from the baseline's).
     """
     ppo_config.validate()
+    if episodes_per_round < 1:
+        raise ValueError("episodes_per_round must be >= 1")
     root = np.random.default_rng(seed)
     # the second stream is unused; it keeps the spawn that fixes the others
     init_rng, _, upd_rng, seed_rng = root.spawn(4)

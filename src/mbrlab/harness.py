@@ -1,21 +1,21 @@
 """Experiment drivers: seeded orchestration of every experiment mode at desk
-scale, manifests, CSV emission, and the comparison statistics.
+scale, run directories, CSV emission, and the comparison statistics.
 
-Every invocation gets its own manifest directory (never overwriting a
-previous run) keyed by mode, config hash, and an increasing counter. All
-table schemas are pinned in SCHEMAS; tests fail on drift.
+A command takes every setting from its RunConfig and writes only through one
+RunDir: a fresh directory (never overwriting a previous run) keyed by mode,
+config hash, and an increasing counter, whose manifest holds the config and
+the run's status. All table schemas are pinned in SCHEMAS; tests fail on
+drift.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
-import dataclasses
 import functools
 import json
-import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +24,8 @@ from . import controller as ctrl
 from . import fvi, mbpo, workers
 from .config import RunConfig
 from .controller import BaselineCurve
-from .envs import make_env
 from .hyper_mdp import HyperMdpConfig, HyperParams
 from .stats import welch_t
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -70,81 +67,81 @@ def read_csv(path) -> list:
         return list(csv.DictReader(fh))
 
 
-def write_jsonl(path, records) -> Path:
-    path = Path(path)
-    with path.open("w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-    return path
+class RunDir:
+    """One experiment directory <outdir>/<mode>-<hash8>-<n>, claimed by mkdir
+    and never reused, after the config has passed `RunConfig.validate`.
 
+    manifest.json is written at claim with status "running" and the full
+    config, and rewritten when the `with` block exits: "ok", or "failed" with
+    the error's type and message (the exception propagates). Every file named
+    through `file` is listed as an artifact.
+    """
 
-@dataclass
-class ExperimentManifest:
-    experiment_id: str
-    mode: str
-    config_hash: str
-    started: float
-    finished: float | None = None
-    seed_status: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
+    def __init__(self, config: RunConfig, mode: str):
+        config.validate()
+        base = Path(config.harness.output_dir)
+        base.mkdir(parents=True, exist_ok=True)
+        config_hash = config.content_hash()
+        n = 0
+        while True:
+            exp_id = f"{mode}-{config_hash[:8]}-{n:03d}"
+            self.directory = base / exp_id
+            try:
+                self.directory.mkdir()
+                break
+            except FileExistsError:
+                n += 1
+        self.seed_status = {}
+        self.manifest = {"experiment_id": exp_id, "mode": mode, "config_hash": config_hash,
+                         "status": "running", "error": None, "started": time.time(),
+                         "finished": None, "seed_status": self.seed_status,
+                         "artifacts": [], "schema_version": SCHEMA_VERSION,
+                         "config": config.to_dict()}
+        self._save()
 
-    def save(self, directory: Path) -> Path:
-        path = Path(directory) / "manifest.json"
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2))
+    def _save(self) -> None:
+        (self.directory / "manifest.json").write_text(json.dumps(self.manifest, indent=2))
+
+    def file(self, name: str) -> Path:
+        path = self.directory / name
+        self.manifest["artifacts"].append(str(path))
         return path
 
+    def info(self, **extra) -> dict:
+        return {"experiment_id": self.manifest["experiment_id"],
+                "directory": str(self.directory),
+                "artifacts": self.manifest["artifacts"], **extra}
 
-def new_experiment(config: RunConfig, mode: str) -> tuple:
-    """Fresh manifest directory <outdir>/<mode>-<hash8>-<n>, claimed by mkdir; never reused."""
-    base = Path(config.harness.output_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    h8 = config.content_hash()[:8]
-    n = 0
-    while True:
-        exp_id = f"{mode}-{h8}-{n:03d}"
-        directory = base / exp_id
-        try:
-            directory.mkdir()
-            break
-        except FileExistsError:
-            n += 1
-    manifest = ExperimentManifest(experiment_id=exp_id, mode=mode,
-                                  config_hash=config.content_hash(),
-                                  started=time.time())
-    return manifest, directory
+    def __enter__(self) -> "RunDir":
+        return self
 
-
-def _finish(manifest: ExperimentManifest, directory: Path, artifacts) -> dict:
-    manifest.finished = time.time()
-    manifest.artifacts = [str(a) for a in artifacts]
-    manifest.save(directory)
-    return {"experiment_id": manifest.experiment_id, "directory": str(directory),
-            "artifacts": manifest.artifacts}
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.manifest["finished"] = time.time()
+        self.manifest["status"] = "ok" if exc is None else "failed"
+        if exc is not None:
+            self.manifest["error"] = {"type": exc_type.__name__, "message": str(exc)}
+        self._save()
 
 
 # ------------------------------------------------------------------ fvi-sweep
 
 def cmd_fvi_sweep(config: RunConfig) -> dict:
     fc = config.fvi
-    fc.validate()
-    manifest, directory = new_experiment(config, "fvi-sweep")
-    mdp = fvi.MDPS[fc.mdp]()
-    base = fvi.FviConfig(grid_size=fc.grid_size, n_eval=fc.n_eval, p=fc.p)
-    out = fvi.beta_sweep(mdp, list(fc.beta_grid), list(fc.n_real_grid), fc.sigma,
-                         fc.iterations, range(fc.n_seeds), base=base,
-                         n_bootstrap=fc.n_bootstrap)
-    rows_path = write_csv(directory / "fvi_rows.csv", "fvi_rows", out["rows"])
-    summary_rows = [{"n_real": nr, "argmin_beta": am,
-                     "bootstrap_monotone_frac": out["bootstrap_monotone_frac"]}
-                    for nr, am in zip(out["n_real_grid"], out["argmin_beta"])]
-    summary_path = write_csv(directory / "fvi_summary.csv", "fvi_summary", summary_rows)
-    for nr in out["n_real_grid"]:
-        manifest.seed_status[str(nr)] = "ok"
-    info = _finish(manifest, directory, [rows_path, summary_path])
-    info["argmin_beta"] = out["argmin_beta"]
-    info["bootstrap_monotone_frac"] = out["bootstrap_monotone_frac"]
-    return info
+    with RunDir(config, "fvi-sweep") as run:
+        mdp = fvi.MDPS[fc.mdp]()
+        base = fvi.FviConfig(grid_size=fc.grid_size, n_eval=fc.n_eval, p=fc.p)
+        out = fvi.beta_sweep(mdp, list(fc.beta_grid), list(fc.n_real_grid), fc.sigma,
+                             fc.iterations, range(fc.n_seeds), base=base,
+                             n_bootstrap=fc.n_bootstrap)
+        write_csv(run.file("fvi_rows.csv"), "fvi_rows", out["rows"])
+        summary_rows = [{"n_real": nr, "argmin_beta": am,
+                         "bootstrap_monotone_frac": out["bootstrap_monotone_frac"]}
+                        for nr, am in zip(out["n_real_grid"], out["argmin_beta"])]
+        write_csv(run.file("fvi_summary.csv"), "fvi_summary", summary_rows)
+        for nr in out["n_real_grid"]:
+            run.seed_status[str(nr)] = "ok"
+    return run.info(argmin_beta=out["argmin_beta"],
+                    bootstrap_monotone_frac=out["bootstrap_monotone_frac"])
 
 
 # ------------------------------------------------------------------ train-mbpo
@@ -161,34 +158,29 @@ def _mode_schedule(mode: str, schedule_rows=None):
     raise ValueError(f"unknown train-mbpo mode {mode!r}")
 
 
-def run_mbpo_mode(config: RunConfig, mode: str, m_episodes: int, seed: int,
+def run_mbpo_mode(config: RunConfig, mode: str, seed: int,
                   schedule_rows=None) -> mbpo.MbpoLog:
+    """One `hyper.m_train`-episode run under the mode's schedule."""
     hc = config.resolved_hyper()
     run = mbpo.init_run(config.env_name, config.mbpo, hc, seed)
     run.log.run_id = f"{mode}-{config.env_name}-seed{seed}"
     source = _mode_schedule(mode, schedule_rows)
-    for _ in range(m_episodes):
+    for _ in range(hc.m_train):
         mbpo.run_target_episode(run, source, hc)
     return run.log
 
 
-def cmd_train_mbpo(config: RunConfig, mode: str = "default",
-                   m_episodes: int | None = None, schedule_file=None) -> dict:
-    manifest, directory = new_experiment(config, f"train-mbpo-{mode}")
-    hc = config.resolved_hyper()
-    m = m_episodes or hc.m_train
-    schedule_rows = read_csv(schedule_file) if schedule_file else None
-    artifacts = []
-    for seed in config.harness.seeds:
-        log = run_mbpo_mode(config, mode, m, seed, schedule_rows)
-        artifacts.append(write_csv(directory / f"metrics-seed{seed}.csv",
-                                   "metrics", log.eval_rows))
-        artifacts.append(write_csv(directory / f"schedule-seed{seed}.csv",
-                                   "schedule", log.schedule_rows))
-        artifacts.append(write_jsonl(directory / f"events-seed{seed}.jsonl",
-                                     log.events))
-        manifest.seed_status[str(seed)] = "ok"
-    return _finish(manifest, directory, artifacts)
+def cmd_train_mbpo(config: RunConfig, mode: str = "default", schedule_file=None) -> dict:
+    with RunDir(config, f"train-mbpo-{mode}") as run:
+        schedule_rows = read_csv(schedule_file) if schedule_file else None
+        for seed in config.harness.seeds:
+            log = run_mbpo_mode(config, mode, seed, schedule_rows)
+            write_csv(run.file(f"metrics-seed{seed}.csv"), "metrics", log.eval_rows)
+            write_csv(run.file(f"schedule-seed{seed}.csv"), "schedule", log.schedule_rows)
+            run.file(f"events-seed{seed}.jsonl").write_text(
+                "".join(json.dumps(rec) + "\n" for rec in log.events))
+            run.seed_status[str(seed)] = "ok"
+    return run.info()
 
 
 # --------------------------------------------------------------- build-baseline
@@ -198,11 +190,11 @@ def _baseline_trace(config: RunConfig, hc: HyperMdpConfig, seed: int) -> list:
                                  seed).hyper_rewards
 
 
-def build_baseline(config: RunConfig, n_seeds: int | None = None) -> BaselineCurve:
-    """Average the per-index reward traces of default-configuration runs,
-    its seeds spread over worker processes."""
+def build_baseline(config: RunConfig) -> BaselineCurve:
+    """Average the per-index reward traces of `harness.n_baseline_seeds`
+    default-configuration runs, its seeds spread over worker processes."""
     hc = config.resolved_hyper()
-    n = n_seeds or config.harness.n_baseline_seeds
+    n = config.harness.n_baseline_seeds
     traces = workers.map_units(functools.partial(_baseline_trace, config, hc), range(n))
     values = np.mean(np.asarray(traces), axis=0)
     return BaselineCurve(values=values, n_seeds=n, env_name=config.env_name,
@@ -226,119 +218,101 @@ def load_baseline(path) -> BaselineCurve:
                          config_hash=doc["config_hash"])
 
 
-def cmd_build_baseline(config: RunConfig, n_seeds: int | None = None) -> dict:
-    manifest, directory = new_experiment(config, "build-baseline")
-    curve = build_baseline(config, n_seeds)
-    path = directory / "baseline.json"
-    save_baseline(curve, path)
-    manifest.seed_status = {str(s): "ok" for s in range(curve.n_seeds)}
-    info = _finish(manifest, directory, [path])
-    info["baseline_path"] = str(path)
-    return info
+def cmd_build_baseline(config: RunConfig) -> dict:
+    with RunDir(config, "build-baseline") as run:
+        curve = build_baseline(config)
+        path = run.file("baseline.json")
+        save_baseline(curve, path)
+        run.seed_status.update({str(s): "ok" for s in range(curve.n_seeds)})
+    return run.info(baseline_path=str(path))
 
 
 # ------------------------------------------------------- controller train/eval
 
 def cmd_train_controller(config: RunConfig, baseline_path=None,
-                         n_hyper_episodes: int | None = None,
-                         seed: int | None = None,
                          feature_mask=(True,) * 8, head_mask=(True,) * 4) -> dict:
-    manifest, directory = new_experiment(config, "train-controller")
-    hc = config.resolved_hyper()
-    baseline = (load_baseline(baseline_path) if baseline_path
-                else build_baseline(config))
-    policy, history = ctrl.train_controller(
-        config.env_name, config.mbpo, hc, config.ppo, baseline,
-        n_hyper_episodes or config.harness.n_hyper_episodes,
-        seed if seed is not None else config.harness.seeds[0],
-        episodes_per_round=config.harness.episodes_per_round,
-        feature_mask=feature_mask, head_mask=head_mask)
-    ckpt = directory / "controller.json"
-    ctrl.save_controller(policy, ckpt)
-    phase_rows = [{"phase": i + 1, "mean_hyper_return": m}
-                  for i, m in enumerate(history["phase_means"])]
-    phases = write_csv(directory / "phases.csv", "phases", phase_rows)
-    history_path = directory / "history.json"
-    history_path.write_text(json.dumps(history))
-    info = _finish(manifest, directory, [ckpt, phases, history_path])
-    info["controller_path"] = str(ckpt)
-    info["phase_means"] = history["phase_means"]
-    info["invalid_count"] = history["invalid_count"]
-    return info
+    hx = config.harness
+    with RunDir(config, "train-controller") as run:
+        baseline = (load_baseline(baseline_path) if baseline_path
+                    else build_baseline(config))
+        policy, history = ctrl.train_controller(
+            config.env_name, config.mbpo, config.resolved_hyper(), config.ppo, baseline,
+            hx.n_hyper_episodes, hx.seeds[0], episodes_per_round=hx.episodes_per_round,
+            feature_mask=feature_mask, head_mask=head_mask)
+        ckpt = run.file("controller.json")
+        ctrl.save_controller(policy, ckpt)
+        phase_rows = [{"phase": i + 1, "mean_hyper_return": m}
+                      for i, m in enumerate(history["phase_means"])]
+        write_csv(run.file("phases.csv"), "phases", phase_rows)
+        run.file("history.json").write_text(json.dumps(history))
+    return run.info(controller_path=str(ckpt), phase_means=history["phase_means"],
+                    invalid_count=history["invalid_count"])
 
 
-def _paired_eval_runs(config: RunConfig, hc: HyperMdpConfig, policy, m_eval: int,
-                      seed: int) -> tuple:
-    """The controller's greedy run at `seed` and, if that run is valid, the
-    default run at the same seed: (HyperTrajectory, MbpoLog, MbpoLog | None)."""
+def _paired_eval_runs(config: RunConfig, hc: HyperMdpConfig, policy, seed: int) -> tuple:
+    """The controller's greedy `hyper.m_eval`-episode run at `seed` and, if
+    that run is valid, the default run at the same seed:
+    (HyperTrajectory, MbpoLog, MbpoLog | None)."""
     traj, log_c = ctrl.run_hyper_episode(policy, config.env_name, config.mbpo, hc,
-                                         seed, n_episodes=m_eval, greedy=True)
-    log_d = (mbpo.run_default_mbpo(config.env_name, config.mbpo, hc, m_eval, seed)
+                                         seed, n_episodes=hc.m_eval, greedy=True)
+    log_d = (mbpo.run_default_mbpo(config.env_name, config.mbpo, hc, hc.m_eval, seed)
              if traj.valid else None)
     return traj, log_c, log_d
 
 
-def cmd_eval_controller(config: RunConfig, controller_path,
-                        head_mask_override=None, n_episodes: int | None = None,
+def cmd_eval_controller(config: RunConfig, controller_path, head_mask_override=None,
                         mode_tag: str = "eval-controller") -> dict:
     """Controller-vs-default comparison over paired seeds at the evaluation
     horizon M, with the Welch t report and a schedule export. Seeds run on
     worker processes; their outputs are written in seed order. A seed whose
     hyper-episode is invalid (a numeric crash) is left out of the comparison
     and listed in the report with its error."""
-    manifest, directory = new_experiment(config, mode_tag)
-    hc = config.resolved_hyper()
-    policy = ctrl.load_controller(controller_path)
-    ctrl.check_transfer(policy, config.content_hash())
-    if head_mask_override is not None:
-        policy.head_mask = tuple(head_mask_override)
-    m_eval = n_episodes or hc.m_eval
-    seeds = config.harness.seeds
-    runs = workers.map_units(
-        functools.partial(_paired_eval_runs, config, hc, policy, m_eval), seeds)
-    rows, schedule_rows, curve_logs, invalid = [], [], [], []
-    for seed, (traj, log_c, log_d) in zip(seeds, runs):
-        schedule_rows.extend(log_c.schedule_rows)
-        curve_logs.append(log_c)
-        if not traj.valid:
-            invalid.append({"seed": seed, "error": traj.error})
-            manifest.seed_status[str(seed)] = "invalid"
-            continue
-        curve_logs.append(log_d)
-        final_c = log_c.eval_rows[-1]["eval_return"]
-        final_d = log_d.eval_rows[-1]["eval_return"]
-        rows.append({"seed": seed, "controller_final": final_c,
-                     "default_final": final_d,
-                     "improvement": final_c - final_d})
-        manifest.seed_status[str(seed)] = "ok"
-    curve_rows = [{"run_id": r["run_id"], "episode": r["episode"], "n_real": r["n_real"],
-                   "eval_return": r["eval_return"]}
-                  for log in curve_logs for r in log.eval_rows]
-    comparison = write_csv(directory / "comparison.csv", "comparison", rows)
-    schedule = write_csv(directory / "schedule.csv", "schedule", schedule_rows)
-    curves = write_csv(directory / "learning_curves.csv", "learning_curves", curve_rows)
+    with RunDir(config, mode_tag) as run:
+        hc = config.resolved_hyper()
+        policy = ctrl.load_controller(controller_path)
+        ctrl.check_transfer(policy, config.content_hash())
+        if head_mask_override is not None:
+            policy.head_mask = tuple(head_mask_override)
+        seeds = config.harness.seeds
+        runs = workers.map_units(
+            functools.partial(_paired_eval_runs, config, hc, policy), seeds)
+        rows, schedule_rows, curve_logs, invalid = [], [], [], []
+        for seed, (traj, log_c, log_d) in zip(seeds, runs):
+            schedule_rows.extend(log_c.schedule_rows)
+            curve_logs.append(log_c)
+            if not traj.valid:
+                invalid.append({"seed": seed, "error": traj.error})
+                run.seed_status[str(seed)] = "invalid"
+                continue
+            curve_logs.append(log_d)
+            final_c = log_c.eval_rows[-1]["eval_return"]
+            final_d = log_d.eval_rows[-1]["eval_return"]
+            rows.append({"seed": seed, "controller_final": final_c,
+                         "default_final": final_d,
+                         "improvement": final_c - final_d})
+            run.seed_status[str(seed)] = "ok"
+        curve_rows = [r for log in curve_logs for r in log.eval_rows]
+        write_csv(run.file("comparison.csv"), "comparison", rows)
+        write_csv(run.file("schedule.csv"), "schedule", schedule_rows)
+        write_csv(run.file("learning_curves.csv"), "learning_curves", curve_rows)
 
-    def mean(values):  # None, not NaN, when every seed crashed: report.json stays JSON
-        return float(np.mean(values)) if values else None
+        def mean(values):  # None, not NaN, when every seed crashed: report.json stays JSON
+            return float(np.mean(values)) if values else None
 
-    report = {"n_seeds": len(rows),
-              "mean_controller": mean([r["controller_final"] for r in rows]),
-              "mean_default": mean([r["default_final"] for r in rows]),
-              "win_fraction": mean([r["improvement"] >= 0 for r in rows]),
-              "invalid": invalid}
-    try:
-        t, p = welch_t([r["controller_final"] for r in rows],
-                       [r["default_final"] for r in rows])
-        report["welch_t"] = t
-        report["welch_p"] = p
-    except ValueError as exc:
-        report["welch_error"] = str(exc)
-    report_path = directory / "report.json"
-    report_path.write_text(json.dumps(report, indent=2))
-    info = _finish(manifest, directory,
-                   [comparison, schedule, curves, report_path])
-    info.update(report)
-    return info
+        report = {"n_seeds": len(rows),
+                  "mean_controller": mean([r["controller_final"] for r in rows]),
+                  "mean_default": mean([r["default_final"] for r in rows]),
+                  "win_fraction": mean([r["improvement"] >= 0 for r in rows]),
+                  "invalid": invalid}
+        try:
+            t, p = welch_t([r["controller_final"] for r in rows],
+                           [r["default_final"] for r in rows])
+            report["welch_t"] = t
+            report["welch_p"] = p
+        except ValueError as exc:
+            report["welch_error"] = str(exc)
+        run.file("report.json").write_text(json.dumps(report, indent=2))
+    return run.info(**report)
 
 
 # -------------------------------------------------------------------- ablate
@@ -413,49 +387,46 @@ def pbt_exploit(dst: _PbtInstance, src: _PbtInstance) -> None:
     dst.run.n_real = src.run.n_real
 
 
-def cmd_pbt(config: RunConfig, population: int | None = None,
-            replace_frac: float | None = None, m_episodes: int | None = None,
-            seed: int = 0) -> dict:
-    manifest, directory = new_experiment(config, "pbt")
+def cmd_pbt(config: RunConfig) -> dict:
+    """`harness.pbt_population` MBPO instances from `harness.seeds[0]` on, for
+    `hyper.m_train` episodes; after each but the last, the worst
+    `pbt_replace_frac` of them exploit the best or re-draw their settings."""
     hc = config.resolved_hyper()
-    pop = population or config.harness.pbt_population
-    frac = replace_frac if replace_frac is not None else config.harness.pbt_replace_frac
-    reinit_p = config.harness.pbt_reinit_prob
-    m = m_episodes or hc.m_train
-    pbt_rng = np.random.default_rng(seed + 10_000)
-    instances = []
-    for i in range(pop):
-        run = mbpo.init_run(config.env_name, config.mbpo, hc, seed + i)
-        run.log.run_id = f"pbt-{i}"
-        if pop == 1:
-            params, train_every = hc.initial_params(), 1
-        else:
-            params, train_every = _random_hyper(pbt_rng, hc)
-        instances.append(_PbtInstance(run=run, params=params, train_every=train_every))
-    rows = []
-    for episode in range(m):
-        for i, inst in enumerate(instances):
-            mbpo.run_target_episode(inst.run, inst.schedule(), hc)
-            inst.last_eval = inst.run.log.eval_rows[-1]["eval_return"]
-            rows.append({"instance": i, "episode": episode + 1,
-                         "eval_return": inst.last_eval, "beta": inst.params.beta,
-                         "g": inst.params.g, "k": inst.params.k,
-                         "train_every": inst.train_every})
-        if pop > 1 and episode < m - 1:
-            order = np.argsort([inst.last_eval for inst in instances])
-            n_swap = max(1, int(round(frac * pop)))
-            for j in range(n_swap):
-                dst = instances[order[j]]
-                src = instances[order[-1 - (j % n_swap)]]
-                if pbt_rng.uniform() < reinit_p:
-                    dst.params, dst.train_every = _random_hyper(pbt_rng, hc)
-                else:
-                    pbt_exploit(dst, src)
-    path = write_csv(directory / "pbt.csv", "pbt", rows)
-    manifest.seed_status = {str(i): "ok" for i in range(pop)}
-    info = _finish(manifest, directory, [path])
-    info["final_returns"] = [inst.last_eval for inst in instances]
-    return info
+    hx = config.harness
+    pop, seed = hx.pbt_population, hx.seeds[0]
+    with RunDir(config, "pbt") as run_dir:
+        pbt_rng = np.random.default_rng(seed + 10_000)
+        instances = []
+        for i in range(pop):
+            run = mbpo.init_run(config.env_name, config.mbpo, hc, seed + i)
+            run.log.run_id = f"pbt-{i}"
+            if pop == 1:
+                params, train_every = hc.initial_params(), 1
+            else:
+                params, train_every = _random_hyper(pbt_rng, hc)
+            instances.append(_PbtInstance(run=run, params=params, train_every=train_every))
+        rows = []
+        for episode in range(hc.m_train):
+            for i, inst in enumerate(instances):
+                mbpo.run_target_episode(inst.run, inst.schedule(), hc)
+                inst.last_eval = inst.run.log.eval_rows[-1]["eval_return"]
+                rows.append({"instance": i, "episode": episode + 1,
+                             "eval_return": inst.last_eval, "beta": inst.params.beta,
+                             "g": inst.params.g, "k": inst.params.k,
+                             "train_every": inst.train_every})
+            if pop > 1 and episode < hc.m_train - 1:
+                order = np.argsort([inst.last_eval for inst in instances])
+                n_swap = max(1, int(round(hx.pbt_replace_frac * pop)))
+                for j in range(n_swap):
+                    dst = instances[order[j]]
+                    src = instances[order[-1 - (j % n_swap)]]
+                    if pbt_rng.uniform() < hx.pbt_reinit_prob:
+                        dst.params, dst.train_every = _random_hyper(pbt_rng, hc)
+                    else:
+                        pbt_exploit(dst, src)
+        write_csv(run_dir.file("pbt.csv"), "pbt", rows)
+        run_dir.seed_status.update({str(i): "ok" for i in range(pop)})
+    return run_dir.info(final_returns=[inst.last_eval for inst in instances])
 
 
 # ------------------------------------------------------------------ plot-data

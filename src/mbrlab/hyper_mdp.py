@@ -62,6 +62,8 @@ class HyperMdpConfig:
     def validate(self, horizon: int) -> None:
         if horizon % self.tau != 0:
             raise ValueError(f"tau={self.tau} must divide the horizon {horizon}")
+        if self.m_train < 1 or self.m_eval < 1:
+            raise ValueError("m_train and m_eval must be >= 1")
         if self.ratio_constant <= 1.0:
             raise ValueError("ratio constant c must exceed 1")
         if not 0.0 < self.beta_min < 1.0:

@@ -215,7 +215,7 @@ def _desk_config(tmp_path, seeds):
 @pytest.fixture(scope="module")
 def nightly_baseline(tmp_path_factory):
     cfg = _desk_config(tmp_path_factory.mktemp("nightly"), seeds=(0,))
-    return cfg, harness.build_baseline(cfg, n_seeds=5)
+    return cfg, harness.build_baseline(cfg)
 
 
 @pytest.mark.nightly

@@ -164,15 +164,92 @@ def test_rerunning_never_overwrites(tmp_path):
         "schema_version"] == harness.SCHEMA_VERSION
 
 
-def test_new_experiment_claims_its_directory(tmp_path, monkeypatch):
+def test_run_dir_claims_its_directory(tmp_path, monkeypatch):
     # a directory that appears between a check and mkdir (another process
     # claiming it) must move the caller on to the next index, not raise
     cfg = _tiny_config(tmp_path)
     monkeypatch.setattr(Path, "exists", lambda self: False)
-    first, dir1 = harness.new_experiment(cfg, "race")
-    second, dir2 = harness.new_experiment(cfg, "race")
-    assert first.experiment_id.endswith("-000") and second.experiment_id.endswith("-001")
-    assert dir1.is_dir() and dir2.is_dir() and dir1 != dir2
+    first = harness.RunDir(cfg, "race")
+    second = harness.RunDir(cfg, "race")
+    assert first.manifest["experiment_id"].endswith("-000")
+    assert second.manifest["experiment_id"].endswith("-001")
+    assert first.directory.is_dir() and second.directory.is_dir()
+    assert first.directory != second.directory
+
+
+def _run_command(name, cfg, tmp_path):
+    if name == "eval-controller":
+        ckpt = tmp_path / "controller.json"
+        controller.save_controller(controller.init_controller(
+            np.random.default_rng(0), config_hash=cfg.content_hash()), ckpt)
+        return harness.cmd_eval_controller(cfg, ckpt)
+    return {"fvi-sweep": harness.cmd_fvi_sweep, "train-mbpo": harness.cmd_train_mbpo,
+            "build-baseline": harness.cmd_build_baseline,
+            "train-controller": harness.cmd_train_controller,
+            "pbt": harness.cmd_pbt}[name](cfg)
+
+
+@pytest.mark.parametrize("command", ["fvi-sweep", "train-mbpo", "build-baseline",
+                                     "train-controller", "eval-controller", "pbt"])
+def test_manifest_describes_its_run_directory(tmp_path, command):
+    # every file a command leaves is an artifact of its RunDir, and the
+    # manifest's config reproduces the hash the directory is named by
+    cfg = _tiny_config(tmp_path)
+    directory = Path(_run_command(command, cfg, tmp_path)["directory"])
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert manifest["status"] == "ok" and manifest["error"] is None
+    assert set(manifest["artifacts"]) == {
+        str(p) for p in directory.iterdir() if p.name != "manifest.json"}
+    assert from_dict(manifest["config"]).content_hash() == manifest["config_hash"]
+    assert manifest["config_hash"] == cfg.content_hash()
+
+
+@pytest.mark.parametrize("section, key, value, command", [
+    ("harness", "episodes_per_round", 0, "train-controller"),  # looped forever
+    ("harness", "seeds", (), "train-controller"),              # seeds[0] IndexError
+    ("harness", "n_baseline_seeds", 0, "build-baseline"),
+    ("harness", "n_hyper_episodes", 0, "train-controller"),
+    ("harness", "pbt_population", 0, "pbt"),
+    ("harness", "pbt_replace_frac", 0.0, "pbt"),
+    ("harness", "pbt_replace_frac", 1.5, "pbt"),               # order[j] IndexError
+    ("harness", "pbt_reinit_prob", -0.1, "pbt"),
+    ("harness", "pbt_reinit_prob", 1.5, "pbt"),
+    ("hyper", "m_train", 0, "train-mbpo"),
+    ("hyper", "m_eval", 0, "eval-controller"),
+])
+def test_invalid_setting_is_rejected_before_any_directory(tmp_path, section, key, value,
+                                                          command):
+    cfg = _tiny_config(tmp_path)
+    setattr(getattr(cfg, section), key, value)
+    with pytest.raises(ValueError, match=key):
+        _run_command(command, cfg, tmp_path)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_failed_run_leaves_a_failed_manifest_and_reraises(tmp_path, monkeypatch):
+    cfg = _tiny_config(tmp_path)  # seeds (0, 1)
+    real = mbpo.run_target_episode
+    live_status = []
+
+    def run_target_episode(run, source, hc):
+        if run.log.run_id.endswith("seed1"):
+            [directory] = (tmp_path / "runs").iterdir()
+            live_status.append(
+                json.loads((directory / "manifest.json").read_text())["status"])
+            raise TypeError("injected after one seed")
+        return real(run, source, hc)
+
+    monkeypatch.setattr(mbpo, "run_target_episode", run_target_episode)
+    with pytest.raises(TypeError, match="^injected after one seed$"):
+        harness.cmd_train_mbpo(cfg)
+    [directory] = (tmp_path / "runs").iterdir()
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert live_status == ["running"]
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == {"type": "TypeError", "message": "injected after one seed"}
+    assert manifest["seed_status"] == {"0": "ok"}
+    assert set(manifest["artifacts"]) == {
+        str(p) for p in directory.iterdir() if p.name != "manifest.json"}
 
 
 def test_fvi_sweep_row_count(tmp_path):
@@ -272,8 +349,8 @@ def test_eval_controller_with_every_seed_crashed_writes_valid_json(tmp_path, mon
 # -------------------------------------------------------------------- baseline
 
 def test_baseline_single_seed_equals_run_log(tmp_path):
-    cfg = _tiny_config(tmp_path)
-    curve = harness.build_baseline(cfg, n_seeds=1)
+    cfg = _tiny_config(tmp_path, n_baseline_seeds=1)
+    curve = harness.build_baseline(cfg)
     hc = cfg.resolved_hyper()
     log = mbpo.run_default_mbpo(cfg.env_name, cfg.mbpo, hc, hc.m_train, seed=0)
     assert np.array_equal(curve.values, np.array(log.hyper_rewards))
@@ -282,7 +359,7 @@ def test_baseline_single_seed_equals_run_log(tmp_path):
 def test_baseline_length_and_averaging(tmp_path):
     cfg = _tiny_config(tmp_path)
     hc = cfg.resolved_hyper()
-    curve = harness.build_baseline(cfg, n_seeds=2)
+    curve = harness.build_baseline(cfg)
     assert len(curve) == hc.m_train * 200 // hc.tau
     log0 = mbpo.run_default_mbpo(cfg.env_name, cfg.mbpo, hc, hc.m_train, seed=0)
     log1 = mbpo.run_default_mbpo(cfg.env_name, cfg.mbpo, hc, hc.m_train, seed=1)
@@ -291,8 +368,8 @@ def test_baseline_length_and_averaging(tmp_path):
 
 
 def test_baseline_roundtrip(tmp_path):
-    cfg = _tiny_config(tmp_path)
-    curve = harness.build_baseline(cfg, n_seeds=1)
+    cfg = _tiny_config(tmp_path, n_baseline_seeds=1)
+    curve = harness.build_baseline(cfg)
     path = tmp_path / "baseline.json"
     harness.save_baseline(curve, path)
     loaded = harness.load_baseline(path)
@@ -304,7 +381,7 @@ def test_baseline_roundtrip(tmp_path):
 
 def test_train_mbpo_metrics_schema(tmp_path):
     cfg = _tiny_config(tmp_path, seeds=(0,))
-    info = harness.cmd_train_mbpo(cfg, "default", m_episodes=1)
+    info = harness.cmd_train_mbpo(cfg, "default")
     rows = harness.read_csv(harness.Path(info["directory"]) / "metrics-seed0.csv")
     assert len(rows) == 1
     assert list(rows[0]) == harness.SCHEMAS["metrics"]
@@ -312,10 +389,9 @@ def test_train_mbpo_metrics_schema(tmp_path):
 
 def test_fixed_schedule_file_replay_bit_exact(tmp_path):
     cfg = _tiny_config(tmp_path, seeds=(3,))
-    info = harness.cmd_train_mbpo(cfg, "default", m_episodes=1)
+    info = harness.cmd_train_mbpo(cfg, "default")
     sched = harness.Path(info["directory"]) / "schedule-seed3.csv"
-    info2 = harness.cmd_train_mbpo(cfg, "fixed-schedule-file", m_episodes=1,
-                                   schedule_file=sched)
+    info2 = harness.cmd_train_mbpo(cfg, "fixed-schedule-file", schedule_file=sched)
     m1 = harness.read_csv(harness.Path(info["directory"]) / "metrics-seed3.csv")
     m2 = harness.read_csv(harness.Path(info2["directory"]) / "metrics-seed3.csv")
     # identical apart from the run_id tag
@@ -326,11 +402,11 @@ def test_fixed_schedule_file_replay_bit_exact(tmp_path):
 
 def test_sac_modes_never_train_model(tmp_path):
     cfg = _tiny_config(tmp_path, seeds=(0,))
-    info = harness.cmd_train_mbpo(cfg, "sac1", m_episodes=1)
+    info = harness.cmd_train_mbpo(cfg, "sac1")
     rows = harness.read_csv(harness.Path(info["directory"]) / "metrics-seed0.csv")
     assert rows[0]["model_trained_flag"] == "0"
     assert rows[0]["g"] == "1"
-    info20 = harness.cmd_train_mbpo(cfg, "sac20", m_episodes=1)
+    info20 = harness.cmd_train_mbpo(cfg, "sac20")
     rows20 = harness.read_csv(harness.Path(info20["directory"]) / "metrics-seed0.csv")
     assert rows20[0]["g"] == "20"
 
@@ -338,8 +414,8 @@ def test_sac_modes_never_train_model(tmp_path):
 # ------------------------------------------------------------------------ PBT
 
 def test_pbt_population_one_is_default_mbpo(tmp_path):
-    cfg = _tiny_config(tmp_path)
-    info = harness.cmd_pbt(cfg, population=1, m_episodes=1, seed=5)
+    cfg = _tiny_config(tmp_path, seeds=(5,), pbt_population=1)
+    info = harness.cmd_pbt(cfg)
     rows = harness.read_csv(harness.Path(info["directory"]) / "pbt.csv")
     hc = cfg.resolved_hyper()
     assert float(rows[0]["beta"]) == hc.beta_init
@@ -378,7 +454,8 @@ def test_plot_data_empty_experiment_emits_headers(tmp_path):
 
 def test_plot_data_row_counts_match_sources(tmp_path):
     cfg = _tiny_config(tmp_path, seeds=(0,))
-    info = harness.cmd_train_mbpo(cfg, "default", m_episodes=2)
+    cfg.hyper.m_train = 2
+    info = harness.cmd_train_mbpo(cfg, "default")
     out = harness.cmd_plot_data(cfg, info["directory"])
     curves = harness.read_csv(harness.Path(out["directory"]) / "learning_curves.csv")
     metrics = harness.read_csv(harness.Path(info["directory"]) / "metrics-seed0.csv")

@@ -241,8 +241,8 @@ def test_sac1_improves_on_pendulum_pinned():
     from mbrlab.config import RunConfig
     from mbrlab.envs import evaluate_policy, make_env
     from mbrlab.harness import run_mbpo_mode
-    cfg = RunConfig(env_name="pendulum")
-    log = run_mbpo_mode(cfg, "sac1", 30, 0)
+    cfg = RunConfig(env_name="pendulum", hyper=HyperMdpConfig(m_train=30))
+    log = run_mbpo_mode(cfg, "sac1", 0)
     env = make_env("pendulum")
     rand = evaluate_policy(env, lambda s, rng: rng.uniform(-2, 2, 1), 20,
                            np.random.default_rng(2))
