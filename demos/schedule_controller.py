@@ -57,7 +57,7 @@ def main():
     print(f"hyper-episode returns: {np.round(history['episode_returns'], 2)}")
 
     _, log = ctrl.run_hyper_episode(policy, cfg.env_name, cfg.mbpo, hc,
-                                    seed=123, greedy=True)
+                                    seed=123, n_episodes=hc.m_train, greedy=True)
     print("\ngreedy controller schedule (one fresh MBPO run):")
     print(f"{'step':>6} {'beta':>7} {'G':>3} {'k':>3} {'trained':>8}")
     for row in log.schedule_rows:

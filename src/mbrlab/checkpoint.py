@@ -36,9 +36,9 @@ def doc_to_tensors(doc: list) -> dict:
     return out
 
 
-def save(path, tensors: dict, metadata: dict | None = None) -> None:
+def save(path, tensors: dict, metadata: dict) -> None:
     doc = {"format_version": FORMAT_VERSION,
-           "metadata": metadata or {},
+           "metadata": metadata,
            "tensors": tensors_to_doc(tensors)}
     Path(path).write_text(json.dumps(doc))
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .controller import PpoConfig
 from .envs import make_env
-from .fvi import MDPS
+from .fvi import MDPS, FviConfig, check_sweep
 from .hyper_mdp import HyperMdpConfig
 from .mbpo import MbpoConfig
 from .world_model import ModelTrainConfig
@@ -40,9 +40,15 @@ class FviSweepConfig:
     p: float = 2.0
     n_bootstrap: int = 20
 
+    def base(self) -> FviConfig:
+        """The settings every cell of the sweep shares."""
+        return FviConfig(grid_size=self.grid_size, n_eval=self.n_eval, p=self.p)
+
     def validate(self):
         if self.mdp not in MDPS:
             raise ConfigError(f"fvi.mdp {self.mdp!r} is not one of {sorted(MDPS)}")
+        check_sweep(self.beta_grid, self.n_real_grid, self.sigma, self.iterations,
+                    self.n_seeds, self.n_bootstrap, self.base())
 
 
 @dataclass

@@ -116,15 +116,15 @@ class PpoConfig:
 
 def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
                        old_log_probs, advantages, config: PpoConfig,
-                       entropy_coef: float | None = None):
-    """Negative clipped surrogate (to minimize) with an entropy bonus.
+                       entropy_coef: float):
+    """Negative clipped surrogate (to minimize) with an entropy bonus of
+    weight entropy_coef.
 
     Per-sample gradients vanish exactly in the clipped-and-worse regime;
     non-finite ratios drop the sample with a logged count. Returns
     (loss, gradient laid out like policy.net.theta, diagnostics).
     """
     config.validate()
-    ent_c = config.entropy_coef if entropy_coef is None else entropy_coef
     states = np.atleast_2d(states)
     n = states.shape[0]
     logits, cache = nets.forward_cache(policy.net, states)
@@ -160,9 +160,9 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
         entropy_total += float(ent.mean())
         # d entropy / d logits = -p * (log p + H)
         d_ent = -probs * (table + ent[:, None])
-        upstream[:, sl] += -(ent_c / n) * d_ent
+        upstream[:, sl] += -(entropy_coef / n) * d_ent
     grad, _ = nets.backward_from_cache(policy.net, cache, upstream)
-    loss = -float(objective.mean()) - ent_c * entropy_total
+    loss = -float(objective.mean()) - entropy_coef * entropy_total
     diagnostics = {
         "mean_ratio": float(ratio.mean()),
         "clip_fraction": float((surr2 < surr1).mean()),
@@ -173,9 +173,9 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
 
 
 def ppo_update(policy: ControllerPolicy, batch: dict, config: PpoConfig,
-               rng: np.random.Generator, adam: AdamState | None = None,
-               entropy_coef: float | None = None) -> dict:
-    """updates_per_round minibatch steps over a collected batch; advantages
+               rng: np.random.Generator, adam: AdamState, entropy_coef: float) -> dict:
+    """updates_per_round minibatch steps over a collected batch, each an
+    Adam step on `adam` (its moments carry over between rounds); advantages
     are standardized across the batch first (left as they are when all equal)."""
     config.validate()
     adv = np.asarray(batch["advantages"], dtype=np.float64)
@@ -183,7 +183,6 @@ def ppo_update(policy: ControllerPolicy, batch: dict, config: PpoConfig,
         adv = (adv - adv.mean()) / adv.std()
     states = np.atleast_2d(batch["states"])
     n = states.shape[0]
-    adam = adam or AdamState.for_theta(policy.net.theta, config.lr)
     diags = []
     for _ in range(config.updates_per_round):
         sel = rng.integers(0, n, size=min(config.minibatch, n))
@@ -213,12 +212,11 @@ class HyperTrajectory:
 
 
 def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_config,
-                      hyper_config: HyperMdpConfig, seed: int,
-                      n_episodes: int | None = None,
+                      hyper_config: HyperMdpConfig, seed: int, n_episodes: int,
                       greedy: bool = False):
     """One hyper-MDP episode: train an MBPO instance from scratch for
-    m episodes while the controller adjusts its hyperparameters every tau
-    steps. Returns (HyperTrajectory, MbpoLog).
+    n_episodes (>= 1) episodes while the controller adjusts its
+    hyperparameters every tau steps. Returns (HyperTrajectory, MbpoLog).
 
     The controller draws its actions from its own stream, seeded by the
     episode's seed (seed + 777) and apart from the run's streams, so an
@@ -228,7 +226,8 @@ def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_c
     EnvDiverged) yields a truncated trajectory flagged invalid, with the error
     recorded on it; any other exception propagates.
     """
-    m = n_episodes or hyper_config.m_train
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes {n_episodes} is below 1")
     crng = np.random.default_rng(seed + 777)
     run = mbpo.init_run(env_name, mbpo_config, hyper_config, seed)
     feature_mask = np.asarray(controller_policy.feature_mask, dtype=bool)
@@ -244,7 +243,7 @@ def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_c
         return apply_action(params, action, hyper_config), bool(action[1])
 
     try:
-        for _ in range(m):
+        for _ in range(n_episodes):
             records = mbpo.run_target_episode(run, source, hyper_config)
             rewards.extend(r["reward"] for r in records)
     except (FloatingPointError, EnvDiverged) as exc:  # numeric crash: flagged, not fatal
@@ -253,7 +252,8 @@ def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_c
     traj = HyperTrajectory(
         states=np.asarray(states[:t]), action_indices=np.asarray(actions[:t]),
         log_probs=np.asarray(logps[:t]), rewards=np.asarray(rewards[:t]),
-        valid=error is None and len(rewards) == m * run.env.spec.horizon // hyper_config.tau,
+        valid=(error is None
+               and len(rewards) == n_episodes * run.env.spec.horizon // hyper_config.tau),
         error=error,
     )
     return traj, run.log
@@ -262,7 +262,8 @@ def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_c
 def _training_trajectory(policy: ControllerPolicy, env_name: str, mbpo_config,
                          hyper_config: HyperMdpConfig, seed: int) -> HyperTrajectory:
     """One sampled hyper-episode of a PPO round; its MbpoLog is not sent back."""
-    return run_hyper_episode(policy, env_name, mbpo_config, hyper_config, seed)[0]
+    return run_hyper_episode(policy, env_name, mbpo_config, hyper_config, seed,
+                             hyper_config.m_train)[0]
 
 
 @dataclass
@@ -334,20 +335,19 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
             "advantages": np.concatenate(
                 [advantage(t.rewards, baseline.values) for t in trajs]),
         }
-        diag = ppo_update(policy, batch, ppo_config, upd_rng, adam,
-                          entropy_coef=ent_coef)
+        diag = ppo_update(policy, batch, ppo_config, upd_rng, adam, ent_coef)
         ent_coef *= ppo_config.entropy_decay
         history["rounds"].append(diag)
     history["phase_means"] = phase_means(history["episode_returns"])
     return policy, history
 
 
-def phase_means(returns, n_phases: int = 5) -> list:
-    """Mean hyper-episode return per training phase (quintiles by default)."""
+def phase_means(returns) -> list:
+    """Mean hyper-episode return per training phase (quintiles)."""
     returns = list(returns)
     if not returns:
         return []
-    edges = np.linspace(0, len(returns), n_phases + 1).astype(int)
+    edges = np.linspace(0, len(returns), 6).astype(int)
     return [float(np.mean(returns[lo:hi])) if hi > lo else float("nan")
             for lo, hi in zip(edges[:-1], edges[1:])]
 

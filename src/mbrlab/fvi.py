@@ -138,12 +138,12 @@ def _interpolate(values: np.ndarray, idx: np.ndarray, wgt: np.ndarray) -> np.nda
 
 
 def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
-              p: float = 2.0, ridge: float = 1e-8, irls_iters: int = 50) -> ValueFn:
+              p: float = 2.0) -> ValueFn:
     """argmin over the multilinear class of sum |f(s_i) - target_i|^p.
 
-    p=2 solves regularized normal equations exactly; p=1 runs IRLS capped at
-    irls_iters. Knots no sample touches keep their previous values; fitted
-    knot values are clipped to [0, v_max].
+    p=2 solves the normal equations, with a 1e-8 ridge, exactly; p=1 runs
+    IRLS capped at 50 iterations. Knots no sample touches keep their previous
+    values; fitted knot values are clipped to [0, v_max].
     """
     if p not in (1.0, 2.0):
         raise ValueError("only p in {1, 2} is supported by the fitter")
@@ -167,18 +167,18 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
         support = np.diag(a) > 0.0
         vals = prev.values.copy()
         sub = a[np.ix_(support, support)]
-        sub[np.diag_indices_from(sub)] += ridge
+        sub[np.diag_indices_from(sub)] += 1e-8
         try:
             vals[support] = np.linalg.solve(sub, b[support])
         except np.linalg.LinAlgError:
-            logger.warning("singular normal equations; retrying with ridge=%g", ridge * 1e3)
-            sub[np.diag_indices_from(sub)] += ridge * 1e3
+            logger.warning("singular normal equations; retrying with ridge 1e-5")
+            sub[np.diag_indices_from(sub)] += 1e-5
             vals[support] = np.linalg.solve(sub, b[support])
         return vals
 
     vals = solve_weighted(np.ones(states.shape[0]))  # the p=1 LS warm start
     if p == 1.0:
-        for _ in range(irls_iters):
+        for _ in range(50):
             resid = np.abs(_interpolate(vals, idx_c, wgt_c) - targets)
             new_vals = solve_weighted(1.0 / np.maximum(resid, 1e-6))
             converged = np.max(np.abs(new_vals - vals)) < 1e-10
@@ -194,7 +194,7 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
 # ---------------------------------------------------------------------------
 
 
-def half_normal(sigma: float, rng: np.random.Generator, size=None) -> np.ndarray:
+def half_normal(sigma: float, rng: np.random.Generator, size) -> np.ndarray:
     """|Z| * sigma with Z standard normal; sigma=0 gives exact zeros."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -262,8 +262,8 @@ class ExactOracle:
     greedy_return: float  # mean return of the oracle-greedy policy from rho
 
 
-def _truncation_horizon(mdp: FviMdp, tail: float = 1e-4) -> int:
-    return int(math.ceil(math.log(tail / mdp.v_max) / math.log(mdp.gamma))) + 1
+def _truncation_horizon(mdp: FviMdp) -> int:
+    return int(math.ceil(math.log(1e-4 / mdp.v_max) / math.log(mdp.gamma))) + 1
 
 
 def _action_stack(mdp: FviMdp, states: np.ndarray):
@@ -305,9 +305,9 @@ def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray,
 
 
 def exact_vi(mdp: FviMdp, fine_grid_size: int = 256, tol: float = 1e-9,
-             n_eval: int = 256, seed: int = 0) -> ExactOracle:
+             n_eval: int = 256) -> ExactOracle:
     """Value iteration on a fine grid until the sup-norm change is below tol,
-    plus the mean greedy return from rho (uniform) samples."""
+    plus the mean greedy return from n_eval rho (uniform, seed 0) samples."""
     v = ValueFn.zeros(mdp.dim, fine_grid_size, mdp.v_max)
     axes = [np.linspace(0.0, 1.0, fine_grid_size)] * mdp.dim
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mdp.dim)
@@ -320,7 +320,7 @@ def exact_vi(mdp: FviMdp, fine_grid_size: int = 256, tol: float = 1e-9,
         v.values = backed
         if delta < tol:
             break
-    rho = np.random.default_rng(seed).uniform(size=(n_eval, mdp.dim))
+    rho = np.random.default_rng(0).uniform(size=(n_eval, mdp.dim))
     return ExactOracle(value_fn=v, greedy_return=float(policy_return(mdp, v, rho).mean()))
 
 
@@ -343,14 +343,12 @@ class FviConfig:
     def validate(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.sigma < 0 or self.n_states < 1 or self.iterations < 0:
-            raise ValueError("invalid FVI configuration")
+        for name, low in (("sigma", 0), ("n_states", 1), ("iterations", 0),
+                          ("grid_size", 2), ("n_eval", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} {getattr(self, name)} is below {low}")
         if self.p not in (1.0, 2.0):
             raise ValueError(f"p {self.p} is not 1 or 2")
-        if self.grid_size < 2:
-            raise ValueError(f"grid_size {self.grid_size} is below 2")
-        if self.n_eval < 1:
-            raise ValueError(f"n_eval {self.n_eval} is below 1")
 
 
 @dataclass
@@ -400,6 +398,25 @@ def states_per_iteration(n_real: float, beta: float, n_actions: int) -> int:
     return max(1, int(round(n_real / (beta * n_actions))))
 
 
+def check_sweep(beta_grid, n_real_grid, sigma: float, iterations: int, n_seeds: int,
+                n_bootstrap: int, base: FviConfig) -> None:
+    """Raise ValueError, naming the `fvi` config key at fault, unless every
+    beta lies in (0, 1], every N_real is >= 1, there is at least one seed and
+    one bootstrap draw, and `base` under this sigma and iteration count is a
+    valid FviConfig; then every cell of the sweep is valid too."""
+    for beta in beta_grid:
+        if not 0.0 < beta <= 1.0:
+            raise ValueError(f"beta_grid: beta {beta} is outside (0, 1]")
+    for n_real in n_real_grid:
+        if not n_real >= 1:
+            raise ValueError(f"n_real_grid: N_real {n_real} is below 1")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds {n_seeds}: the sweep has no seeds")
+    if n_bootstrap < 1:
+        raise ValueError(f"n_bootstrap {n_bootstrap} is below 1")
+    replace(base, sigma=sigma, iterations=iterations).validate()
+
+
 def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: int,
                seeds, base: FviConfig | None = None,
                oracle: ExactOracle | None = None,
@@ -409,34 +426,21 @@ def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: in
     Returns rows (beta, n_real, sigma, iterations, seed, discrepancy), a per
     (n_real, beta) mean/std table, the argmin beta per N_real row, and a
     bootstrap-over-seeds estimate of how often the argmin curve is
-    non-decreasing in N_real. Every beta must lie in (0, 1], every N_real be
-    >= 1, every cell's FviConfig be valid, and there must be at least one
-    seed and one bootstrap draw; otherwise ValueError is raised before any
-    work. The cells run on `workers.map_units`, so `mdp` must pickle; each
-    owns its seed's streams, and the results do not depend on the worker count.
+    non-decreasing in N_real. `check_sweep` runs before any work. The cells
+    run on `workers.map_units`, so `mdp` must pickle; each owns its seed's
+    streams, and the results do not depend on the worker count.
     """
     beta_grid = list(beta_grid)
     n_real_grid = list(n_real_grid)
     seeds = list(seeds)
-    for beta in beta_grid:
-        if not 0.0 < beta <= 1.0:
-            raise ValueError(f"beta {beta} is outside (0, 1]")
-    for n_real in n_real_grid:
-        if not n_real >= 1:
-            raise ValueError(f"N_real {n_real} is below 1")
-    if not seeds:
-        raise ValueError("the sweep has no seeds")
-    if n_bootstrap < 1:
-        raise ValueError(f"n_bootstrap {n_bootstrap} is below 1")
     base = base or FviConfig()
+    check_sweep(beta_grid, n_real_grid, sigma, iterations, len(seeds), n_bootstrap, base)
     rows, cells = [], []
     for n_real, beta in itertools.product(n_real_grid, beta_grid):
         n_states = states_per_iteration(n_real, beta, mdp.n_actions)
         for seed in seeds:
-            cfg = replace(base, beta=beta, sigma=sigma, n_states=n_states,
-                          iterations=iterations, seed=seed)
-            cfg.validate()
-            cells.append(cfg)
+            cells.append(replace(base, beta=beta, sigma=sigma, n_states=n_states,
+                                 iterations=iterations, seed=seed))
             rows.append({"beta": beta, "n_real": n_real, "sigma": sigma,
                          "iterations": iterations, "seed": seed})
     oracle = oracle or exact_vi(mdp)
@@ -473,10 +477,9 @@ def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: in
 
 
 def error_histogram_check(sigma: float, n_samples: int, bins: int,
-                          rng: np.random.Generator | None = None) -> dict:
+                          rng: np.random.Generator) -> dict:
     """Sample half-normal magnitudes, histogram them, and report the
     Kolmogorov-Smirnov distance to the analytic CDF 2*Phi(x/sigma) - 1."""
-    rng = rng or np.random.default_rng(0)
     x = half_normal(sigma, rng, size=n_samples)
     edges = np.linspace(0.0, max(x.max(), 1e-12), bins + 1)
     counts, edges = np.histogram(x, bins=edges)

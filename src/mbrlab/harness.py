@@ -128,10 +128,8 @@ class RunDir:
 def cmd_fvi_sweep(config: RunConfig) -> dict:
     fc = config.fvi
     with RunDir(config, "fvi-sweep") as run:
-        mdp = fvi.MDPS[fc.mdp]()
-        base = fvi.FviConfig(grid_size=fc.grid_size, n_eval=fc.n_eval, p=fc.p)
-        out = fvi.beta_sweep(mdp, list(fc.beta_grid), list(fc.n_real_grid), fc.sigma,
-                             fc.iterations, range(fc.n_seeds), base=base,
+        out = fvi.beta_sweep(fvi.MDPS[fc.mdp](), fc.beta_grid, fc.n_real_grid, fc.sigma,
+                             fc.iterations, range(fc.n_seeds), base=fc.base(),
                              n_bootstrap=fc.n_bootstrap)
         write_csv(run.file("fvi_rows.csv"), "fvi_rows", out["rows"])
         summary_rows = [{"n_real": nr, "argmin_beta": am,
@@ -432,30 +430,31 @@ def cmd_pbt(config: RunConfig) -> dict:
 # ------------------------------------------------------------------ plot-data
 
 def cmd_plot_data(config: RunConfig, experiment_dir) -> dict:
-    """Re-emit an experiment's outputs as tidy per-figure CSVs."""
+    """Re-emit an experiment's outputs as tidy per-figure CSVs in a run
+    directory of its own; the experiment's directory is only read."""
     directory = Path(experiment_dir)
-    out = directory / "plot-data"
-    out.mkdir(exist_ok=True)
-    artifacts = []
-    curves = []
-    for metrics in sorted(directory.glob("metrics-*.csv")) + \
-            ([directory / "learning_curves.csv"] if (directory / "learning_curves.csv").exists() else []):
-        for row in read_csv(metrics):
-            curves.append({k: row[k] for k in SCHEMAS["learning_curves"]})
-    artifacts.append(write_csv(out / "learning_curves.csv", "learning_curves", curves))
-    schedules = []
-    for sched in sorted(directory.glob("schedule*.csv")):
-        schedules.extend(read_csv(sched))
-    artifacts.append(write_csv(out / "schedules.csv", "schedule", schedules))
-    phases = []
-    if (directory / "phases.csv").exists():
-        phases = read_csv(directory / "phases.csv")
-    artifacts.append(write_csv(out / "phases.csv", "phases", phases))
-    importance = []
-    if (directory / "comparison.csv").exists():
-        mode = directory.name.split("-")[1] if directory.name.startswith("ablate") else "full"
-        for row in read_csv(directory / "comparison.csv"):
-            importance.append({"mode": mode, "seed": row["seed"],
-                               "final_return": row["controller_final"]})
-    artifacts.append(write_csv(out / "importance.csv", "importance", importance))
-    return {"directory": str(out), "artifacts": [str(a) for a in artifacts]}
+    if not directory.is_dir():
+        raise NotADirectoryError(f"plot-data source {directory} is not a directory")
+    with RunDir(config, "plot-data") as run:
+        curves = []
+        for metrics in (sorted(directory.glob("metrics-*.csv"))
+                        + list(directory.glob("learning_curves.csv"))):
+            for row in read_csv(metrics):
+                curves.append({k: row[k] for k in SCHEMAS["learning_curves"]})
+        write_csv(run.file("learning_curves.csv"), "learning_curves", curves)
+        schedules = []
+        for sched in sorted(directory.glob("schedule*.csv")):
+            schedules.extend(read_csv(sched))
+        write_csv(run.file("schedules.csv"), "schedule", schedules)
+        phases = []
+        if (directory / "phases.csv").exists():
+            phases = read_csv(directory / "phases.csv")
+        write_csv(run.file("phases.csv"), "phases", phases)
+        importance = []
+        if (directory / "comparison.csv").exists():
+            mode = directory.name.split("-")[1] if directory.name.startswith("ablate") else "full"
+            for row in read_csv(directory / "comparison.csv"):
+                importance.append({"mode": mode, "seed": row["seed"],
+                                   "final_return": row["controller_final"]})
+        write_csv(run.file("importance.csv"), "importance", importance)
+    return run.info(source=str(directory))

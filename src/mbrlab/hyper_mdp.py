@@ -88,8 +88,9 @@ def _squash(x: float) -> float:
 
 def policy_change(recent: dict, actor) -> float:
     """Mean absolute density gap between the current policy and the
-    behavior policy on recently collected data, squashed into [0, 1)."""
-    if len(recent.get("behavior_density", ())) == 0:
+    behavior policy on recently collected data, squashed into [0, 1); 0 for
+    an empty window."""
+    if len(recent["behavior_density"]) == 0:
         return 0.0
     logp = actor.log_density(recent["s"], recent["a"])
     cur = np.exp(np.minimum(logp, 500.0))
@@ -106,8 +107,7 @@ def extract_state(run, params: HyperParams, config: HyperMdpConfig) -> np.ndarra
     n_real_frac = min(1.0, run.n_real / horizon_steps)
     model_loss = _squash(run.model.holdout_mse) if run.model.trained else 1.0
     critic_loss = _squash(run.critic_loss_avg) if run.critic_loss_avg is not None else 1.0
-    eps_pi = policy_change(run.d_env.recent(config.policy_change_window),
-                           run.agent.actor) if len(run.d_env) else 0.0
+    eps_pi = policy_change(run.d_env.recent(config.policy_change_window), run.agent.actor)
     if run.last_eval_return is None:
         ret_feat = 0.0
     else:

@@ -62,7 +62,6 @@ class MbpoLog:
 @dataclass
 class MbpoRunState:
     config: MbpoConfig
-    hyper_config: HyperMdpConfig
     env: object
     agent: sac.SacAgent
     model: EnsembleModel
@@ -77,12 +76,12 @@ class MbpoRunState:
     rng_eval: np.random.Generator
     cur_state: np.ndarray
     log: MbpoLog
+    current_params: HyperParams     # the last boundary's choice, or the initial ones
     episode: int = 0
     n_real: int = 0
     env_steps_since_reset: int = 0
     critic_loss_avg: float | None = None
     last_eval_return: float | None = None
-    current_params: HyperParams | None = None
 
 
 def init_run(env_name: str, config: MbpoConfig, hyper_config: HyperMdpConfig,
@@ -103,11 +102,12 @@ def init_run(env_name: str, config: MbpoConfig, hyper_config: HyperMdpConfig,
            * config.model_buffer_retain)
     d_model = TransitionBuffer(cap, sd, ad)
     return MbpoRunState(
-        config=config, hyper_config=hyper_config, env=env, agent=agent,
+        config=config, env=env, agent=agent,
         model=model, d_env=d_env, d_model=d_model,
         rng_env=r_env, rng_explore=r_explore, rng_act=r_act, rng_model=r_model,
         rng_rollout=r_roll, rng_update=r_upd, rng_eval=r_eval,
         cur_state=env.reset(r_env), log=MbpoLog(run_id=f"{env_name}-seed{seed}"),
+        current_params=hyper_config.initial_params(),
     )
 
 
@@ -189,18 +189,19 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
             "critic_loss_avg": run.critic_loss_avg}
 
 
-def run_target_episode(run: MbpoRunState, schedule_source, hyper_config=None) -> list:
-    """One H-step block. Consults schedule_source(state, params) at every tau
-    boundary, runs the per-step inner loop, and evaluates the policy at the
-    block end. Returns one record per boundary with the hyper-MDP reward."""
-    hc = hyper_config or run.hyper_config
+def run_target_episode(run: MbpoRunState, schedule_source,
+                       hyper_config: HyperMdpConfig) -> list:
+    """One H-step block under the hyper_config that `init_run` got. Consults
+    schedule_source(state, params) at every tau boundary, runs the per-step
+    inner loop, and evaluates the policy at the block end. Returns one record
+    per boundary with the hyper-MDP reward."""
     env = run.env
     h_total = env.spec.horizon
-    params = run.current_params if run.current_params is not None else hc.initial_params()
+    params = run.current_params
     records = []
     for h in range(h_total):
-        if h % hc.tau == 0:
-            state = extract_state(run, params, hc)
+        if h % hyper_config.tau == 0:
+            state = extract_state(run, params, hyper_config)
             new_params, train_now = schedule_source(state, params)
             if new_params != params:
                 run.log.events.append({
@@ -213,7 +214,7 @@ def run_target_episode(run: MbpoRunState, schedule_source, hyper_config=None) ->
         else:
             train_now = False
         report = mbpo_step(run, params, train_model_now=train_now)
-        if h % hc.tau == 0 and report["model_trained"]:
+        if h % hyper_config.tau == 0 and report["model_trained"]:
             records[-1]["trained"] = True
     # end-of-block evaluation feeds both the metrics log and the last reward
     policy = lambda s, rng: sac.act(run.agent, s, True, rng)
@@ -221,7 +222,7 @@ def run_target_episode(run: MbpoRunState, schedule_source, hyper_config=None) ->
     run.last_eval_return = eval_ret
     records[-1]["eval_return"] = eval_ret
     for rec in records:
-        rec["reward"] = hyper_reward(rec["eval_return"], rec["trained"], hc)
+        rec["reward"] = hyper_reward(rec["eval_return"], rec["trained"], hyper_config)
     run.episode += 1
     run.current_params = params
     # logs: one eval row per episode, one schedule row per tau-interval

@@ -9,7 +9,6 @@ each minibatch is split between the environment buffer and the model buffer.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,8 +17,6 @@ import numpy as np
 from . import nets
 from .buffers import TransitionBuffer
 from .nets import AdamState, DenseNet, LOG_STD_MAX, LOG_STD_MIN, adam_step
-
-logger = logging.getLogger(__name__)
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -112,25 +109,16 @@ class MixedBatchSpec:
         return min(max(round(self.real_ratio * self.batch_size), 0), self.batch_size)
 
 
-def sample_mixed_batch(d_env: TransitionBuffer, d_model: TransitionBuffer | None,
+def sample_mixed_batch(d_env: TransitionBuffer, d_model: TransitionBuffer,
                        spec: MixedBatchSpec, rng: np.random.Generator) -> dict:
     """round(beta*B) real + remainder imaginary, uniform with replacement.
 
-    Falls back to all-real (with a logged event) when imaginary data is not
-    available yet; errors only when both buffers are empty.
+    A part drawn from an empty buffer raises ValueError; `mbpo_step` forces
+    beta to 1 until D_model holds rows.
     """
-    if len(d_env) == 0 and (d_model is None or len(d_model) == 0):
-        raise ValueError("both replay buffers are empty")
     n_real = spec.n_real()
-    if n_real < spec.batch_size and (d_model is None or len(d_model) == 0):
-        logger.info("model buffer empty; degrading to an all-real batch")
-        n_real = spec.batch_size
-    if len(d_env) == 0:
-        raise ValueError("D_env is empty")
-    parts = [d_env.gather(d_env.sample_indices(n_real, rng))] if n_real else []
-    n_imag = spec.batch_size - n_real
-    if n_imag:
-        parts.append(d_model.gather(d_model.sample_indices(n_imag, rng)))
+    parts = [buf.gather(buf.sample_indices(n, rng))
+             for buf, n in ((d_env, n_real), (d_model, spec.batch_size - n_real)) if n]
     batch = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     batch["n_real"] = n_real
     return batch

@@ -127,9 +127,9 @@ def test_criterion_05_gradient_suite():
     pcfg = PpoConfig(entropy_coef=0.01)
 
     def ppo_fn(_):
-        return ctrl.ppo_loss_and_grads(pol, states, idx, old, adv, pcfg)[0]
+        return ctrl.ppo_loss_and_grads(pol, states, idx, old, adv, pcfg, pcfg.entropy_coef)[0]
 
-    _, pgrad, _ = ctrl.ppo_loss_and_grads(pol, states, idx, old, adv, pcfg)
+    _, pgrad, _ = ctrl.ppo_loss_and_grads(pol, states, idx, old, adv, pcfg, pcfg.entropy_coef)
     worst = max(worst, assert_grads_close([pgrad], finite_difference(ppo_fn, [pol.net.theta])))
 
     _report(5, f"gradient suite (worst rel err {worst:.2e} <= 1e-4)", worst <= 1e-4)
@@ -142,7 +142,8 @@ def test_criterion_06_degeneracy_chain():
     log_default = mbpo.run_default_mbpo("pointmass2d", cfg, hc, 2, seed=100)
     pol = ctrl.init_controller(np.random.default_rng(0), (True,) * 8,
                                head_mask=(False,) * 4)
-    traj, log_ctrl = ctrl.run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=100)
+    traj, log_ctrl = ctrl.run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=100,
+                                            n_episodes=hc.m_train)
     ok = (np.array_equal(traj.rewards, np.array(log_default.hyper_rewards))
           and log_ctrl.eval_rows == log_default.eval_rows
           and log_ctrl.schedule_rows == log_default.schedule_rows)
@@ -183,7 +184,8 @@ def test_criterion_08_ppo_clipping_property():
         shift = rng.uniform(0.25, 2.0, size=n)
         old = logp - sign * shift
         adv = sign * rng.uniform(0.5, 3.0, size=n)
-        _, grads, diag = ctrl.ppo_loss_and_grads(pol, states, idx, old, adv, pcfg)
+        _, grads, diag = ctrl.ppo_loss_and_grads(pol, states, idx, old, adv, pcfg,
+                                                 pcfg.entropy_coef)
         ok = ok and bool(np.all(grads == 0.0))
         ok = ok and diag["clip_fraction"] == 1.0
         checked += n

@@ -12,6 +12,7 @@ from mbrlab.controller import (BaselineCurve, PpoConfig, advantage,
                                load_controller, ppo_loss_and_grads, ppo_update,
                                save_controller, train_controller)
 from mbrlab.hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig
+from mbrlab.nets import AdamState
 
 from util import (assert_grads_close, crash_hyper_episode_at, finite_difference,
                   joint_log_prob)
@@ -119,7 +120,7 @@ def test_unit_ratio_objective_equals_mean_advantage():
     pol = init_controller(np.random.default_rng(12))
     states, idx, old, adv = _ppo_batch(pol, 32, 13)
     cfg = PpoConfig(entropy_coef=0.0)
-    loss, _, diag = ppo_loss_and_grads(pol, states, idx, old, adv, cfg)
+    loss, _, diag = ppo_loss_and_grads(pol, states, idx, old, adv, cfg, cfg.entropy_coef)
     assert loss == pytest.approx(-float(adv.mean()), rel=1e-12)
     assert diag["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
 
@@ -131,12 +132,13 @@ def test_clipped_samples_contribute_zero_gradient():
     old = old - 1.0  # ratio = e > 1.2
     adv = np.array([2.0])
     cfg = PpoConfig(entropy_coef=0.0)
-    _, grads, diag = ppo_loss_and_grads(pol, states, idx, old, adv, cfg)
+    _, grads, diag = ppo_loss_and_grads(pol, states, idx, old, adv, cfg, cfg.entropy_coef)
     assert diag["clip_fraction"] == 1.0
     assert np.all(grads == 0.0)
     # A<0 and ratio<1-eps is also exactly clipped
     old2 = joint_log_prob(pol, states, idx) + 1.0  # ratio = 1/e < 0.8
-    _, grads2, _ = ppo_loss_and_grads(pol, states, idx, old2, np.array([-2.0]), cfg)
+    _, grads2, _ = ppo_loss_and_grads(pol, states, idx, old2, np.array([-2.0]), cfg,
+                                        cfg.entropy_coef)
     assert np.all(grads2 == 0.0)
 
 
@@ -146,9 +148,9 @@ def test_ppo_gradient_matches_finite_differences():
     cfg = PpoConfig(entropy_coef=0.013)
 
     def loss_fn(_):  # finite_difference perturbs pol.net.theta in place
-        return ppo_loss_and_grads(pol, states, idx, old, adv, cfg)[0]
+        return ppo_loss_and_grads(pol, states, idx, old, adv, cfg, cfg.entropy_coef)[0]
 
-    _, grad, _ = ppo_loss_and_grads(pol, states, idx, old, adv, cfg)
+    _, grad, _ = ppo_loss_and_grads(pol, states, idx, old, adv, cfg, cfg.entropy_coef)
     numeric = finite_difference(loss_fn, [pol.net.theta])
     assert_grads_close([grad], numeric, rtol=1e-4)
 
@@ -159,8 +161,9 @@ def test_zero_advantage_zero_entropy_leaves_params_bit_unchanged():
     before = pol.net.theta.copy()
     batch = {"states": states, "action_indices": idx, "old_log_probs": old,
              "advantages": np.zeros(16)}
-    ppo_update(pol, batch, PpoConfig(entropy_coef=0.0, entropy_decay=1.0),
-               np.random.default_rng(20))
+    cfg = PpoConfig(entropy_coef=0.0, entropy_decay=1.0)
+    ppo_update(pol, batch, cfg, np.random.default_rng(20),
+               AdamState.for_theta(pol.net.theta, cfg.lr), cfg.entropy_coef)
     assert np.array_equal(before, pol.net.theta)
 
 
@@ -173,8 +176,9 @@ def test_ppo_update_pinned_bits():
     old = joint_log_prob(pol, states, idx) - g.uniform(-0.1, 0.1, 24)
     batch = {"states": states, "action_indices": idx, "old_log_probs": old,
              "advantages": g.normal(size=24)}
-    diag = ppo_update(pol, batch, PpoConfig(updates_per_round=6, minibatch=16),
-                      np.random.default_rng(29))
+    cfg = PpoConfig(updates_per_round=6, minibatch=16)
+    diag = ppo_update(pol, batch, cfg, np.random.default_rng(29),
+                      AdamState.for_theta(pol.net.theta, cfg.lr), cfg.entropy_coef)
     assert diag["mean_ratio"].hex() == "0x1.067786f9c3b80p+0"
     assert diag["clip_fraction"] == 1 / 32
     assert hashlib.sha256(pol.net.theta.tobytes()).hexdigest() == \
@@ -281,9 +285,11 @@ def test_checkpoint_distinguishes_trained_from_fresh(tmp_path):
     save_controller(pol, p1)
     batch_pol = copy.deepcopy(pol)
     states, idx, old, adv = _ppo_batch(batch_pol, 32, 27)
+    cfg = PpoConfig()
     ppo_update(batch_pol, {"states": states, "action_indices": idx,
                            "old_log_probs": old, "advantages": adv},
-               PpoConfig(), np.random.default_rng(28))
+               cfg, np.random.default_rng(28),
+               AdamState.for_theta(batch_pol.net.theta, cfg.lr), cfg.entropy_coef)
     p2 = tmp_path / "trained.json"
     save_controller(batch_pol, p2)
     h1 = hashlib.sha256(p1.read_bytes()).hexdigest()

@@ -95,6 +95,43 @@ def test_benchmark_tracer_installs_and_restores():
     assert restored
 
 
+# set-up and unit fingerprints of each benchmark workload at seed 0; a change
+# to src/ that keeps behaviour bit-identical keeps them
+_WORKLOAD_FINGERPRINTS = {
+    "mbpo-default": (
+        "bd6ee89412158c4aef2a30ef6f83eea71126e86037f36fcb5e622acfcea507b1",
+        "75c8d10d46b138cecb466b66702c212202baada9bb15c0a9632daa4f50149cc5"),
+    "mbpo-model-heavy": (
+        "bd6ee89412158c4aef2a30ef6f83eea71126e86037f36fcb5e622acfcea507b1",
+        "88590dece776373f92d413471553a09522b9c6ee15f3eec259bb7cfdf360ef05"),
+    "fvi-sweep": (
+        "354e6023ba4e2fc0d009957c4195875aa442d760aed2b1a20290f2c57a6227a8",
+        "79438c75c6385337326f48a13c4f985b6885bcc184528eafa8e2793c727d9ce6"),
+    "controller-round": (
+        "03751922fa493857fa1c94f2194ab201ce838bf81ccc48cf5e96345e39932dbb",
+        "1650173c9f2081c42d1293cf485404d968cec18e816f8bdc9608f5eb0efeb344"),
+}
+
+
+def test_benchmark_workloads_run_and_reproduce(monkeypatch):
+    # the benchmark drives src/ only through perfbench/workloads.py; a
+    # signature change there would otherwise fail only in a benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert set(workloads.WORKLOADS) == set(_WORKLOAD_FINGERPRINTS)
+    for name, make in workloads.WORKLOADS.items():
+        workload = make()
+        prepared = workload.setup(0)
+        setup_fp = workload.setup_fingerprint(prepared)
+        outcome = workload.unit(prepared, 0)
+        assert outcome.checks and all(outcome.checks.values()), (name, outcome.checks)
+        assert outcome.failed == 0, name
+        assert (setup_fp, outcome.fingerprint) == _WORKLOAD_FINGERPRINTS[name], name
+
+
 # -------------------------------------------------------------------- welch t
 
 def _welch_reference(xs, ys):
@@ -183,14 +220,28 @@ def _run_command(name, cfg, tmp_path):
         controller.save_controller(controller.init_controller(
             np.random.default_rng(0), config_hash=cfg.content_hash()), ckpt)
         return harness.cmd_eval_controller(cfg, ckpt)
+    if name == "plot-data":
+        source = harness.cmd_train_mbpo(cfg)["directory"]
+        return harness.cmd_plot_data(cfg, source)
     return {"fvi-sweep": harness.cmd_fvi_sweep, "train-mbpo": harness.cmd_train_mbpo,
             "build-baseline": harness.cmd_build_baseline,
             "train-controller": harness.cmd_train_controller,
             "pbt": harness.cmd_pbt}[name](cfg)
 
 
-@pytest.mark.parametrize("command", ["fvi-sweep", "train-mbpo", "build-baseline",
-                                     "train-controller", "eval-controller", "pbt"])
+# every command that claims a RunDir; cmd_ablate and cmd_transfer only
+# delegate to train-controller and eval-controller
+MANIFEST_COMMANDS = ["fvi-sweep", "train-mbpo", "build-baseline", "train-controller",
+                     "eval-controller", "pbt", "plot-data"]
+
+
+def test_every_directory_writing_command_is_in_the_manifest_invariant():
+    commands = {name[len("cmd_"):].replace("_", "-")
+                for name in vars(harness) if name.startswith("cmd_")}
+    assert commands - {"ablate", "transfer"} == set(MANIFEST_COMMANDS)
+
+
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
 def test_manifest_describes_its_run_directory(tmp_path, command):
     # every file a command leaves is an artifact of its RunDir, and the
     # manifest's config reproduces the hash the directory is named by
@@ -216,6 +267,11 @@ def test_manifest_describes_its_run_directory(tmp_path, command):
     ("harness", "pbt_reinit_prob", 1.5, "pbt"),
     ("hyper", "m_train", 0, "train-mbpo"),
     ("hyper", "m_eval", 0, "eval-controller"),
+    ("fvi", "n_seeds", 0, "fvi-sweep"),
+    ("fvi", "beta_grid", (0.0,), "fvi-sweep"),
+    ("fvi", "n_bootstrap", 0, "fvi-sweep"),
+    ("fvi", "grid_size", 1, "fvi-sweep"),
+    ("fvi", "sigma", -0.1, "fvi-sweep"),
 ])
 def test_invalid_setting_is_rejected_before_any_directory(tmp_path, section, key, value,
                                                           command):
@@ -456,7 +512,14 @@ def test_plot_data_row_counts_match_sources(tmp_path):
     cfg = _tiny_config(tmp_path, seeds=(0,))
     cfg.hyper.m_train = 2
     info = harness.cmd_train_mbpo(cfg, "default")
-    out = harness.cmd_plot_data(cfg, info["directory"])
+    source = Path(info["directory"])
+    listing, manifest = sorted(source.iterdir()), (source / "manifest.json").read_bytes()
+    out = harness.cmd_plot_data(cfg, source)
+    # the output is a run directory of its own; the source is only read
+    assert Path(out["directory"]).parent == source.parent
+    assert out["source"] == str(source)
+    assert sorted(source.iterdir()) == listing
+    assert (source / "manifest.json").read_bytes() == manifest
     curves = harness.read_csv(harness.Path(out["directory"]) / "learning_curves.csv")
     metrics = harness.read_csv(harness.Path(info["directory"]) / "metrics-seed0.csv")
     assert len(curves) == len(metrics)
@@ -464,6 +527,17 @@ def test_plot_data_row_counts_match_sources(tmp_path):
     sched_in = harness.read_csv(harness.Path(info["directory"]) / "schedule-seed0.csv")
     assert len(sched_out) == len(sched_in)
     assert list(sched_out[0]) == harness.SCHEMAS["schedule"]
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_plot_data_rejects_a_non_directory_source_before_any_directory(tmp_path, kind):
+    cfg = _tiny_config(tmp_path)
+    source = tmp_path / "source"
+    if kind == "file":
+        source.write_text("")
+    with pytest.raises(NotADirectoryError, match="source"):
+        harness.cmd_plot_data(cfg, source)
+    assert not (tmp_path / "runs").exists()
 
 
 # ------------------------------------------------------------------------ CLI

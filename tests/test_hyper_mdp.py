@@ -231,9 +231,19 @@ def test_hyper_episode_transition_count():
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=1, tau=50).for_env("pointmass2d")
     pol = controller.init_controller(np.random.default_rng(0), (True,) * 8)
-    traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1)
+    traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1, n_episodes=hc.m_train)
     assert len(traj) == 1 * 200 // 50 == 4
     assert traj.valid
+
+
+@pytest.mark.parametrize("n_episodes", [0, -1])
+def test_hyper_episode_rejects_fewer_than_one_episode(n_episodes):
+    # the count is the caller's; 0 no longer stands for hyper.m_train
+    cfg = mbpo.MbpoConfig(warmup_steps=60)
+    hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
+    pol = controller.init_controller(np.random.default_rng(0), (True,) * 8)
+    with pytest.raises(ValueError, match="n_episodes"):
+        run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1, n_episodes=n_episodes)
 
 
 def test_hyper_episode_states_follow_the_policy_feature_mask():
@@ -242,7 +252,7 @@ def test_hyper_episode_states_follow_the_policy_feature_mask():
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
     mask = (False, False, True, True, True, True, True, True)  # SA ablation
     pol = controller.init_controller(np.random.default_rng(0), mask)
-    traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1)
+    traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1, n_episodes=hc.m_train)
     assert traj.valid and traj.states.shape == (4, 6)
     # the first state: nothing trained or evaluated yet, initial params
     run, _, _ = _tiny_run(seed=1)
@@ -280,7 +290,7 @@ def test_hyper_episode_pinned_bits(greedy):
     hc = HyperMdpConfig(m_train=2).for_env("pointmass2d")
     pol = controller.init_controller(np.random.default_rng(4))  # all four heads
     traj, log = controller.run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=14,
-                                             greedy=greedy)
+                                             n_episodes=hc.m_train, greedy=greedy)
     rows = [[r["real_step"], r["beta"].hex(), r["g"], r["k"], r["model_trained"]]
             for r in log.schedule_rows]
     assert traj.valid
@@ -300,7 +310,7 @@ def _crashing_hyper_episode(monkeypatch, exc):
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
     pol = controller.init_controller(np.random.default_rng(0), (True,) * 8)
-    traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1)
+    traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1, n_episodes=hc.m_train)
     return traj
 
 
@@ -326,7 +336,8 @@ def test_neutral_controller_reproduces_default_mbpo_bit_exactly():
     log_default = mbpo.run_default_mbpo("pointmass2d", cfg, hc, 2, seed=12)
     pol = controller.init_controller(np.random.default_rng(5), (True,) * 8,
                                      head_mask=(False,) * 4)
-    traj, log_ctrl = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=12)
+    traj, log_ctrl = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=12,
+                                       n_episodes=hc.m_train)
     assert np.array_equal(traj.rewards, np.array(log_default.hyper_rewards))
     assert log_ctrl.eval_rows == log_default.eval_rows
     assert log_ctrl.schedule_rows == log_default.schedule_rows
@@ -337,7 +348,7 @@ def test_reward_placement_within_trajectory():
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=2).for_env("pointmass2d")
     pol = controller.init_controller(np.random.default_rng(2), (True,) * 8)
-    traj, log = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=13)
+    traj, log = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=13, n_episodes=hc.m_train)
     n_b = 200 // hc.tau
     for i, r in enumerate(traj.rewards):
         if (i + 1) % n_b != 0:

@@ -18,6 +18,15 @@ def _configs(env="pointmass2d", warmup=60, **kw):
     return cfg, HyperMdpConfig(m_train=2).for_env(env)
 
 
+def test_run_state_takes_its_schedule_start_from_init_run():
+    # the hyper config is an argument of every episode, not a field of the run
+    cfg, _ = _configs()
+    hc = HyperMdpConfig(m_train=2, beta_init=0.2, g_init=3, k_init=4).for_env("pointmass2d")
+    run = mbpo.init_run("pointmass2d", cfg, hc, seed=0)
+    assert "hyper_config" not in {f.name for f in dataclasses.fields(mbpo.MbpoRunState)}
+    assert run.current_params == hc.initial_params() == HyperParams(0.2, 3, 4)
+
+
 def test_warmup_contract_no_model_no_rollouts():
     cfg, hc = _configs()
     run = mbpo.init_run("pointmass2d", cfg, hc, seed=0)

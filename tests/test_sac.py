@@ -123,7 +123,8 @@ def test_mixed_batch_all_real_at_beta_one():
     d_env = TransitionBuffer(100, 3, 1)
     _fill(d_env, 50, 0)
     spec = sac.MixedBatchSpec(batch_size=32, real_ratio=1.0)
-    batch = sac.sample_mixed_batch(d_env, None, spec, np.random.default_rng(1))
+    d_model = TransitionBuffer(100, 3, 1)  # empty, and never drawn from at beta 1
+    batch = sac.sample_mixed_batch(d_env, d_model, spec, np.random.default_rng(1))
     assert batch["n_real"] == 32 and len(batch["r"]) == 32
 
 
@@ -150,15 +151,14 @@ def test_mixed_batch_split_is_exact_over_many_draws():
     assert fracs == {6}  # round(0.3*20) every single time
 
 
-def test_mixed_batch_falls_back_to_real_when_model_empty(caplog):
+def test_mixed_batch_errors_when_the_model_part_is_empty():
+    # beta < 1 draws imaginary rows; there is no silent all-real fallback
     d_env = TransitionBuffer(100, 3, 1)
     _fill(d_env, 30, 0)
     d_model = TransitionBuffer(100, 3, 1)
     spec = sac.MixedBatchSpec(batch_size=16, real_ratio=0.25)
-    with caplog.at_level("INFO", logger="mbrlab.sac"):
-        batch = sac.sample_mixed_batch(d_env, d_model, spec, np.random.default_rng(4))
-    assert batch["n_real"] == 16
-    assert any("all-real" in r.message for r in caplog.records)
+    with pytest.raises(ValueError, match="empty"):
+        sac.sample_mixed_batch(d_env, d_model, spec, np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("batch_size", [64, 128])
@@ -383,10 +383,11 @@ def test_critic_loss_decreases_on_pointmass_real_data():
     d_env.push_batch(*random_policy_columns(env, env_rng, 5_000))
     agent = sac.init_agent(agent_rng, 4, 2, env.spec.action_low,
                            env.spec.action_high, hidden=(64, 64))
+    d_model = TransitionBuffer(1, 4, 2)  # empty, and never drawn from at beta 1
     spec = sac.MixedBatchSpec(batch_size=256, real_ratio=1.0)
     losses = []
     for _ in range(5_000):
-        batch = sac.sample_mixed_batch(d_env, None, spec, upd_rng)
+        batch = sac.sample_mixed_batch(d_env, d_model, spec, upd_rng)
         c_loss, _ = sac.sac_update(agent, batch, env.spec.gamma, upd_rng)
         losses.append(c_loss)
     avg = np.convolve(losses, np.ones(100) / 100, mode="valid")
