@@ -1,9 +1,7 @@
-"""Self-describing structured-text parameter checkpoints.
-
-JSON with a mandatory format_version, per-tensor name/shape/row-major values,
-and free-form metadata. Python's float repr round-trips IEEE doubles exactly,
-so save -> load is bit-exact.
-"""
+"""One format for the artifacts a command reads back, controller checkpoints
+and baseline curves: JSON holding a format_version, the artifact's kind, named
+float64 vectors and metadata. Float reprs round-trip IEEE doubles exactly, so
+save -> load is bit-exact; `load` returns only what it has checked."""
 
 from __future__ import annotations
 
@@ -12,76 +10,46 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
     pass
 
 
-def tensors_to_doc(tensors: dict) -> list:
-    out = []
-    for name, arr in tensors.items():
-        arr = np.asarray(arr, dtype=np.float64)
-        out.append({"name": name, "shape": list(arr.shape),
-                    "values": arr.reshape(-1).tolist()})
-    return out
+def save(path, kind: str, arrays: dict, metadata: dict) -> None:
+    """A non-finite value raises ValueError, since `load` would refuse it."""
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, "metadata": metadata,
+           "arrays": {name: np.asarray(a, dtype=np.float64).tolist()
+                      for name, a in arrays.items()}}
+    Path(path).write_text(json.dumps(doc, allow_nan=False))
 
 
-def doc_to_tensors(doc: list) -> dict:
-    out = {}
-    for entry in doc:
-        arr = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        out[entry["name"]] = arr
-    return out
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise CheckpointError(f"non-finite value {text}")
+    return value
 
 
-def save(path, tensors: dict, metadata: dict) -> None:
-    doc = {"format_version": FORMAT_VERSION,
-           "metadata": metadata,
-           "tensors": tensors_to_doc(tensors)}
-    Path(path).write_text(json.dumps(doc))
-
-
-def load(path) -> tuple:
-    """Returns (tensors dict, metadata dict); corrupt files raise."""
+def load(path, kind: str) -> tuple:
+    """(arrays, metadata) of a format-2 artifact of this kind; anything else
+    raises CheckpointError."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise CheckpointError(f"{path}: missing format_version field")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format_version {doc['format_version']}")
+        doc = json.loads(Path(path).read_text(), parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError, CheckpointError) as exc:  # ValueError: not JSON text
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    version = doc.get("format_version", "missing") if isinstance(doc, dict) else "missing"
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format_version {version!r}, "
+                              f"this reader reads {FORMAT_VERSION}")
+    if doc.get("kind") != kind:
+        raise CheckpointError(f"{path}: a {doc.get('kind')!r} file, not a {kind!r}")
     try:
-        tensors = doc_to_tensors(doc["tensors"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed tensor table: {exc}") from exc
-    return tensors, doc.get("metadata", {})
-
-
-def net_tensors(prefix: str, net) -> dict:
-    out = {}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        out[f"{prefix}.layer{i}.weight"] = w
-        out[f"{prefix}.layer{i}.bias"] = b
-    return out
-
-
-def tensor(tensors: dict, name: str) -> np.ndarray:
-    if name not in tensors:
-        raise CheckpointError(f"missing tensor {name}")
-    return tensors[name]
-
-
-def load_net(prefix: str, tensors: dict, net) -> None:
-    """Copy the prefix's tensors into net.theta. A missing, mis-shaped or
-    non-finite tensor raises and leaves net untouched."""
-    staged = net.copy()
-    for name, dst in net_tensors(prefix, staged).items():
-        src = tensor(tensors, name)
-        if src.shape != dst.shape:
-            raise CheckpointError(f"tensor {name} has shape {src.shape}, expected {dst.shape}")
-        dst[...] = src
-    staged.validate()
-    net.theta[:] = staged.theta
+        arrays = {name: np.array(v, dtype=np.float64) for name, v in doc["arrays"].items()}
+        metadata = dict(doc["metadata"])
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed array table or metadata: {exc!r}") from exc
+    if any(a.ndim != 1 or not np.isfinite(a).all() for a in arrays.values()):
+        raise CheckpointError(f"{path}: an array is not a finite vector")  # null reads as NaN
+    return arrays, metadata

@@ -278,6 +278,13 @@ class BaselineCurve:
     def __len__(self):
         return len(self.values)
 
+    def check_fits(self, env_name: str, hyper_config: HyperMdpConfig) -> None:
+        """Raise ValueError unless the curve is env_name's, of m_train * H / tau values."""
+        n = hyper_config.train_hyper_steps(env_name)
+        if self.env_name != env_name or len(self) != n:
+            raise ValueError(f"baseline of {len(self)} values on {self.env_name!r}; the run "
+                             f"needs m_train * H / tau = {n} on {env_name!r}")
+
 
 def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
                      ppo_config: PpoConfig, baseline: BaselineCurve,
@@ -293,10 +300,11 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
     Returns (policy, history) where history holds one record per hyper-episode
     (its reward sum and baseline-relative improvement) plus per-round PPO
     diagnostics; crashed trajectories are excluded, counted, and listed in
-    `invalid` with their index, seed and error (None when the trajectory ran
-    to its end but its length differs from the baseline's).
+    `invalid` with their index, seed and error. A baseline that does not fit
+    the run (`BaselineCurve.check_fits`) raises ValueError before any episode.
     """
     ppo_config.validate()
+    baseline.check_fits(env_name, hyper_config)
     if episodes_per_round < 1:
         raise ValueError("episodes_per_round must be >= 1")
     root = np.random.default_rng(seed)
@@ -317,7 +325,7 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
         trajs = []
         for ep_seed, traj in zip(ep_seeds, workers.map_units(unit, ep_seeds)):
             collected += 1
-            if traj.valid and len(traj) == len(baseline.values):
+            if traj.valid:
                 trajs.append(traj)
                 history["episode_returns"].append(float(traj.rewards.sum()))
                 history["improvements"].append(
@@ -353,25 +361,22 @@ def phase_means(returns) -> list:
 
 
 def save_controller(policy: ControllerPolicy, path) -> None:
-    checkpoint.save(path, checkpoint.net_tensors("controller", policy.net), {
-        "kind": "hyper-controller",
-        "head_mask": list(policy.head_mask),
-        "feature_mask": list(policy.feature_mask),
-        "head_sizes": list(HEAD_SIZES),
-        "config_hash": policy.config_hash,
-    })
+    checkpoint.save(path, "hyper-controller", {"theta": policy.net.theta}, {
+        "hidden": policy.net.sizes[1], "head_mask": list(policy.head_mask),
+        "feature_mask": list(policy.feature_mask), "config_hash": policy.config_hash})
 
 
 def load_controller(path) -> ControllerPolicy:
-    tensors, meta = checkpoint.load(path)
-    if meta.get("kind") != "hyper-controller":
-        raise checkpoint.CheckpointError(f"{path}: not a controller checkpoint")
-    feature_mask = tuple(bool(b) for b in meta["feature_mask"])
-    head_mask = tuple(bool(b) for b in meta["head_mask"])
-    hidden = checkpoint.tensor(tensors, "controller.layer0.weight").shape[0]
-    net = DenseNet([int(np.sum(feature_mask)), hidden, sum(HEAD_SIZES)], ["tanh", "identity"])
-    checkpoint.load_net("controller", tensors, net)
-    return ControllerPolicy(net, head_mask, feature_mask, meta.get("config_hash", ""))
+    """A missing field, or a theta that does not fit, is a CheckpointError."""
+    arrays, meta = checkpoint.load(path, "hyper-controller")
+    try:
+        feature_mask = tuple(bool(b) for b in meta["feature_mask"])
+        net = DenseNet([sum(feature_mask), meta["hidden"], sum(HEAD_SIZES)],
+                       ["tanh", "identity"], arrays["theta"])
+        head_mask = tuple(bool(b) for b in meta["head_mask"])
+        return ControllerPolicy(net, head_mask, feature_mask, meta["config_hash"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise checkpoint.CheckpointError(f"{path}: bad controller field {exc!r}") from exc
 
 
 def check_transfer(policy: ControllerPolicy, config_hash: str) -> bool:

@@ -400,10 +400,13 @@ def states_per_iteration(n_real: float, beta: float, n_actions: int) -> int:
 
 def check_sweep(beta_grid, n_real_grid, sigma: float, iterations: int, n_seeds: int,
                 n_bootstrap: int, base: FviConfig) -> None:
-    """Raise ValueError, naming the `fvi` config key at fault, unless every
-    beta lies in (0, 1], every N_real is >= 1, there is at least one seed and
-    one bootstrap draw, and `base` under this sigma and iteration count is a
-    valid FviConfig; then every cell of the sweep is valid too."""
+    """Raise ValueError, naming the `fvi` config key at fault, unless both grids
+    are non-empty, every beta lies in (0, 1], every N_real is >= 1, there is a
+    seed and a bootstrap draw, and `base` under this sigma and iteration count
+    is a valid FviConfig; then every cell of the sweep is valid too."""
+    for name, grid in (("beta_grid", beta_grid), ("n_real_grid", n_real_grid)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} is empty")
     for beta in beta_grid:
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta_grid: beta {beta} is outside (0, 1]")

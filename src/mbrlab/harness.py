@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import csv
 import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import controller as ctrl
-from . import fvi, mbpo, workers
+from . import checkpoint, fvi, mbpo, workers
 from .config import RunConfig
 from .controller import BaselineCurve
 from .hyper_mdp import HyperMdpConfig, HyperParams
@@ -169,8 +170,15 @@ def run_mbpo_mode(config: RunConfig, mode: str, seed: int,
 
 
 def cmd_train_mbpo(config: RunConfig, mode: str = "default", schedule_file=None) -> dict:
+    n = config.hyper.train_hyper_steps(config.env_name)
+    schedule_rows = None if schedule_file is None else read_csv(schedule_file)
+    if (mode == "fixed-schedule-file") != (schedule_rows is not None):
+        raise ValueError(f"a schedule file goes with fixed-schedule-file alone, which "
+                         f"replays one of m_train * H / tau = {n} rows")
+    if schedule_rows is not None and len(schedule_rows) != n:
+        raise ValueError(f"schedule file {schedule_file} holds {len(schedule_rows)} rows, "
+                         f"not m_train * H / tau = {n}")
     with RunDir(config, f"train-mbpo-{mode}") as run:
-        schedule_rows = read_csv(schedule_file) if schedule_file else None
         for seed in config.harness.seeds:
             log = run_mbpo_mode(config, mode, seed, schedule_rows)
             write_csv(run.file(f"metrics-seed{seed}.csv"), "metrics", log.eval_rows)
@@ -200,20 +208,19 @@ def build_baseline(config: RunConfig) -> BaselineCurve:
 
 
 def save_baseline(curve: BaselineCurve, path) -> None:
-    Path(path).write_text(json.dumps({
-        "format_version": 1, "kind": "baseline-curve",
-        "values": curve.values.tolist(), "n_seeds": curve.n_seeds,
-        "env_name": curve.env_name, "config_hash": curve.config_hash,
-    }))
+    checkpoint.save(path, "baseline-curve", {"values": curve.values}, {
+        "n_seeds": curve.n_seeds, "env_name": curve.env_name,
+        "config_hash": curve.config_hash})
 
 
 def load_baseline(path) -> BaselineCurve:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("kind") != "baseline-curve":
-        raise ValueError(f"{path}: not a baseline curve file")
-    return BaselineCurve(values=np.asarray(doc["values"], dtype=np.float64),
-                         n_seeds=doc["n_seeds"], env_name=doc["env_name"],
-                         config_hash=doc["config_hash"])
+    """The saved curve; a missing field is a CheckpointError."""
+    arrays, meta = checkpoint.load(path, "baseline-curve")
+    try:
+        return BaselineCurve(arrays["values"], meta["n_seeds"], meta["env_name"],
+                             meta["config_hash"])
+    except KeyError as exc:
+        raise checkpoint.CheckpointError(f"{path}: missing baseline field {exc}") from exc
 
 
 def cmd_build_baseline(config: RunConfig) -> dict:
@@ -229,12 +236,15 @@ def cmd_build_baseline(config: RunConfig) -> dict:
 
 def cmd_train_controller(config: RunConfig, baseline_path=None,
                          feature_mask=(True,) * 8, head_mask=(True,) * 4) -> dict:
-    hx = config.harness
+    hx, hc = config.harness, config.resolved_hyper()
+    baseline = load_baseline(baseline_path) if baseline_path else None
+    if baseline is not None:
+        baseline.check_fits(config.env_name, hc)
     with RunDir(config, "train-controller") as run:
-        baseline = (load_baseline(baseline_path) if baseline_path
-                    else build_baseline(config))
+        if baseline is None:
+            baseline = build_baseline(config)
         policy, history = ctrl.train_controller(
-            config.env_name, config.mbpo, config.resolved_hyper(), config.ppo, baseline,
+            config.env_name, config.mbpo, hc, config.ppo, baseline,
             hx.n_hyper_episodes, hx.seeds[0], episodes_per_round=hx.episodes_per_round,
             feature_mask=feature_mask, head_mask=head_mask)
         ckpt = run.file("controller.json")
@@ -261,13 +271,13 @@ def _paired_eval_runs(config: RunConfig, hc: HyperMdpConfig, policy, seed: int) 
 def cmd_eval_controller(config: RunConfig, controller_path, head_mask_override=None,
                         mode_tag: str = "eval-controller") -> dict:
     """Controller-vs-default comparison over paired seeds at the evaluation
-    horizon M, with the Welch t report and a schedule export. Seeds run on
-    worker processes; their outputs are written in seed order. A seed whose
-    hyper-episode is invalid (a numeric crash) is left out of the comparison
-    and listed in the report with its error."""
+    horizon M, with the Welch t report and a schedule export; the controller
+    loads before the directory is claimed. Seeds run on worker processes, their
+    outputs written in seed order. A seed whose hyper-episode is invalid (a
+    numeric crash) is left out of the comparison, listed in the report."""
+    policy = ctrl.load_controller(controller_path)
     with RunDir(config, mode_tag) as run:
         hc = config.resolved_hyper()
-        policy = ctrl.load_controller(controller_path)
         ctrl.check_transfer(policy, config.content_hash())
         if head_mask_override is not None:
             policy.head_mask = tuple(head_mask_override)
@@ -363,14 +373,8 @@ class _PbtInstance:
     last_eval: float = -np.inf
 
     def schedule(self):
-        counter = {"i": 0}
-
-        def source(state, params):
-            train = counter["i"] % self.train_every == 0
-            counter["i"] += 1
-            return self.params, train
-
-        return source
+        steps = itertools.count()
+        return lambda state, params: (self.params, next(steps) % self.train_every == 0)
 
 
 def pbt_exploit(dst: _PbtInstance, src: _PbtInstance) -> None:

@@ -77,6 +77,10 @@ class HyperMdpConfig:
         if not 1 <= self.k_init <= self.k_max:
             raise ValueError("k_init must lie in [1, k_max]")
 
+    def train_hyper_steps(self, env_name: str) -> int:
+        """m_train * H / tau: the length of a baseline curve or replayed schedule."""
+        return self.m_train * make_env(env_name).spec.horizon // self.tau
+
     def for_env(self, env_name: str) -> "HyperMdpConfig":
         spec = make_env(env_name).spec
         return replace(self, return_lo=spec.return_lo, return_hi=spec.return_hi)

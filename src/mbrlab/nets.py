@@ -119,9 +119,6 @@ class DenseNet:
         """Interleaved [W0, b0, W1, b1, ...] views into theta."""
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
-    def copy(self) -> "DenseNet":
-        return DenseNet(self.sizes, self.activations, self.theta.copy())
-
 
 def init_dense(rng: np.random.Generator, sizes: list,
                activations: list | None = None) -> DenseNet:

@@ -1,10 +1,11 @@
 import copy
+import json
 import pickle
 
 import numpy as np
 import pytest
 
-from mbrlab import checkpoint, nets
+from mbrlab import checkpoint, controller, nets
 from mbrlab.buffers import TransitionBuffer
 
 
@@ -12,47 +13,107 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     net = nets.init_dense(rng, [3, 7, 2])
     path = tmp_path / "net.json"
-    checkpoint.save(path, checkpoint.net_tensors("net", net), {"alpha": 0.2})
-    tensors, meta = checkpoint.load(path)
-    assert meta["alpha"] == 0.2
-    restored = nets.init_dense(np.random.default_rng(1), [3, 7, 2])
-    checkpoint.load_net("net", tensors, restored)
+    checkpoint.save(path, "test-net", {"theta": net.theta}, {"alpha": 0.2})
+    arrays, meta = checkpoint.load(path, "test-net")
+    assert meta == {"alpha": 0.2}
+    assert list(arrays) == ["theta"]
+    restored = nets.DenseNet(net.sizes, net.activations, arrays["theta"])
     assert np.array_equal(net.theta, restored.theta)
     assert all(np.shares_memory(p, restored.theta) for p in restored.params())
+    x = rng.normal(size=(4, 3))
+    assert np.array_equal(nets.forward(net, x), nets.forward(restored, x))
 
 
-@pytest.mark.parametrize("name, value, match", [
-    ("net.layer1.weight", None, "missing tensor net.layer1.weight"),
-    ("net.layer0.bias", np.zeros(6), r"shape \(6,\), expected \(7,\)"),
-    ("net.layer1.bias", np.zeros(1), r"shape \(1,\), expected \(2,\)"),  # would broadcast
-    ("net.layer0.weight", np.zeros((3, 7)), r"shape \(3, 7\), expected \(7, 3\)"),
-])
-def test_load_net_rejects_bad_tensors(name, value, match):
-    net = nets.init_dense(np.random.default_rng(0), [3, 7, 2])
-    tensors = {k: v.copy() for k, v in checkpoint.net_tensors("net", net).items()}
-    if value is None:
-        del tensors[name]
+def _saved_controller_doc(tmp_path):
+    pol = controller.init_controller(np.random.default_rng(0), hidden=7)
+    path = tmp_path / "controller.json"
+    controller.save_controller(pol, path)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("theta, match", [
+    ("missing", "theta"),
+    ("short", r"theta must be float64 of shape \(\.\.\., 151\)"),
+    ("long", r"theta must be float64 of shape \(\.\.\., 151\)"),
+    ("non-finite", "not a finite vector"),
+], ids=["missing", "short", "long", "non-finite"])
+def test_load_controller_rejects_bad_theta(tmp_path, theta, match):
+    doc = _saved_controller_doc(tmp_path)
+    assert len(doc["arrays"]["theta"]) == 151  # 8 -> 7 -> 11
+    if theta == "missing":
+        del doc["arrays"]["theta"]
+    elif theta == "short":
+        doc["arrays"]["theta"] = doc["arrays"]["theta"][:-1]
+    elif theta == "long":
+        doc["arrays"]["theta"].append(0.0)
     else:
-        tensors[name] = value
-    target = nets.init_dense(np.random.default_rng(1), [3, 7, 2])
-    before = target.theta.copy()
+        doc["arrays"]["theta"][5] = None  # JSON null: NaN once read as float64
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    loaded = []
     with pytest.raises(checkpoint.CheckpointError, match=match):
-        checkpoint.load_net("net", tensors, target)
-    assert np.array_equal(target.theta, before)  # nothing partially written
+        loaded.append(controller.load_controller(bad))
+    assert loaded == []  # a refused load returns nothing
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_checkpoint_load_refuses_every_non_finite_number(tmp_path, token):
+    doc = _saved_controller_doc(tmp_path)
+    text = json.dumps(doc).replace('"hidden": 7', f'"hidden": {token}')
+    assert token in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(checkpoint.CheckpointError, match="non-finite value"):
+        checkpoint.load(bad, "hyper-controller")
+
+
+def test_checkpoint_save_refuses_non_finite_arrays(tmp_path):
+    with pytest.raises(ValueError):
+        checkpoint.save(tmp_path / "x.json", "test-net", {"theta": np.array([1.0, np.nan])}, {})
 
 
 def test_checkpoint_version_field_mandatory(tmp_path):
     p = tmp_path / "x.json"
-    p.write_text('{"tensors": [], "metadata": {}}')
-    with pytest.raises(checkpoint.CheckpointError, match="format_version"):
-        checkpoint.load(p)
+    p.write_text('{"kind": "test-net", "arrays": {}, "metadata": {}}')
+    with pytest.raises(checkpoint.CheckpointError, match="format_version 'missing'"):
+        checkpoint.load(p, "test-net")
 
 
 def test_checkpoint_rejects_wrong_version(tmp_path):
     p = tmp_path / "x.json"
-    p.write_text('{"format_version": 99, "tensors": []}')
-    with pytest.raises(checkpoint.CheckpointError, match="unsupported"):
-        checkpoint.load(p)
+    p.write_text('{"format_version": 99, "kind": "test-net", "arrays": {}, "metadata": {}}')
+    with pytest.raises(checkpoint.CheckpointError, match="unsupported format_version 99"):
+        checkpoint.load(p, "test-net")
+    # a format-1 controller checkpoint, its layer table cut to one bias
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({
+        "format_version": 1,
+        "metadata": {"kind": "hyper-controller", "head_mask": [True] * 4,
+                     "feature_mask": [True] * 8, "head_sizes": [3, 2, 3, 3],
+                     "config_hash": ""},
+        "tensors": [{"name": "controller.layer1.bias", "shape": [11], "values": [0.0] * 11}]}))
+    with pytest.raises(checkpoint.CheckpointError,
+                       match="unsupported format_version 1, this reader reads 2"):
+        controller.load_controller(v1)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: doc.pop("arrays"), "malformed array table"),
+    (lambda doc: doc.update(arrays=[1.0, 2.0]), "malformed array table"),
+    (lambda doc: doc["arrays"].update(theta="abc"), "malformed array table"),
+    (lambda doc: doc["arrays"].update(theta=[[1.0], [2.0]]), "not a finite vector"),
+    (lambda doc: doc.update(metadata=5), "metadata"),
+    (lambda doc: doc.update(kind="baseline-curve"), "'baseline-curve' file, not a 'hyper"),
+    (lambda doc: doc.pop("kind"), "None file, not a 'hyper-controller'"),
+], ids=["no-arrays", "arrays-list", "string-array", "matrix", "metadata-int", "other-kind",
+        "no-kind"])
+def test_checkpoint_load_refuses_malformed_documents(tmp_path, edit, match):
+    doc = _saved_controller_doc(tmp_path)
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(checkpoint.CheckpointError, match=match):
+        checkpoint.load(bad, "hyper-controller")
 
 
 def _row(seed, sd=2, ad=1):

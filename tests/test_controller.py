@@ -249,25 +249,44 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     assert a1 == a2 and lp1 == lp2
     assert np.array_equal(pol.net.theta, loaded.net.theta)
     assert loaded.config_hash == "abc123"
-    # format 1, one tensor per layer weight and bias under the same names
+    # format 2, the net stored as its one flat theta
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1
-    assert [t["name"] for t in doc["tensors"]] == [
-        "controller.layer0.weight", "controller.layer0.bias",
-        "controller.layer1.weight", "controller.layer1.bias"]
+    assert doc["format_version"] == 2
+    assert doc["kind"] == "hyper-controller"
+    assert list(doc["arrays"]) == ["theta"]
 
 
 def test_load_controller_missing_tensor_is_a_checkpoint_error(tmp_path):
     pol = init_controller(np.random.default_rng(22), hidden=8)
     path = tmp_path / "controller.json"
     save_controller(pol, path)
-    for name in ("controller.layer0.weight", "controller.layer1.bias"):
+    for table, name in (("arrays", "theta"), ("metadata", "hidden"),
+                        ("metadata", "config_hash")):
         doc = json.loads(path.read_text())
-        doc["tensors"] = [t for t in doc["tensors"] if t["name"] != name]
+        del doc[table][name]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(checkpoint.CheckpointError, match=name):
             load_controller(bad)
+
+
+def test_controller_roundtrip_keeps_masks_size_and_draws(tmp_path):
+    feature_mask = (False, False, True, True, True, True, True, True)
+    head_mask = (True, False, True, False)
+    pol = init_controller(np.random.default_rng(40), feature_mask, head_mask, hidden=16,
+                          config_hash="def456")
+    path = tmp_path / "controller.json"
+    save_controller(pol, path)
+    loaded = load_controller(path)
+    assert loaded.feature_mask == feature_mask and loaded.head_mask == head_mask
+    assert loaded.config_hash == "def456"
+    assert loaded.net.sizes == pol.net.sizes == (6, 16, sum(HEAD_SIZES))
+    assert loaded.net.activations == pol.net.activations
+    assert loaded.net.theta.tobytes() == pol.net.theta.tobytes()
+    states = np.random.default_rng(41).uniform(size=(20, 6))
+    draws = [[controller_act(p, s, np.random.default_rng(42)) for s in states]
+             for p in (pol, loaded)]
+    assert draws[0] == draws[1]
 
 
 def test_transfer_warning_on_config_mismatch(tmp_path):

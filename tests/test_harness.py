@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mbrlab import controller, fvi, harness, mbpo
+from mbrlab.checkpoint import CheckpointError
 from mbrlab.config import (ConfigError, FviSweepConfig, HarnessConfig, RunConfig,
                            from_dict, load)
 from mbrlab.hyper_mdp import HyperMdpConfig
@@ -272,6 +273,8 @@ def test_manifest_describes_its_run_directory(tmp_path, command):
     ("fvi", "n_bootstrap", 0, "fvi-sweep"),
     ("fvi", "grid_size", 1, "fvi-sweep"),
     ("fvi", "sigma", -0.1, "fvi-sweep"),
+    ("fvi", "beta_grid", (), "fvi-sweep"),     # argmin of an empty sequence
+    ("fvi", "n_real_grid", (), "fvi-sweep"),   # ran "ok" with a header-only table
 ])
 def test_invalid_setting_is_rejected_before_any_directory(tmp_path, section, key, value,
                                                           command):
@@ -433,6 +436,79 @@ def test_baseline_roundtrip(tmp_path):
     assert loaded.config_hash == curve.config_hash
 
 
+def _curve(n=4, env_name="pointmass2d"):
+    return controller.BaselineCurve(values=np.random.default_rng(5).normal(size=n),
+                                    n_seeds=3, env_name=env_name, config_hash="c0ffee")
+
+
+def test_baseline_roundtrip_is_bit_exact_in_values_and_metadata(tmp_path):
+    curve = _curve(n=7)
+    path = tmp_path / "baseline.json"
+    harness.save_baseline(curve, path)
+    loaded = harness.load_baseline(path)
+    assert loaded.values.tobytes() == curve.values.tobytes()
+    assert (loaded.n_seeds, loaded.env_name, loaded.config_hash) == (
+        3, "pointmass2d", "c0ffee")
+    doc = json.loads(path.read_text())
+    assert (doc["format_version"], doc["kind"], list(doc["arrays"])) == (
+        2, "baseline-curve", ["values"])
+
+
+def test_corrupt_or_truncated_baseline_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "baseline.json"
+    harness.save_baseline(_curve(), path)
+    text = path.read_text()
+    doc = json.loads(text)
+    del doc["metadata"]["env_name"]
+    cases = {"truncated": (text[:len(text) // 2], "cannot read"),
+             "corrupt": ("{not json", "cannot read"),
+             "missing-key": (json.dumps(doc), "env_name"),
+             "v1": (json.dumps({"format_version": 1, "kind": "baseline-curve",
+                                "values": [0.0], "n_seeds": 1, "env_name": "pointmass2d",
+                                "config_hash": ""}), "unsupported format_version 1")}
+    for name, (content, match) in cases.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(content)
+        with pytest.raises(CheckpointError, match=match):
+            harness.load_baseline(bad)
+
+
+def test_each_artifact_is_refused_by_the_other_kinds_loader(tmp_path):
+    ckpt, base = tmp_path / "controller.json", tmp_path / "baseline.json"
+    controller.save_controller(controller.init_controller(np.random.default_rng(0)), ckpt)
+    harness.save_baseline(_curve(), base)
+    with pytest.raises(CheckpointError, match="'hyper-controller' file, not a 'baseline-curve'"):
+        harness.load_baseline(ckpt)
+    with pytest.raises(CheckpointError, match="'baseline-curve' file, not a 'hyper-controller'"):
+        controller.load_controller(base)
+
+
+def test_eval_controller_refuses_an_unreadable_controller_before_any_directory(tmp_path):
+    cfg = _tiny_config(tmp_path)
+    base = tmp_path / "baseline.json"
+    harness.save_baseline(_curve(), base)
+    for path in (base, tmp_path / "missing.json"):
+        with pytest.raises(CheckpointError):
+            harness.cmd_eval_controller(cfg, path)
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("n, env_name, match", [
+    (8, "pointmass2d", "baseline of 8 values on 'pointmass2d'"),   # built at m_train = 2
+    (4, "pendulum", "baseline of 4 values on 'pendulum'"),
+], ids=["wrong-length", "wrong-env"])
+def test_train_controller_refuses_a_baseline_that_does_not_fit(tmp_path, n, env_name, match):
+    cfg = _tiny_config(tmp_path)  # m_train = 1: 200 / 50 = 4 values on pointmass2d
+    path = tmp_path / "baseline.json"
+    harness.save_baseline(_curve(n, env_name), path)
+    with pytest.raises(ValueError, match=match):
+        harness.cmd_train_controller(cfg, baseline_path=path)
+    assert not (tmp_path / "runs").exists()
+    with pytest.raises(ValueError, match="m_train \\* H / tau = 4 on 'pointmass2d'"):
+        controller.train_controller(cfg.env_name, cfg.mbpo, cfg.resolved_hyper(), cfg.ppo,
+                                    harness.load_baseline(path), 1, seed=0)
+
+
 # ------------------------------------------------------------------ train-mbpo
 
 def test_train_mbpo_metrics_schema(tmp_path):
@@ -454,6 +530,27 @@ def test_fixed_schedule_file_replay_bit_exact(tmp_path):
     for a, b in zip(m1, m2):
         for k in harness.SCHEMAS["metrics"][1:]:
             assert a[k] == b[k]
+
+
+@pytest.mark.parametrize("mode, rows, match", [
+    ("fixed-schedule-file", None, "fixed-schedule-file alone, which replays one of "
+                                  "m_train \\* H / tau = 4 rows"),
+    ("fixed-schedule-file", 1, "holds 1 rows, not m_train \\* H / tau = 4"),
+    ("default", 4, "fixed-schedule-file alone, which replays one of "
+                   "m_train \\* H / tau = 4 rows"),
+], ids=["no-file", "one-row", "file-with-default"])
+def test_train_mbpo_checks_its_schedule_file_before_any_directory(tmp_path, mode, rows,
+                                                                  match):
+    cfg = _tiny_config(tmp_path, seeds=(3,))  # m_train = 1: 4 rows
+    sched = None
+    if rows is not None:
+        sched = tmp_path / "schedule.csv"
+        harness.write_csv(sched, "schedule", [
+            {"run_id": "r", "real_step": 50 * i, "beta": 0.05, "g": 10, "k": 1,
+             "model_trained": 1} for i in range(rows)])
+    with pytest.raises(ValueError, match=match):
+        harness.cmd_train_mbpo(cfg, mode, schedule_file=sched)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sac_modes_never_train_model(tmp_path):
@@ -572,6 +669,27 @@ def test_cli_fvi_sweep_smoke(tmp_path):
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout)
     assert "argmin_beta" in out
+
+
+def test_cli_chains_baseline_controller_and_evaluation(tmp_path):
+    # each command reads back the artifact the one before it wrote
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mbpo": {"warmup_steps": 100, "updates_start": 64, "batch_size": 64,
+                 "n_members": 2, "agent_hidden": [16, 16], "model_hidden": [16, 16]},
+        "hyper": {"m_train": 1, "m_eval": 1},
+        "harness": {"seeds": [0, 1], "n_baseline_seeds": 1, "n_hyper_episodes": 2,
+                    "episodes_per_round": 2, "output_dir": str(tmp_path / "runs")},
+    }))
+
+    def run(*args):
+        res = _run_cli(list(args), tmp_path, cfg_path)
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout)
+
+    baseline = run("build-baseline")["baseline_path"]
+    ckpt = run("train-controller", "--baseline", baseline)["controller_path"]
+    assert run("eval-controller", ckpt)["n_seeds"] == 2
 
 
 def test_cli_error_record_on_bad_input(tmp_path):
