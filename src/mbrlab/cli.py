@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-mbpo", help="train an MBPO/SAC instance")
     p.add_argument("--mode", default="default",
-                   choices=["default", "sac1", "sac20", "fixed-schedule-file"])
+                   choices=list(harness.TRAIN_MBPO_MODES))
     p.add_argument("--schedule-file", default=None,
                    help="schedule CSV to replay (fixed-schedule-file mode)")
 

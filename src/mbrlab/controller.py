@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checkpoint, mbpo, nets, workers
 from .envs import EnvDiverged
-from .hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig, apply_action
+from .hyper_mdp import FEATURE_NAMES, HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig, apply_action
 from .nets import AdamState, DenseNet, adam_step
 
 logger = logging.getLogger(__name__)
@@ -60,7 +60,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def head_log_probs(policy: ControllerPolicy, states: np.ndarray) -> list:
     """Per-head log-probability tables for a batch of states."""
-    logits = nets.forward(policy.net, np.atleast_2d(states))
+    logits = nets.forward(policy.net, states)
     return [_log_softmax(logits[:, sl]) for sl in policy.head_slices()]
 
 
@@ -125,7 +125,6 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
     (loss, gradient laid out like policy.net.theta, diagnostics).
     """
     config.validate()
-    states = np.atleast_2d(states)
     n = states.shape[0]
     logits, cache = nets.forward_cache(policy.net, states)
     slices = policy.head_slices()
@@ -178,10 +177,10 @@ def ppo_update(policy: ControllerPolicy, batch: dict, config: PpoConfig,
     Adam step on `adam` (its moments carry over between rounds); advantages
     are standardized across the batch first (left as they are when all equal)."""
     config.validate()
-    adv = np.asarray(batch["advantages"], dtype=np.float64)
+    adv = batch["advantages"]
     if adv.std() > 0:
         adv = (adv - adv.mean()) / adv.std()
-    states = np.atleast_2d(batch["states"])
+    states = batch["states"]
     n = states.shape[0]
     diags = []
     for _ in range(config.updates_per_round):
@@ -206,9 +205,6 @@ class HyperTrajectory:
     rewards: np.ndarray       # (T,)
     valid: bool = True
     error: dict | None = None  # type, message and real step of a numeric crash
-
-    def __len__(self):
-        return len(self.rewards)
 
 
 def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_config,
@@ -367,13 +363,16 @@ def save_controller(policy: ControllerPolicy, path) -> None:
 
 
 def load_controller(path) -> ControllerPolicy:
-    """A missing field, or a theta that does not fit, is a CheckpointError."""
+    """A missing field, a mask of the wrong length or an unfitting theta is a CheckpointError."""
     arrays, meta = checkpoint.load(path, "hyper-controller")
     try:
         feature_mask = tuple(bool(b) for b in meta["feature_mask"])
+        head_mask = tuple(bool(b) for b in meta["head_mask"])
+        if (len(feature_mask), len(head_mask)) != (len(FEATURE_NAMES), len(HEAD_SIZES)):
+            raise ValueError(f"mask lengths {len(feature_mask)} and {len(head_mask)}, "
+                             f"not {len(FEATURE_NAMES)} and {len(HEAD_SIZES)}")
         net = DenseNet([sum(feature_mask), meta["hidden"], sum(HEAD_SIZES)],
                        ["tanh", "identity"], arrays["theta"])
-        head_mask = tuple(bool(b) for b in meta["head_mask"])
         return ControllerPolicy(net, head_mask, feature_mask, meta["config_hash"])
     except (KeyError, TypeError, ValueError) as exc:
         raise checkpoint.CheckpointError(f"{path}: bad controller field {exc!r}") from exc
@@ -381,13 +380,11 @@ def load_controller(path) -> ControllerPolicy:
 
 def check_transfer(policy: ControllerPolicy, config_hash: str) -> bool:
     """Warn (not error) when a controller meets a different hyper-MDP config,
-    so transfer experiments run but are visibly flagged."""
+    so transfer experiments run but are visibly flagged; False on a mismatch."""
     if policy.config_hash and config_hash and policy.config_hash != config_hash:
         warnings.warn(
             f"controller trained under config {policy.config_hash[:12]} used "
             f"with config {config_hash[:12]}; transfer results are not "
             "directly comparable", stacklevel=2)
-        logger.warning("controller transfer across configs: %s -> %s",
-                       policy.config_hash[:12], config_hash[:12])
         return False
     return True

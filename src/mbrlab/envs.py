@@ -30,7 +30,6 @@ class EnvSpec:
     horizon: int
     gamma: float
     r_max: float
-    termination: str
     # return range used for [0,1] feature normalization downstream
     return_lo: float
     return_hi: float
@@ -87,7 +86,7 @@ class Pendulum(Env):
         self.spec = EnvSpec(
             name="pendulum", state_dim=3, action_dim=1,
             action_low=np.array([-2.0]), action_high=np.array([2.0]),
-            horizon=200, gamma=0.99, r_max=17.0, termination="none",
+            horizon=200, gamma=0.99, r_max=17.0,
             return_lo=-1600.0, return_hi=0.0,
         )
 
@@ -130,7 +129,7 @@ class PointMass2D(Env):
         self.spec = EnvSpec(
             name="pointmass2d", state_dim=4, action_dim=2,
             action_low=np.array([-1.0, -1.0]), action_high=np.array([1.0, 1.0]),
-            horizon=200, gamma=0.99, r_max=3.7, termination="goal",
+            horizon=200, gamma=0.99, r_max=3.7,
             return_lo=-400.0, return_hi=0.0,
         )
 
@@ -172,7 +171,7 @@ class CartPoleSwingup(Env):
         self.spec = EnvSpec(
             name="cartpole", state_dim=5, action_dim=1,
             action_low=np.array([-1.0]), action_high=np.array([1.0]),
-            horizon=200, gamma=0.99, r_max=11.1, termination="cart_limit",
+            horizon=200, gamma=0.99, r_max=11.1,
             return_lo=0.0, return_hi=300.0,
         )
 

@@ -278,19 +278,16 @@ def _scores(mdp: FviMdp, value_fn: ValueFn, rewards, nexts) -> np.ndarray:
     return rewards + mdp.gamma * value_fn(nexts).reshape(rewards.shape)
 
 
-def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray,
-                  horizon: int | None = None) -> np.ndarray:
+def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray) -> np.ndarray:
     """Discounted true return of the greedy-w.r.t.-value_fn policy, truncated
     once the remaining tail is below 1e-4 of scale."""
-    if horizon is None:
-        horizon = _truncation_horizon(mdp)
     s = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
     n = s.shape[0]
     rows = np.arange(n)
     returns = np.zeros(n)
     disc = 1.0
     fixed = False
-    for _ in range(horizon):
+    for _ in range(_truncation_horizon(mdp)):
         # the MDP is deterministic: once no state moves, later steps repeat this one
         if not fixed:
             rewards, nexts = _action_stack(mdp, s)

@@ -145,16 +145,19 @@ def cmd_fvi_sweep(config: RunConfig) -> dict:
 
 # ------------------------------------------------------------------ train-mbpo
 
-def _mode_schedule(mode: str, schedule_rows=None):
-    if mode == "default":
-        return mbpo.default_schedule
-    if mode == "sac1":
-        return lambda state, params: (HyperParams(beta=1.0, g=1, k=1), False)
-    if mode == "sac20":
-        return lambda state, params: (HyperParams(beta=1.0, g=20, k=1), False)
-    if mode == "fixed-schedule-file":
-        return mbpo.make_file_schedule(schedule_rows)
-    raise ValueError(f"unknown train-mbpo mode {mode!r}")
+def _sac_schedule(g: int):
+    """Model-free SAC: beta 1 and g updates per real step, no model training."""
+    return lambda state, params: (HyperParams(beta=1.0, g=g, k=1), False)
+
+
+# train-mbpo's modes, each mapped to the maker of its schedule from the rows
+# of the replayed schedule file, which only fixed-schedule-file reads
+TRAIN_MBPO_MODES = {
+    "default": lambda rows: mbpo.default_schedule,
+    "sac1": lambda rows: _sac_schedule(1),
+    "sac20": lambda rows: _sac_schedule(20),
+    "fixed-schedule-file": mbpo.make_file_schedule,
+}
 
 
 def run_mbpo_mode(config: RunConfig, mode: str, seed: int,
@@ -163,13 +166,15 @@ def run_mbpo_mode(config: RunConfig, mode: str, seed: int,
     hc = config.resolved_hyper()
     run = mbpo.init_run(config.env_name, config.mbpo, hc, seed)
     run.log.run_id = f"{mode}-{config.env_name}-seed{seed}"
-    source = _mode_schedule(mode, schedule_rows)
+    source = TRAIN_MBPO_MODES[mode](schedule_rows)
     for _ in range(hc.m_train):
         mbpo.run_target_episode(run, source, hc)
     return run.log
 
 
 def cmd_train_mbpo(config: RunConfig, mode: str = "default", schedule_file=None) -> dict:
+    if mode not in TRAIN_MBPO_MODES:
+        raise ValueError(f"unknown train-mbpo mode {mode!r}; one of {', '.join(TRAIN_MBPO_MODES)}")
     n = config.hyper.train_hyper_steps(config.env_name)
     schedule_rows = None if schedule_file is None else read_csv(schedule_file)
     if (mode == "fixed-schedule-file") != (schedule_rows is not None):
@@ -260,11 +265,17 @@ def cmd_train_controller(config: RunConfig, baseline_path=None,
 def _paired_eval_runs(config: RunConfig, hc: HyperMdpConfig, policy, seed: int) -> tuple:
     """The controller's greedy `hyper.m_eval`-episode run at `seed` and, if
     that run is valid, the default run at the same seed:
-    (HyperTrajectory, MbpoLog, MbpoLog | None)."""
+    (HyperTrajectory, MbpoLog, MbpoLog | None), tagged controller-<env>-seed<s>
+    and default-<env>-seed<s> (`init_run` gives both the same id)."""
     traj, log_c = ctrl.run_hyper_episode(policy, config.env_name, config.mbpo, hc,
                                          seed, n_episodes=hc.m_eval, greedy=True)
     log_d = (mbpo.run_default_mbpo(config.env_name, config.mbpo, hc, hc.m_eval, seed)
              if traj.valid else None)
+    for tag, log in (("controller", log_c), ("default", log_d)):
+        if log is not None:
+            log.run_id = f"{tag}-{config.env_name}-seed{seed}"
+            for row in log.eval_rows + log.schedule_rows:
+                row["run_id"] = log.run_id
     return traj, log_c, log_d
 
 
@@ -278,7 +289,7 @@ def cmd_eval_controller(config: RunConfig, controller_path, head_mask_override=N
     policy = ctrl.load_controller(controller_path)
     with RunDir(config, mode_tag) as run:
         hc = config.resolved_hyper()
-        ctrl.check_transfer(policy, config.content_hash())
+        config_match = ctrl.check_transfer(policy, config.content_hash())
         if head_mask_override is not None:
             policy.head_mask = tuple(head_mask_override)
         seeds = config.harness.seeds
@@ -311,7 +322,7 @@ def cmd_eval_controller(config: RunConfig, controller_path, head_mask_override=N
                   "mean_controller": mean([r["controller_final"] for r in rows]),
                   "mean_default": mean([r["default_final"] for r in rows]),
                   "win_fraction": mean([r["improvement"] >= 0 for r in rows]),
-                  "invalid": invalid}
+                  "invalid": invalid, "config_match": config_match}
         try:
             t, p = welch_t([r["controller_final"] for r in rows],
                            [r["default_final"] for r in rows])

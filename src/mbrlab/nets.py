@@ -38,9 +38,7 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
         return np.maximum(z, 0.0, out=out)
     if kind == "tanh":
         return np.tanh(z, out=out)
-    if kind == "identity":
-        return z
-    raise ContractViolation(f"unknown activation {kind!r}")
+    return z  # identity
 
 
 def _times_act_grad(dly: np.ndarray, z: np.ndarray, kind: str,
@@ -53,9 +51,7 @@ def _times_act_grad(dly: np.ndarray, z: np.ndarray, kind: str,
         np.multiply(t, t, out=t)
         np.subtract(1.0, t, out=t)
         return np.multiply(dly, t, out=t)
-    if kind == "identity":
-        return dly
-    raise ContractViolation(f"unknown activation {kind!r}")
+    return dly  # identity
 
 
 class DenseNet:
@@ -76,6 +72,9 @@ class DenseNet:
         self.activations = list(activations)
         if len(self.activations) != len(self.sizes) - 1:
             raise ContractViolation("one activation per layer required")
+        for i, a in enumerate(self.activations):
+            if a not in ACTIVATIONS:
+                raise ContractViolation(f"layer {i}: unknown activation {a!r}")
         n = sum(o * (i + 1) for i, o in zip(self.sizes[:-1], self.sizes[1:]))
         self.theta = np.zeros(n) if theta is None else theta
         if self.theta.shape[-1:] != (n,) or self.theta.dtype != np.float64:
@@ -108,13 +107,6 @@ class DenseNet:
     def n_layers(self) -> int:
         return len(self.sizes) - 1
 
-    def validate(self) -> None:
-        for i, a in enumerate(self.activations):
-            if a not in ACTIVATIONS:
-                raise ContractViolation(f"layer {i}: unknown activation {a!r}")
-        if not np.isfinite(self.theta).all():
-            raise ContractViolation("non-finite parameters")
-
     def params(self) -> list:
         """Interleaved [W0, b0, W1, b1, ...] views into theta."""
         return [p for wb in zip(self.weights, self.biases) for p in wb]
@@ -131,24 +123,12 @@ def init_dense(rng: np.random.Generator, sizes: list,
     for w in net.weights:
         bound = np.sqrt(6.0 / sum(w.shape))  # fan_in + fan_out
         w[:] = rng.uniform(-bound, bound, size=w.shape)
-    net.validate()
     return net
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 0:
-        raise ContractViolation("batch must be at least 1-D")
-    return x, False
-
-
 def forward(net: DenseNet, batch: np.ndarray) -> np.ndarray:
-    """Forward pass; accepts (..., B, in) or a single (in,) sample."""
-    x, was_1d = _as_batch(batch)
-    y = forward_cache(net, x)[0]
-    return y[0] if was_1d else y
+    """Forward pass of a float64 batch of shape (..., B, in)."""
+    return forward_cache(net, batch)[0]
 
 
 def mapped_zeros(shape, dtype=np.float64) -> np.ndarray:
@@ -202,13 +182,13 @@ def forward_cache(net: DenseNet, batch: np.ndarray, ws: Workspace | None = None)
     A stacked net (theta of shape (..., n)) takes a batch of shape
     (..., B, in) whose leading axes broadcast against theta's. `np.matmul`
     makes the same BLAS call for every slice, so each slice's output is
-    bit-for-bit the output of that slice's own net on its own rows.
+    bit-for-bit the output of that slice's own net on its own rows. The
+    batch is float64; a single sample is a batch of one row.
     """
-    x, _ = _as_batch(batch)
-    if x.shape[-1] != net.input_dim:
-        raise ContractViolation(f"batch width {x.shape[-1]} != input_dim {net.input_dim}")
+    if batch.ndim < 2 or batch.shape[-1] != net.input_dim:
+        raise ContractViolation(f"batch of shape {batch.shape} is not (..., B, {net.input_dim})")
     inputs, preacts = [], []
-    h = x
+    h = batch
     for i, (w, b, a) in enumerate(zip(net.weights, net.biases, net.activations)):
         inputs.append(h)
         z = np.matmul(h, w.swapaxes(-1, -2), out=None if ws is None else ws.pre[i])
@@ -228,9 +208,7 @@ def backward_from_cache(net: DenseNet, cache: tuple, upstream_grad: np.ndarray,
     each slice's gradients are bit-for-bit its own net's.
     """
     inputs, preacts = cache
-    dly = np.asarray(upstream_grad, dtype=np.float64)
-    if dly.ndim == 1:
-        dly = dly[None, :]
+    dly = upstream_grad
     if dly.shape != preacts[-1].shape:
         raise ContractViolation(
             f"upstream grad shape {dly.shape} inconsistent with batch/output dims"
@@ -246,20 +224,6 @@ def backward_from_cache(net: DenseNet, cache: tuple, upstream_grad: np.ndarray,
             dz.sum(axis=-2, out=grad_b[i])
         dly = np.matmul(dz, net.weights[i], out=None if ws is None else ws.d_in[i])
     return grad, dly
-
-
-def backward(net: DenseNet, batch: np.ndarray, upstream_grad: np.ndarray) -> tuple:
-    """Exact gradients of <upstream_grad, forward(net, batch)>.
-
-    Returns (param_grad, input_grad); input_grad matches the batch shape.
-    """
-    x, was_1d = _as_batch(batch)
-    up = np.asarray(upstream_grad, dtype=np.float64)
-    if was_1d and up.ndim == 1:
-        up = up[None, :]
-    _, cache = forward_cache(net, x)
-    grad, dx = backward_from_cache(net, cache, up)
-    return grad, (dx[0] if was_1d else dx)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class GaussianPolicy:
         return self.net.output_dim // 2
 
     def _heads(self, s: np.ndarray):
-        h, cache = nets.forward_cache(self.net, np.atleast_2d(s))
+        h, cache = nets.forward_cache(self.net, s)
         d = self.action_dim
         mean, raw_ls = h[:, :d], h[:, d:]
         log_std = np.minimum(np.maximum(raw_ls, LOG_STD_MIN), LOG_STD_MAX)  # np.clip, faster
@@ -67,17 +67,16 @@ class GaussianPolicy:
         log density or backward cache."""
         return self._draw(s, rng, deterministic)[0]
 
-    def sample(self, s: np.ndarray, rng: np.random.Generator, deterministic: bool = False):
+    def sample(self, s: np.ndarray, rng: np.random.Generator):
         """Returns (env action, log density, cache for the actor backward)."""
-        a, (u, unit, eps, std, log_std, raw_ls, cache) = self._draw(s, rng, deterministic)
+        a, (u, unit, eps, std, log_std, raw_ls, cache) = self._draw(s, rng, False)
         logp = self._log_density(u, eps, log_std)
         return a, logp, {"std": std, "raw_ls": raw_ls, "eps": eps, "unit": unit, "cache": cache}
 
     def log_density(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Density of a stored env-space action under the current policy."""
         mean, log_std, _, _ = self._heads(s)
-        unit = np.clip((np.atleast_2d(a) - self.center) / self.scale,
-                       -1.0 + 1e-12, 1.0 - 1e-12)
+        unit = np.clip((a - self.center) / self.scale, -1.0 + 1e-12, 1.0 - 1e-12)
         u = np.arctanh(unit)
         return self._log_density(u, (u - mean) / np.exp(log_std), log_std)
 

@@ -138,7 +138,6 @@ def model_nll(member: EnsembleMember, x: np.ndarray, y: np.ndarray,
               ws: nets.Workspace | None = None):
     """Batch-mean Gaussian NLL (Mahalanobis + log det, constant dropped), one
     per member of a stack; the forward runs in `ws` when given."""
-    x, y = np.atleast_2d(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     if x.shape[-2] == 0:
         raise ValueError("batch must be non-empty")
     per_sample, _ = _nll_terms(member, x, y, ws)
@@ -154,7 +153,6 @@ def model_nll_grads(member: EnsembleMember, x: np.ndarray, y: np.ndarray,
     member.theta; a stack takes a batch of shape (E, B, in) or a shared one.
     A workspace for the net at this batch's shape holds the per-layer
     temporaries."""
-    x, y = np.atleast_2d(x, y)
     b = x.shape[-2]
     per_sample, (mean, lv, err, inv_var, (cache, raw_lv, lv1)) = _nll_terms(member, x, y, ws)
     hi, lo = member.max_logvar[..., None, :], member.min_logvar[..., None, :]
@@ -259,16 +257,14 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
 
 
 def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: np.random.Generator,
-            env: Env, deterministic: bool = False):
+            env: Env):
     """One-step prediction: sample an elite uniformly, sample (delta_s, r)
     from its Gaussian, and apply the env's analytic termination to s'.
 
-    Works on batches; returns (s2, r, done).
+    s and a are float64 batches of shape (B, .); returns (s2, r, done).
     """
     if not model.trained:
         raise UntrainedModel("train_ensemble must run before predict")
-    s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     n = s.shape[0]
     x = np.concatenate([s, a], axis=1)
     # each elite runs on exactly its own rows: a gemm's row bits depend on
@@ -281,7 +277,7 @@ def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: np.random.G
         if mask.any():
             out_mean[mask], out_lv[mask], _ = model.members[m_idx].heads(x[mask])
     noise = rng.normal(size=(n, d))
-    draw = out_mean if deterministic else out_mean + np.exp(0.5 * out_lv) * noise
+    draw = out_mean + np.exp(0.5 * out_lv) * noise
     s2 = s + draw[:, :-1]
     done = np.asarray(env.terminal(s2), dtype=bool)
     return s2, draw[:, -1], done

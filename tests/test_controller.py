@@ -270,6 +270,20 @@ def test_load_controller_missing_tensor_is_a_checkpoint_error(tmp_path):
             load_controller(bad)
 
 
+@pytest.mark.parametrize("name, mask", [("feature_mask", [True] * 8 + [False]),
+                                        ("head_mask", [True, True])],
+                         ids=["feature_mask", "head_mask"])
+def test_load_controller_refuses_a_mask_of_the_wrong_length(tmp_path, name, mask):
+    # a 9-entry feature mask with one False still fits theta's 8 inputs
+    path = tmp_path / "controller.json"
+    save_controller(init_controller(np.random.default_rng(22), hidden=8), path)
+    doc = json.loads(path.read_text())
+    doc["metadata"][name] = mask
+    path.write_text(json.dumps(doc))
+    with pytest.raises(checkpoint.CheckpointError, match="mask lengths"):
+        load_controller(path)
+
+
 def test_controller_roundtrip_keeps_masks_size_and_draws(tmp_path):
     feature_mask = (False, False, True, True, True, True, True, True)
     head_mask = (True, False, True, False)

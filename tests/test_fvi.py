@@ -429,14 +429,14 @@ def test_beta_sweep_scores_oracle_once_per_seed(monkeypatch):
     oracle_calls = []
     real_policy_return = fvi.policy_return
 
-    def counting(mdp_, value_fn, states, horizon=None):
+    def counting(mdp_, value_fn, states):
         # cells may run in forked workers, whose appends the test never sees:
         # a cell that scores the oracle raises there, and surfaces here
         if value_fn is oracle.value_fn:
             if multiprocessing.parent_process() is not None:
                 raise AssertionError("a sweep cell scored the oracle")
             oracle_calls.append(states.shape[0])
-        return real_policy_return(mdp_, value_fn, states, horizon)
+        return real_policy_return(mdp_, value_fn, states)
 
     monkeypatch.setattr(fvi, "policy_return", counting)
     sweeps = [fvi.beta_sweep(mdp, [0.5, 1.0], [64, 128], sigma=0.1, iterations=3,
@@ -554,7 +554,7 @@ def _reference_policy_return(mdp, value_fn, states, horizon):
 @pytest.mark.parametrize("mdp_fn,grid_size", [(fvi.line_world, 48), (fvi.grid_world_2d, 12)])
 def test_policy_return_matches_stepwise_reference(mdp_fn, grid_size):
     # greedy states climb V until none moves (by step 17 for the bump on
-    # LineWorld): horizon 3 ends before that, horizon 30 runs past it
+    # LineWorld); the truncation horizon runs past that
     mdp = mdp_fn()
     n_knots = grid_size ** mdp.dim
     bump = fvi.ValueFn.zeros(mdp.dim, grid_size, mdp.v_max)
@@ -564,10 +564,10 @@ def test_policy_return_matches_stepwise_reference(mdp_fn, grid_size):
     noisy = fvi.ValueFn(mdp.dim, grid_size,
                         np.random.default_rng(42).uniform(0, mdp.v_max, size=n_knots), mdp.v_max)
     states = np.random.default_rng(43).uniform(size=(64, mdp.dim))
+    horizon = fvi._truncation_horizon(mdp)
     for vf in (bump, noisy):
-        for horizon in (3, 30):
-            got = fvi.policy_return(mdp, vf, states, horizon)
-            assert np.array_equal(got, _reference_policy_return(mdp, vf, states, horizon))
+        got = fvi.policy_return(mdp, vf, states)
+        assert np.array_equal(got, _reference_policy_return(mdp, vf, states, horizon))
 
 
 # -------------------------------------------------------- non-finite inputs

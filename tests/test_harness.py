@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ from mbrlab import controller, fvi, harness, mbpo
 from mbrlab.checkpoint import CheckpointError
 from mbrlab.config import (ConfigError, FviSweepConfig, HarnessConfig, RunConfig,
                            from_dict, load)
+from mbrlab.envs import EnvDiverged
 from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
 from mbrlab.stats import DegenerateSamples, welch_t
-from util import agent_fingerprint, crash_hyper_episode_at
+from util import FAULTS, agent_fingerprint, crash_hyper_episode_at, inject_fault_after_one_episode
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -405,6 +407,30 @@ def test_eval_controller_with_every_seed_crashed_writes_valid_json(tmp_path, mon
     assert report["win_fraction"] is None
     assert [e["seed"] for e in report["invalid"]] == list(cfg.harness.seeds)
 
+
+@pytest.mark.parametrize("match", [True, False], ids=["same-config", "other-config"])
+def test_eval_controller_tags_its_curves_apart_and_records_the_config_match(tmp_path, caplog,
+                                                                           match):
+    cfg = _tiny_config(tmp_path)  # seeds (0, 1)
+    ckpt = tmp_path / "controller.json"
+    controller.save_controller(controller.init_controller(
+        np.random.default_rng(0), config_hash=cfg.content_hash() if match else "other"), ckpt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        info = harness.cmd_eval_controller(cfg, ckpt)
+    directory = Path(info["directory"])
+    curves = harness.read_csv(directory / "learning_curves.csv")
+    assert [r["run_id"] for r in curves] == [f"{who}-pointmass2d-seed{seed}" for seed in (0, 1)
+                                             for who in ("controller", "default")]
+    schedule = harness.read_csv(directory / "schedule.csv")
+    assert {r["run_id"] for r in schedule} == {"controller-pointmass2d-seed0",
+                                               "controller-pointmass2d-seed1"}
+    assert json.loads((directory / "report.json").read_text())["config_match"] is match
+    # a mismatch is reported once, as a warning, and not again as a log line
+    assert sum("transfer" in str(w.message) for w in caught) == (not match)
+    assert not [r for r in caplog.records if r.name == "mbrlab.controller"]
+
+
 # -------------------------------------------------------------------- baseline
 
 def test_baseline_single_seed_equals_run_log(tmp_path):
@@ -562,6 +588,30 @@ def test_sac_modes_never_train_model(tmp_path):
     info20 = harness.cmd_train_mbpo(cfg, "sac20")
     rows20 = harness.read_csv(harness.Path(info20["directory"]) / "metrics-seed0.csv")
     assert rows20[0]["g"] == "20"
+
+
+def test_train_mbpo_refuses_an_unknown_mode_before_any_directory(tmp_path):
+    cfg = _tiny_config(tmp_path)
+    with pytest.raises(ValueError, match="unknown train-mbpo mode 'bogus'"):
+        harness.cmd_train_mbpo(cfg, "bogus")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the injected NaN/inf
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_train_mbpo_leaves_a_failed_manifest_on_an_injected_fault(tmp_path, monkeypatch,
+                                                                  fault):
+    cfg = _tiny_config(tmp_path, seeds=(0,))
+    cfg.hyper.m_train = 2
+    inject_fault_after_one_episode(monkeypatch, fault)
+    _, error_type, message, _ = FAULTS[fault]
+    with pytest.raises((FloatingPointError, EnvDiverged)) as excinfo:
+        harness.cmd_train_mbpo(cfg)
+    assert type(excinfo.value).__name__ == error_type
+    [directory] = (tmp_path / "runs").iterdir()
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == {"type": error_type, "message": message}
 
 
 # ------------------------------------------------------------------------ PBT

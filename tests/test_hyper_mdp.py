@@ -12,6 +12,8 @@ from mbrlab.hyper_mdp import (FEATURE_NAMES, NEUTRAL_INDICES, HyperMdpConfig,
                               HyperParams, apply_action, extract_state,
                               hyper_reward, policy_change)
 
+from util import FAULTS, inject_fault_after_one_episode
+
 
 def _cfg(**kw):
     return HyperMdpConfig(**kw).for_env("pointmass2d")
@@ -232,7 +234,7 @@ def test_hyper_episode_transition_count():
     hc = HyperMdpConfig(m_train=1, tau=50).for_env("pointmass2d")
     pol = controller.init_controller(np.random.default_rng(0), (True,) * 8)
     traj, _ = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=1, n_episodes=hc.m_train)
-    assert len(traj) == 1 * 200 // 50 == 4
+    assert len(traj.rewards) == 1 * 200 // 50 == 4
     assert traj.valid
 
 
@@ -320,13 +322,43 @@ def _crashing_hyper_episode(monkeypatch, exc):
 def test_hyper_episode_numeric_crash_is_flagged_invalid(monkeypatch, exc):
     traj = _crashing_hyper_episode(monkeypatch, exc)
     assert not traj.valid
-    assert len(traj) == 0
+    assert len(traj.rewards) == 0
     assert traj.error == {"type": type(exc).__name__, "message": str(exc), "n_real": 0}
 
 
 def test_hyper_episode_programming_error_propagates(monkeypatch):
     with pytest.raises(TypeError, match="bad call"):
         _crashing_hyper_episode(monkeypatch, TypeError("bad call"))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the injected NaN/inf
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_hyper_episode_flags_an_injected_fault_invalid(monkeypatch, caplog, fault):
+    cfg = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
+                          n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
+    hc = HyperMdpConfig(m_train=2).for_env("pointmass2d")
+    pol = controller.init_controller(np.random.default_rng(0), (True,) * 8)
+    faulted = inject_fault_after_one_episode(monkeypatch, fault)
+    traj, log = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=0, n_episodes=2)
+    _, error_type, message, n_real = FAULTS[fault]
+    assert not traj.valid
+    assert traj.error == {"type": error_type, "message": message, "n_real": n_real}
+    assert len(traj.rewards) == 200 // hc.tau  # the warm episode's
+    # the crash is the run's only record: no step was applied past the fault,
+    # so every non-finite parameter is the injected one
+    [run] = faulted
+    assert not any(e["event"] == "sac_step_rejected" for e in log.events)
+    for theta in (run.agent.actor.net.theta, run.agent.q.theta, run.model.stack.net.theta,
+                  run.model.stack.min_logvar):
+        assert np.isfinite(theta).all()
+    assert np.isfinite(run.model.stack.max_logvar).all() == (fault != "inf-max-logvar")
+    rejected = [m for m in (r.getMessage() for r in caplog.records)
+                if m.startswith("model step rejected")]
+    if fault == "inf-max-logvar":  # every member's step, each logged, then the NLL
+        assert [m.split(":")[0] for m in rejected] == [
+            f"model step rejected for member {i}" for i in range(cfg.n_members)]
+    else:
+        assert rejected == []
 
 
 def test_neutral_controller_reproduces_default_mbpo_bit_exactly():

@@ -10,13 +10,13 @@ from util import assert_grads_close, finite_difference
 def test_forward_identity_layer():
     net = DenseNet([2, 2], ["identity"])
     net.weights[0][:] = np.eye(2)
-    assert np.allclose(nets.forward(net, np.array([1.0, 2.0])), [1.0, 2.0])
+    assert np.allclose(nets.forward(net, np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
 
 def test_forward_relu_clamps_negative():
     net = DenseNet([1, 1], ["relu"])
     net.weights[0][:] = -1.0
-    assert nets.forward(net, np.array([3.0]))[0] == 0.0
+    assert nets.forward(net, np.array([[3.0]]))[0, 0] == 0.0
 
 
 def test_forward_matches_straight_line_reimplementation():
@@ -35,10 +35,24 @@ def test_forward_dimension_mismatch():
         nets.forward(net, np.zeros((4, 5)))
 
 
+def test_forward_cache_takes_batches_only():
+    # a single sample is a batch of one row; sac.act and controller_act add the axis
+    net = nets.init_dense(np.random.default_rng(0), [3, 2])
+    with pytest.raises(nets.ContractViolation):
+        nets.forward_cache(net, np.zeros(3))
+    assert nets.forward_cache(net, np.zeros((1, 3)))[0].shape == (1, 2)
+
+
+def test_dense_net_rejects_unknown_activation():
+    with pytest.raises(nets.ContractViolation, match="layer 1: unknown activation 'gelu'"):
+        DenseNet([2, 3, 1], ["relu", "gelu"])
+
+
 def test_backward_zero_upstream():
     net = nets.init_dense(np.random.default_rng(1), [3, 4, 2])
     x = np.random.default_rng(2).normal(size=(5, 3))
-    grads, dx = nets.backward(net, x, np.zeros((5, 2)))
+    _, cache = nets.forward_cache(net, x)
+    grads, dx = nets.backward_from_cache(net, cache, np.zeros((5, 2)))
     assert np.all(grads == 0)
     assert np.all(dx == 0)
 
@@ -47,7 +61,8 @@ def test_backward_linear_scalar_case():
     # f(x) = w*x, upstream 1 -> dL/dw = x
     net = DenseNet([1, 1], ["identity"])
     net.weights[0][:] = 2.0
-    grads, dx = nets.backward(net, np.array([[3.0]]), np.array([[1.0]]))
+    _, cache = nets.forward_cache(net, np.array([[3.0]]))
+    grads, dx = nets.backward_from_cache(net, cache, np.array([[1.0]]))
     assert grads.tolist() == [3.0, 1.0]  # [dL/dw, dL/db]
     assert dx[0, 0] == 2.0
 
@@ -61,7 +76,7 @@ def test_backward_matches_finite_differences():
     def loss_fn(_):  # finite_difference perturbs net.theta in place
         return float((nets.forward(net, x) * up).sum())
 
-    analytic, _ = nets.backward(net, x, up)
+    analytic, _ = nets.backward_from_cache(net, nets.forward_cache(net, x)[1], up)
     numeric = finite_difference(loss_fn, [net.theta])
     assert_grads_close([analytic], numeric, rtol=1e-4)
 
@@ -214,7 +229,7 @@ def test_flat_adam_matches_per_tensor_reference_bit_for_bit():
     v = [np.zeros_like(p) for p in ref]
     state = AdamState.for_theta(net.theta, lr=1e-3)
     for t in range(1, 31):
-        grad, _ = nets.backward(net, x, up)
+        grad, _ = nets.backward_from_cache(net, nets.forward_cache(net, x)[1], up)
         layer_grads = nets.DenseNet(net.sizes, net.activations, grad).params()
         ref = reference_step(ref, layer_grads, m, v, t)
         adam_step(state, net.theta, grad)
@@ -281,7 +296,8 @@ def test_parameter_trajectory_bit_determinism():
         state = AdamState.for_theta(net.theta, lr=1e-3)
         x = rng.normal(size=(16, 3))
         for _ in range(100):
-            grad, _ = nets.backward(net, x, np.ones((16, 2)))
+            _, cache = nets.forward_cache(net, x)
+            grad, _ = nets.backward_from_cache(net, cache, np.ones((16, 2)))
             adam_step(state, net.theta, grad)
         return net.theta
 

@@ -56,17 +56,17 @@ def test_gaussian_policy_degenerate_variance():
     policy = _constant_policy(0.7, nets.LOG_STD_MIN, low=-2.0, high=3.0)
     s = np.zeros((1, 1))
     a, _, _ = policy.sample(s, np.random.default_rng(0))
-    a_det, _, _ = policy.sample(s, np.random.default_rng(0), deterministic=True)
+    a_det = policy.action(s, np.random.default_rng(0), deterministic=True)
     assert np.allclose(a, a_det, atol=1e-6)
 
 
 def test_gaussian_policy_deterministic_mode():
     policy = _constant_policy([0.3, -1.0], [0.0, 0.0], low=-2.0, high=3.0)
-    a, _, cache = policy.sample(np.zeros((1, 1)), np.random.default_rng(0),
-                                deterministic=True)
-    assert np.array_equal(cache["eps"], np.zeros((1, 2)))
-    assert np.allclose(cache["unit"], np.tanh([[0.3, -1.0]]))
-    assert np.allclose(a, policy.center + policy.scale * np.tanh([0.3, -1.0]))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    a = policy.action(np.zeros((1, 1)), rng, deterministic=True)
+    assert rng.bit_generator.state == before  # no noise drawn
+    assert np.allclose(a, policy.center + policy.scale * np.tanh([[0.3, -1.0]]))
 
 
 def test_gaussian_policy_density_integrates_to_one():
@@ -99,11 +99,15 @@ def test_action_is_samples_action_from_the_same_draw(rows, deterministic):
     rng_a, rng_s = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(3):  # consecutive draws stay in step
         a = policy.action(s, rng_a, deterministic)
-        want, _, _ = policy.sample(s, rng_s, deterministic)
+        if deterministic:  # the squashed mean, and no draw taken
+            want = policy.center + policy.scale * np.tanh(nets.forward(policy.net, s)[:, :2])
+        else:
+            want, _, _ = policy.sample(s, rng_s)
         assert a.tobytes() == want.tobytes() and a.shape == (rows, 2)
         assert rng_a.bit_generator.state == rng_s.bit_generator.state
+    # a single state is a batch of one row
     assert sac.act(agent, s[0], deterministic, rng_a).tobytes() == \
-        policy.sample(s[:1], rng_s, deterministic)[0][0].tobytes()
+        policy.action(s[:1], rng_s, deterministic)[0].tobytes()
     assert rng_a.bit_generator.state == rng_s.bit_generator.state
 
 

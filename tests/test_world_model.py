@@ -8,7 +8,6 @@ import pytest
 from mbrlab import sac
 from mbrlab import world_model as wm
 from mbrlab.buffers import TransitionBuffer
-from mbrlab.envs import make_env
 
 from util import assert_grads_close, finite_difference
 
@@ -114,10 +113,11 @@ def test_train_ensemble_learns_linear_dynamics():
     s = test_rng.uniform(-1, 1, size=(500, 2))
     a = test_rng.uniform(-1, 1, size=(500, 1))
     true_s2 = s @ a_mat.T + a @ b_mat.T + bias
-    env = make_env("pointmass2d")  # only used for its terminal(); dims differ is fine
-    s2, _, _ = wm.predict(model, s, a, np.random.default_rng(5), _FakeEnv(), deterministic=True)
-    err = np.linalg.norm(s2 - true_s2, axis=1).mean()
-    assert err < 0.01
+    # every elite's mean head, which predict draws around
+    for m_idx in model.elites:
+        mean, _, _ = model.members[m_idx].heads(np.concatenate([s, a], axis=1))
+        err = np.linalg.norm(s + mean[:, :-1] - true_s2, axis=1).mean()
+        assert err < 0.01
 
 
 class _FakeEnv:
@@ -175,19 +175,17 @@ def test_predict_deterministic_and_seeded():
     out1 = wm.predict(model, s, a, np.random.default_rng(7), _FakeEnv())
     out2 = wm.predict(model, s, a, np.random.default_rng(7), _FakeEnv())
     assert np.array_equal(out1[0], out2[0])
-    # deterministic mode ignores the Gaussian noise but still picks an elite
-    # per transition from the same stream, so identical seeds reproduce
-    det1 = wm.predict(model, s, a, np.random.default_rng(8), _FakeEnv(), deterministic=True)
-    det2 = wm.predict(model, s, a, np.random.default_rng(8), _FakeEnv(), deterministic=True)
-    assert np.array_equal(det1[0], det2[0])
-    # with the noise path active but variances pushed to the floor, the
-    # prediction collapses onto the mean head
+    # with variances pushed to the floor, each row collapses onto the mean
+    # head of the elite it picked first from the stream
     for member in model.members:
         member.max_logvar[:] = -60.0
         member.min_logvar[:] = -80.0
     noisy = wm.predict(model, s, a, np.random.default_rng(8), _FakeEnv())
-    floor_det = wm.predict(model, s, a, np.random.default_rng(8), _FakeEnv(), deterministic=True)
-    assert np.allclose(noisy[0], floor_det[0], atol=1e-10)
+    pick = np.random.default_rng(8).integers(0, len(model.elites), len(s))
+    x = np.concatenate([s, a], axis=1)
+    mean = np.concatenate([model.members[model.elites[j]].heads(x[i:i + 1])[0]
+                           for i, j in enumerate(pick)])
+    assert np.allclose(noisy[0], s + mean[:, :-1], atol=1e-10)
 
 
 def test_predict_requires_trained_model():
@@ -480,7 +478,7 @@ def test_non_finite_gradient_rejects_only_its_members_step(monkeypatch, caplog):
 
 # ------------------------------------------------ rollouts against the row-mask loop
 
-def _reference_predict(model, s, a, rng, env, deterministic=False):
+def _reference_predict(model, s, a, rng, env):
     """predict as it was before the lean path: rng.choice over the elites,
     zeroed outputs, one masked heads call per distinct pick."""
     s = np.atleast_2d(np.asarray(s, dtype=np.float64))
@@ -494,7 +492,7 @@ def _reference_predict(model, s, a, rng, env, deterministic=False):
         mask = pick == m_idx
         out_mean[mask], out_lv[mask], _ = model.members[m_idx].heads(x[mask])
     noise = rng.normal(size=(n, d))
-    draw = out_mean if deterministic else out_mean + np.exp(0.5 * out_lv) * noise
+    draw = out_mean + np.exp(0.5 * out_lv) * noise
     s2 = s + draw[:, :-1]
     done = np.asarray(env.terminal(s2), dtype=bool)
     return s2, draw[:, -1], done
@@ -601,15 +599,12 @@ def test_predict_matches_the_row_mask_loop_with_one_row_and_no_rows(rollout_setu
     try:
         d = buf.gather(np.arange(64))
         for n, seed in [(1, 0), (1, 1), (2, 2), (3, 3), (64, 4)]:
-            for deterministic in (False, True):
-                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = wm.predict(model, d["s"][:n], d["a"][:n], rngs[0], _HashDone(),
-                                 deterministic)
-                want = _reference_predict(model, d["s"][:n], d["a"][:n], rngs[1], _HashDone(),
-                                          deterministic)
-                for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes()
-                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = wm.predict(model, d["s"][:n], d["a"][:n], rngs[0], _HashDone())
+            want = _reference_predict(model, d["s"][:n], d["a"][:n], rngs[1], _HashDone())
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     finally:
         for member in model.members:
             del member.heads

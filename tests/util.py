@@ -53,6 +53,43 @@ def crash_hyper_episode_at(monkeypatch, seed, n_real):
     monkeypatch.setattr(mbpo, "mbpo_step", step)
 
 
+def _nan_reward_row(run):
+    run.d_env.r[0] = np.nan
+
+
+def _non_finite_state(run):
+    run.cur_state = np.full_like(run.cur_state, np.nan)
+
+
+def _inf_max_logvar(run):
+    run.model.stack.max_logvar[:] = np.inf
+
+
+# name -> (fault, the error it ends the run with, that error's message, and
+# the real step it is raised at, after one warm 200-step episode)
+FAULTS = {
+    "nan-reward-row": (_nan_reward_row, "FloatingPointError", "non-finite model NLL", 201),
+    "non-finite-state": (_non_finite_state, "EnvDiverged",
+                         "pointmass2d: non-finite state [nan nan nan nan]", 200),
+    "inf-max-logvar": (_inf_max_logvar, "FloatingPointError", "non-finite model NLL", 201),
+}
+
+
+def inject_fault_after_one_episode(monkeypatch, name) -> list:
+    """Apply FAULTS[name] to every MBPO run as its second episode starts;
+    returns the list the faulted runs are appended to."""
+    fault, real, faulted = FAULTS[name][0], mbpo.run_target_episode, []
+
+    def run_target_episode(run, source, hc):
+        if run.episode == 1:
+            fault(run)
+            faulted.append(run)
+        return real(run, source, hc)
+
+    monkeypatch.setattr(mbpo, "run_target_episode", run_target_episode)
+    return faulted
+
+
 def random_policy_columns(env, rng, n):
     """n real steps of a uniformly random policy, resetting at termination,
     as the columns (s, a, r, s2, done) that TransitionBuffer.push_batch takes."""
