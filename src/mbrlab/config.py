@@ -20,7 +20,6 @@ from .envs import make_env
 from .fvi import MDPS, FviConfig, check_sweep
 from .hyper_mdp import HyperMdpConfig
 from .mbpo import MbpoConfig
-from .world_model import ModelTrainConfig
 
 
 class ConfigError(ValueError):
@@ -63,8 +62,8 @@ class HarnessConfig:
     pbt_reinit_prob: float = 0.25
 
     def validate(self):
-        if not self.seeds:
-            raise ConfigError("harness.seeds is empty")
+        if not self.seeds or not all(isinstance(s, int) and s >= 0 for s in self.seeds):
+            raise ConfigError(f"harness.seeds {list(self.seeds)} must be non-negative ints")
         for name in ("n_baseline_seeds", "n_hyper_episodes", "episodes_per_round",
                      "pbt_population"):
             if getattr(self, name) < 1:
@@ -91,7 +90,6 @@ class RunConfig:
         """Every section's check, `hyper` at the env's horizon: settings that
         would hang, crash or run zero episodes raise before any work."""
         self.mbpo.validate()
-        self.mbpo.model.validate()
         self.hyper.validate(make_env(self.env_name).spec.horizon)
         self.ppo.validate()
         self.fvi.validate()

@@ -68,9 +68,6 @@ def controller_act(policy: ControllerPolicy, state: np.ndarray, rng: np.random.G
                    greedy: bool = False) -> tuple:
     """Sample one factorized action as a tuple of head indices; masked heads
     emit the neutral index and contribute zero to the joint log-prob."""
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape[-1] != policy.input_dim:
-        raise ValueError(f"state dim {state.shape[-1]} != policy input {policy.input_dim}")
     tables = head_log_probs(policy, state[None, :])
     idx, joint = [], 0.0
     for h, (table, active) in enumerate(zip(tables, policy.head_mask)):
@@ -124,7 +121,6 @@ def ppo_loss_and_grads(policy: ControllerPolicy, states, action_indices,
     non-finite ratios drop the sample with a logged count. Returns
     (loss, gradient laid out like policy.net.theta, diagnostics).
     """
-    config.validate()
     n = states.shape[0]
     logits, cache = nets.forward_cache(policy.net, states)
     slices = policy.head_slices()
@@ -176,7 +172,6 @@ def ppo_update(policy: ControllerPolicy, batch: dict, config: PpoConfig,
     """updates_per_round minibatch steps over a collected batch, each an
     Adam step on `adam` (its moments carry over between rounds); advantages
     are standardized across the batch first (left as they are when all equal)."""
-    config.validate()
     adv = batch["advantages"]
     if adv.std() > 0:
         adv = (adv - adv.mean()) / adv.std()

@@ -225,9 +225,7 @@ def make_env(name: str) -> Env:
 
 def evaluate_policy(env: Env, policy, n_episodes: int, rng: np.random.Generator) -> float:
     """Average undiscounted return of policy(state, rng) -> action over
-    n_episodes episodes, each capped at the spec horizon."""
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
+    n_episodes (>= 1) episodes, each capped at the spec horizon."""
     total = 0.0
     for _ in range(n_episodes):
         s = env.reset(rng)

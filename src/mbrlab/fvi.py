@@ -141,12 +141,10 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
               p: float = 2.0) -> ValueFn:
     """argmin over the multilinear class of sum |f(s_i) - target_i|^p.
 
-    p=2 solves the normal equations, with a 1e-8 ridge, exactly; p=1 runs
-    IRLS capped at 50 iterations. Knots no sample touches keep their previous
-    values; fitted knot values are clipped to [0, v_max].
+    p=2 solves the normal equations, with a 1e-8 ridge, exactly; p=1 (the
+    only other p) runs IRLS capped at 50 iterations. Knots no sample touches
+    keep their previous values; fitted knot values are clipped to [0, v_max].
     """
-    if p not in (1.0, 2.0):
-        raise ValueError("only p in {1, 2} is supported by the fitter")
     states = np.asarray(states, dtype=np.float64).reshape(-1, prev.dim)
     targets = np.asarray(targets, dtype=np.float64)
     if states.shape[0] != targets.shape[0] or states.shape[0] < 1:

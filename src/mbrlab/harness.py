@@ -150,12 +150,12 @@ def _sac_schedule(g: int):
     return lambda state, params: (HyperParams(beta=1.0, g=g, k=1), False)
 
 
-# train-mbpo's modes, each mapped to the maker of its schedule from the rows
-# of the replayed schedule file, which only fixed-schedule-file reads
+# train-mbpo's modes, each mapped to the maker of its schedule from the rows of
+# the replayed schedule file and hyper.k_max, which only fixed-schedule-file reads
 TRAIN_MBPO_MODES = {
-    "default": lambda rows: mbpo.default_schedule,
-    "sac1": lambda rows: _sac_schedule(1),
-    "sac20": lambda rows: _sac_schedule(20),
+    "default": lambda rows, k_max: mbpo.default_schedule,
+    "sac1": lambda rows, k_max: _sac_schedule(1),
+    "sac20": lambda rows, k_max: _sac_schedule(20),
     "fixed-schedule-file": mbpo.make_file_schedule,
 }
 
@@ -166,13 +166,14 @@ def run_mbpo_mode(config: RunConfig, mode: str, seed: int,
     hc = config.resolved_hyper()
     run = mbpo.init_run(config.env_name, config.mbpo, hc, seed)
     run.log.run_id = f"{mode}-{config.env_name}-seed{seed}"
-    source = TRAIN_MBPO_MODES[mode](schedule_rows)
+    source = TRAIN_MBPO_MODES[mode](schedule_rows, hc.k_max)
     for _ in range(hc.m_train):
         mbpo.run_target_episode(run, source, hc)
     return run.log
 
 
 def cmd_train_mbpo(config: RunConfig, mode: str = "default", schedule_file=None) -> dict:
+    config.validate()
     if mode not in TRAIN_MBPO_MODES:
         raise ValueError(f"unknown train-mbpo mode {mode!r}; one of {', '.join(TRAIN_MBPO_MODES)}")
     n = config.hyper.train_hyper_steps(config.env_name)
@@ -183,6 +184,7 @@ def cmd_train_mbpo(config: RunConfig, mode: str = "default", schedule_file=None)
     if schedule_rows is not None and len(schedule_rows) != n:
         raise ValueError(f"schedule file {schedule_file} holds {len(schedule_rows)} rows, "
                          f"not m_train * H / tau = {n}")
+    TRAIN_MBPO_MODES[mode](schedule_rows, config.hyper.k_max)  # a file's rows checked here
     with RunDir(config, f"train-mbpo-{mode}") as run:
         for seed in config.harness.seeds:
             log = run_mbpo_mode(config, mode, seed, schedule_rows)
@@ -241,6 +243,7 @@ def cmd_build_baseline(config: RunConfig) -> dict:
 
 def cmd_train_controller(config: RunConfig, baseline_path=None,
                          feature_mask=(True,) * 8, head_mask=(True,) * 4) -> dict:
+    config.validate()
     hx, hc = config.harness, config.resolved_hyper()
     baseline = load_baseline(baseline_path) if baseline_path else None
     if baseline is not None:
@@ -286,6 +289,7 @@ def cmd_eval_controller(config: RunConfig, controller_path, head_mask_override=N
     loads before the directory is claimed. Seeds run on worker processes, their
     outputs written in seed order. A seed whose hyper-episode is invalid (a
     numeric crash) is left out of the comparison, listed in the report."""
+    config.validate()
     policy = ctrl.load_controller(controller_path)
     with RunDir(config, mode_tag) as run:
         hc = config.resolved_hyper()
@@ -340,6 +344,7 @@ def cmd_ablate(config: RunConfig, mode: str, controller_path=None,
                baseline_path=None) -> dict:
     """R/M/P/L: evaluate a trained controller with one head active.
     SA: retrain with the reduced state (no sample count, no model loss)."""
+    config.validate()
     mode = mode.upper()
     if mode in ABLATION_HEAD_MASKS:
         if controller_path is None:
@@ -432,7 +437,7 @@ def cmd_pbt(config: RunConfig) -> dict:
                 n_swap = max(1, int(round(hx.pbt_replace_frac * pop)))
                 for j in range(n_swap):
                     dst = instances[order[j]]
-                    src = instances[order[-1 - (j % n_swap)]]
+                    src = instances[order[-1 - j]]
                     if pbt_rng.uniform() < hx.pbt_reinit_prob:
                         dst.params, dst.train_every = _random_hyper(pbt_rng, hc)
                     else:
@@ -447,6 +452,7 @@ def cmd_pbt(config: RunConfig) -> dict:
 def cmd_plot_data(config: RunConfig, experiment_dir) -> dict:
     """Re-emit an experiment's outputs as tidy per-figure CSVs in a run
     directory of its own; the experiment's directory is only read."""
+    config.validate()
     directory = Path(experiment_dir)
     if not directory.is_dir():
         raise NotADirectoryError(f"plot-data source {directory} is not a directory")

@@ -60,8 +60,8 @@ class HyperMdpConfig:
         return HyperParams(self.beta_init, self.g_init, self.k_init)
 
     def validate(self, horizon: int) -> None:
-        if horizon % self.tau != 0:
-            raise ValueError(f"tau={self.tau} must divide the horizon {horizon}")
+        if self.tau < 1 or horizon % self.tau != 0:
+            raise ValueError(f"tau={self.tau} must be >= 1 and divide the horizon {horizon}")
         if self.m_train < 1 or self.m_eval < 1:
             raise ValueError("m_train and m_eval must be >= 1")
         if self.ratio_constant <= 1.0:
@@ -72,10 +72,10 @@ class HyperMdpConfig:
         # head but kept by a masked one
         if not self.beta_min <= self.beta_init <= 1.0:
             raise ValueError("beta_init must lie in [beta_min, 1]")
-        if not 1 <= self.g_init <= self.g_max:
-            raise ValueError("g_init must lie in [1, g_max]")
-        if not 1 <= self.k_init <= self.k_max:
-            raise ValueError("k_init must lie in [1, k_max]")
+        if not 1 <= self.g_init <= self.g_max or self.g_max < 2:  # features divide by max - 1
+            raise ValueError("g_max must be >= 2, and g_init lie in [1, g_max]")
+        if not 1 <= self.k_init <= self.k_max or self.k_max < 2:
+            raise ValueError("k_max must be >= 2, and k_init lie in [1, k_max]")
 
     def train_hyper_steps(self, env_name: str) -> int:
         """m_train * H / tau: the length of a baseline curve or replayed schedule."""

@@ -43,7 +43,9 @@ class MbpoConfig:
     model: ModelTrainConfig = field(default_factory=ModelTrainConfig)
 
     def validate(self):
-        for name in ("rollout_branches", "batch_size", "eval_episodes"):
+        self.model.validate()
+        for name in ("rollout_branches", "batch_size", "eval_episodes", "d_env_capacity",
+                     "n_members", "model_buffer_retain"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.warmup_steps < 2.0 / self.model.holdout_fraction:
@@ -154,6 +156,10 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
         except world_model.NotEnoughData as exc:
             run.log.events.append({"step": run.n_real, "event": "model_train_skipped",
                                    "reason": str(exc)})
+        finally:  # also when the training raised; a refused call counted nothing
+            if any(run.model.last_steps_rejected):
+                run.log.events.append({"step": run.n_real, "event": "model_steps_rejected",
+                                       "per_member": list(run.model.last_steps_rejected)})
 
     # branched short rollouts from real states
     rollouts_added = 0
@@ -164,15 +170,14 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
 
     # G gradient updates on the beta-mixed batch; beta forced to 1 until
     # imaginary data exists
-    g = max(1, int(hyper.g))
     beta = hyper.beta
     if warmup or not run.model.trained or len(run.d_model) == 0:
         beta = 1.0
     updates = 0
     if len(run.d_env) >= cfg.updates_start:
-        spec = sac.MixedBatchSpec(batch_size=cfg.batch_size, real_ratio=beta)
-        for _ in range(g):
-            batch = sac.sample_mixed_batch(run.d_env, run.d_model, spec, run.rng_update)
+        for _ in range(hyper.g):
+            batch = sac.sample_mixed_batch(run.d_env, run.d_model, cfg.batch_size, beta,
+                                           run.rng_update)
             try:
                 c_loss, _ = sac.sac_update(run.agent, batch, env.spec.gamma, run.rng_update)
             except FloatingPointError as exc:
@@ -262,14 +267,21 @@ def run_default_mbpo(env_name: str, config: MbpoConfig, hyper_config: HyperMdpCo
     return run.log
 
 
-def make_file_schedule(rows):
-    """Replay an exported schedule CSV (list of dicts with beta/g/k/
-    model_trained), one row per tau boundary."""
-    it = iter(list(rows))
-
-    def source(state, params):
-        row = next(it)
-        new = HyperParams(float(row["beta"]), int(row["g"]), int(row["k"]))
-        return new, bool(int(row["model_trained"]))
-
-    return source
+def make_file_schedule(rows, k_max: int):
+    """Replay schedule rows (beta/g/k/model_trained, as `read_csv` or `MbpoLog` holds them),
+    one per tau boundary; all are checked at the call, a ValueError naming the first bad one."""
+    steps = []
+    for i, row in enumerate(rows, 1):
+        values = []
+        for name, kind, lo, hi in (("beta", float, 0.0, 1.0), ("g", int, 1, np.inf),
+                                   ("k", int, 1, k_max), ("model_trained", int, 0, 1)):
+            try:  # through str: int("1.5") raises where int(1.5) would truncate
+                values.append(kind(str(row.get(name))))
+            except ValueError:
+                values.append(np.nan)
+            if not lo <= values[-1] <= hi:  # a NaN fails this too
+                raise ValueError(f"schedule row {i}: {name} {row.get(name)!r} is not "
+                                 f"{kind.__name__} in [{lo}, {hi}]")
+        steps.append((HyperParams(*values[:3]), bool(values[3])))
+    it = iter(steps)
+    return lambda state, params: next(it)

@@ -99,25 +99,16 @@ class GaussianPolicy:
         return grad
 
 
-@dataclass
-class MixedBatchSpec:
-    batch_size: int = 256
-    real_ratio: float = 0.05
-
-    def n_real(self) -> int:
-        return min(max(round(self.real_ratio * self.batch_size), 0), self.batch_size)
-
-
-def sample_mixed_batch(d_env: TransitionBuffer, d_model: TransitionBuffer,
-                       spec: MixedBatchSpec, rng: np.random.Generator) -> dict:
-    """round(beta*B) real + remainder imaginary, uniform with replacement.
+def sample_mixed_batch(d_env: TransitionBuffer, d_model: TransitionBuffer, batch_size: int,
+                       beta: float, rng: np.random.Generator) -> dict:
+    """round(beta*B) real + remainder imaginary (beta in [0, 1]), uniform with replacement.
 
     A part drawn from an empty buffer raises ValueError; `mbpo_step` forces
     beta to 1 until D_model holds rows.
     """
-    n_real = spec.n_real()
+    n_real = round(beta * batch_size)
     parts = [buf.gather(buf.sample_indices(n, rng))
-             for buf, n in ((d_env, n_real), (d_model, spec.batch_size - n_real)) if n]
+             for buf, n in ((d_env, n_real), (d_model, batch_size - n_real)) if n]
     batch = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     batch["n_real"] = n_real
     return batch
@@ -189,8 +180,7 @@ def init_agent(rng: np.random.Generator, state_dim: int, action_dim: int,
 
 def act(agent: SacAgent, s: np.ndarray, deterministic: bool,
         rng: np.random.Generator) -> np.ndarray:
-    a = agent.actor.action(np.atleast_2d(s), rng, deterministic)
-    return a[0] if np.asarray(s).ndim == 1 else a
+    return agent.actor.action(s[None, :], rng, deterministic)[0]
 
 
 def _critic_forward(agent: SacAgent, batch: dict, gamma: float, rng: np.random.Generator):

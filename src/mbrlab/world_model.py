@@ -100,7 +100,7 @@ class EnsembleModel:
     holdout_losses: np.ndarray | None = None
     holdout_mse: float | None = None  # nonnegative validation error for features
     last_epochs: list = field(default_factory=list)
-    last_steps_rejected: list = field(default_factory=list)  # per member, last training
+    last_steps_rejected: list = field(default_factory=list)  # per member, as training runs
 
     def __post_init__(self):
         self.members = [self.stack[i] for i in range(self.n_members)]
@@ -192,7 +192,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     step. Best-epoch parameters are restored, so the post-training hold-out
     loss is the minimum over logged epochs.
     """
-    config.validate()
+    model.last_steps_rejected = [0] * model.n_members
     n = len(d_env)
     if n < 2.0 / config.holdout_fraction:
         raise NotEnoughData(f"{n} transitions; need >= {2 / config.holdout_fraction:.0f}")
@@ -211,7 +211,6 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     best = model.stack.theta.copy()
     best_loss = np.full(model.n_members, np.inf)
     epochs_run = np.zeros(model.n_members, dtype=int)
-    rejected = np.zeros(model.n_members, dtype=int)
     live = np.arange(model.n_members)
     work, bad_epochs = model.stack[live], np.zeros_like(live)  # the live members' rows, copied
     # every forward of the call runs in one workspace, on its first rows
@@ -230,7 +229,7 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
                 adam_step(adam, work.theta, grads)
             except nets.NonFiniteGradient as exc:
                 for row in exc.rows:
-                    rejected[live[row]] += 1
+                    model.last_steps_rejected[live[row]] += 1
                     logger.warning("model step rejected for member %d: %s", live[row], exc)
         hold_loss = model_nll(work, x_hold, y_hold, ws[:len(live), :n_hold])
         better = best_loss[live] - hold_loss > config.improvement_tol
@@ -248,7 +247,6 @@ def train_ensemble(model: EnsembleModel, d_env: TransitionBuffer,
     model.elites = [int(i) for i in np.argsort(best_loss)[:min(2, model.n_members)]]
     model.holdout_losses = best_loss
     model.last_epochs = epochs_run.tolist()
-    model.last_steps_rejected = rejected.tolist()
     model.trained = True
     # nonnegative validation error on next-state prediction, for the hyper-state
     mean, _, _ = model.stack[model.elites].heads(x_hold, ws[:len(model.elites), :n_hold])
@@ -263,8 +261,6 @@ def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: np.random.G
 
     s and a are float64 batches of shape (B, .); returns (s2, r, done).
     """
-    if not model.trained:
-        raise UntrainedModel("train_ensemble must run before predict")
     n = s.shape[0]
     x = np.concatenate([s, a], axis=1)
     # each elite runs on exactly its own rows: a gemm's row bits depend on
@@ -289,10 +285,6 @@ def generate_rollouts(model: EnsembleModel, act_fn, d_env: TransitionBuffer,
     """Branch `branches` rollouts of length <= k from states sampled uniformly
     out of D_env, following act_fn(states, rng); truncate branches at predicted
     termination. Returns the number of imaginary transitions appended."""
-    if k < 1 or branches < 1:
-        raise ValueError("k and branches must be >= 1")
-    if len(d_env) == 0:
-        raise ValueError("D_env is empty")
     if not model.trained:
         raise UntrainedModel("ensemble not trained")
     idx = d_env.sample_indices(branches, rng)

@@ -191,7 +191,3 @@ def test_random_policy_on_pointmass_is_negative():
     assert ret < 0.0
 
 
-def test_evaluate_policy_requires_episode():
-    env = make_env("pendulum")
-    with pytest.raises(ValueError):
-        evaluate_policy(env, lambda s, r: np.zeros(1), 0, np.random.default_rng(0))

@@ -596,7 +596,3 @@ def test_fit_value_rejects_non_finite_input(p):
         fvi.fit_value(bad_states, targets, prev, p=p)
 
 
-def test_fit_value_checks_p_before_any_work():
-    prev = fvi.ValueFn.zeros(1, 8, 20.0)
-    with pytest.raises(ValueError, match="only p in"):
-        fvi.fit_value(np.array([[np.nan]]), np.array([1.0, 2.0]), prev, p=3.0)

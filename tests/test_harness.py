@@ -277,6 +277,15 @@ def test_manifest_describes_its_run_directory(tmp_path, command):
     ("fvi", "sigma", -0.1, "fvi-sweep"),
     ("fvi", "beta_grid", (), "fvi-sweep"),     # argmin of an empty sequence
     ("fvi", "n_real_grid", (), "fvi-sweep"),   # ran "ok" with a header-only table
+    ("hyper", "k_max", 1, "train-mbpo"),       # ZeroDivisionError in extract_state
+    ("hyper", "g_max", 1, "train-mbpo"),
+    ("hyper", "tau", 0, "train-mbpo"),         # ZeroDivisionError before validation
+    ("hyper", "tau", -50, "train-mbpo"),       # divides the horizon; D_model of capacity < 1
+    ("mbpo", "d_env_capacity", 0, "train-mbpo"),
+    ("mbpo", "model_buffer_retain", 0, "train-mbpo"),
+    ("mbpo", "n_members", 0, "train-mbpo"),
+    ("harness", "seeds", (-1,), "train-mbpo"),  # ValueError from default_rng, after the claim
+    ("harness", "seeds", (1.5,), "train-mbpo"),  # TypeError
 ])
 def test_invalid_setting_is_rejected_before_any_directory(tmp_path, section, key, value,
                                                           command):
@@ -558,22 +567,36 @@ def test_fixed_schedule_file_replay_bit_exact(tmp_path):
             assert a[k] == b[k]
 
 
-@pytest.mark.parametrize("mode, rows, match", [
-    ("fixed-schedule-file", None, "fixed-schedule-file alone, which replays one of "
-                                  "m_train \\* H / tau = 4 rows"),
-    ("fixed-schedule-file", 1, "holds 1 rows, not m_train \\* H / tau = 4"),
-    ("default", 4, "fixed-schedule-file alone, which replays one of "
-                   "m_train \\* H / tau = 4 rows"),
-], ids=["no-file", "one-row", "file-with-default"])
+@pytest.mark.parametrize("mode, rows, last_row, match", [
+    ("fixed-schedule-file", None, {}, "fixed-schedule-file alone, which replays one of "
+                                      "m_train \\* H / tau = 4 rows"),
+    ("fixed-schedule-file", 1, {}, "holds 1 rows, not m_train \\* H / tau = 4"),
+    ("default", 4, {}, "fixed-schedule-file alone, which replays one of "
+                       "m_train \\* H / tau = 4 rows"),
+    ("fixed-schedule-file", 4, {"k": 0}, "row 4: k '0' is not int in \\[1, 10\\]"),
+    ("fixed-schedule-file", 4, {"k": 11}, "row 4: k '11' is not int in \\[1, 10\\]"),
+    ("fixed-schedule-file", 4, {"g": 0}, "row 4: g '0' is not int in \\[1, inf\\]"),
+    ("fixed-schedule-file", 4, {"g": "abc"}, "row 4: g 'abc' is not int"),
+    ("fixed-schedule-file", 4, {"beta": 1.5}, "row 4: beta '1.5' is not float in \\[0.0, 1.0\\]"),
+    ("fixed-schedule-file", 4, {"beta": -1}, "row 4: beta '-1' is not float"),
+    ("fixed-schedule-file", 4, {"beta": float("nan")}, "row 4: beta 'nan' is not float"),
+    ("fixed-schedule-file", 4, {"model_trained": 2},
+     "row 4: model_trained '2' is not int in \\[0, 1\\]"),
+], ids=["no-file", "one-row", "file-with-default", "k-zero", "k-above-k_max", "g-zero",
+        "g-not-an-int", "beta-above-one", "beta-negative", "beta-nan", "model_trained-two"])
 def test_train_mbpo_checks_its_schedule_file_before_any_directory(tmp_path, mode, rows,
-                                                                  match):
+                                                                  last_row, match):
+    # each bad row, once the last of 4, failed mid-run, or ran silently changed:
+    # g 0 as 1 update per step, beta clamped to [0, 1], model_trained 2 as 1,
+    # and k above k_max with a D_model sized for k_max
     cfg = _tiny_config(tmp_path, seeds=(3,))  # m_train = 1: 4 rows
     sched = None
     if rows is not None:
         sched = tmp_path / "schedule.csv"
-        harness.write_csv(sched, "schedule", [
-            {"run_id": "r", "real_step": 50 * i, "beta": 0.05, "g": 10, "k": 1,
-             "model_trained": 1} for i in range(rows)])
+        table = [{"run_id": "r", "real_step": 50 * i, "beta": 0.05, "g": 10, "k": 1,
+                  "model_trained": 1} for i in range(rows)]
+        table[-1].update(last_row)
+        harness.write_csv(sched, "schedule", table)
     with pytest.raises(ValueError, match=match):
         harness.cmd_train_mbpo(cfg, mode, schedule_file=sched)
     assert not (tmp_path / "runs").exists()

@@ -361,6 +361,22 @@ def test_hyper_episode_flags_an_injected_fault_invalid(monkeypatch, caplog, faul
         assert rejected == []
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the injected inf
+def test_rejected_model_steps_are_a_log_event_even_when_the_training_raises(monkeypatch):
+    cfg = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
+                          n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
+    hc = HyperMdpConfig(m_train=2).for_env("pointmass2d")
+    pol = controller.init_controller(np.random.default_rng(0), (True,) * 8)
+    faulted = inject_fault_after_one_episode(monkeypatch, "inf-max-logvar")
+    traj, log = run_hyper_episode(pol, "pointmass2d", cfg, hc, seed=0, n_episodes=2)
+    [run] = faulted
+    assert traj.error["type"] == "FloatingPointError"  # after each member's step was rejected
+    assert run.model.last_steps_rejected == [1, 1]
+    assert [e for e in log.events if e["event"] == "model_steps_rejected"] == [
+        {"step": FAULTS["inf-max-logvar"][3], "event": "model_steps_rejected",
+         "per_member": run.model.last_steps_rejected}]
+
+
 def test_neutral_controller_reproduces_default_mbpo_bit_exactly():
     cfg = mbpo.MbpoConfig(warmup_steps=60, updates_start=64, batch_size=64,
                           n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
@@ -412,3 +428,9 @@ def test_tau_must_divide_horizon():
     hc = HyperMdpConfig(tau=33)
     with pytest.raises(ValueError):
         hc.validate(200)
+
+
+def test_g_max_of_one_is_rejected_with_g_init_inside():
+    # g_init = 1 lies in [1, 1], but the g feature divides by g_max - 1
+    with pytest.raises(ValueError, match="g_max"):
+        HyperMdpConfig(g_init=1, g_max=1).validate(200)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mbrlab import config as run_config
-from mbrlab import mbpo, nets, sac
+from mbrlab import harness, mbpo, nets, sac
 from mbrlab.hyper_mdp import HyperMdpConfig, HyperParams
 
 
@@ -37,15 +37,6 @@ def test_warmup_contract_no_model_no_rollouts():
         assert report["rollouts_added"] == 0
     assert not run.model.trained
     assert len(run.d_model) == 0
-
-
-def test_g_zero_is_clamped_to_one():
-    cfg, hc = _configs(warmup=10)
-    run = mbpo.init_run("pointmass2d", cfg, hc, seed=1)
-    for _ in range(cfg.updates_start):
-        mbpo.mbpo_step(run, hc.initial_params(), False)
-    report = mbpo.mbpo_step(run, HyperParams(beta=1.0, g=0, k=1), False)
-    assert report["updates"] == 1
 
 
 def test_rollout_growth_bound_per_step():
@@ -134,14 +125,24 @@ def test_hyper_reward_trace_structure():
     assert rewards[-1] == pytest.approx(expect_last, rel=1e-12)
 
 
-def test_file_schedule_replays_exported_schedule():
+def test_file_schedule_replays_exported_schedule(tmp_path):
+    # default MBPO, and SAC(1)/SAC(20) at beta 1, the top of its range; each
+    # replayed from its rows as the log holds them and as read back from CSV
     cfg, hc = _configs(warmup=10)
-    log = mbpo.run_default_mbpo("pointmass2d", cfg, hc, m_episodes=1, seed=10)
-    run = mbpo.init_run("pointmass2d", cfg, hc, seed=10)
-    source = mbpo.make_file_schedule(log.schedule_rows)
-    mbpo.run_target_episode(run, source, hc)
-    assert run.log.eval_rows == log.eval_rows
-    assert run.log.schedule_rows == log.schedule_rows
+
+    def episode(source):
+        run = mbpo.init_run("pointmass2d", cfg, hc, seed=10)
+        mbpo.run_target_episode(run, source, hc)
+        return run.log
+
+    for mode in ("default", "sac1", "sac20"):
+        log = episode(harness.TRAIN_MBPO_MODES[mode](None, hc.k_max))
+        path = harness.write_csv(tmp_path / f"{mode}.csv", "schedule", log.schedule_rows)
+        for rows in (log.schedule_rows, harness.read_csv(path)):
+            replay = episode(mbpo.make_file_schedule(rows, hc.k_max))
+            # through JSON, where the untrained SAC runs' NaN hold-out loss equals itself
+            assert json.dumps(replay.eval_rows) == json.dumps(log.eval_rows)
+            assert replay.schedule_rows == log.schedule_rows
 
 
 def test_sac_modes_via_config():
@@ -194,7 +195,8 @@ def test_warmup_below_holdout_minimum_rejected():
 
 
 
-@pytest.mark.parametrize("field", ["batch_size", "eval_episodes"])
+@pytest.mark.parametrize("field", ["batch_size", "eval_episodes", "d_env_capacity",
+                                   "n_members", "model_buffer_retain"])
 def test_init_run_rejects_empty_batches_and_evaluations(monkeypatch, field):
     cfg, hc = _configs()
     cfg = dataclasses.replace(cfg, **{field: 0})

@@ -126,9 +126,8 @@ def test_gaussian_policy_seed_reproducibility():
 def test_mixed_batch_all_real_at_beta_one():
     d_env = TransitionBuffer(100, 3, 1)
     _fill(d_env, 50, 0)
-    spec = sac.MixedBatchSpec(batch_size=32, real_ratio=1.0)
     d_model = TransitionBuffer(100, 3, 1)  # empty, and never drawn from at beta 1
-    batch = sac.sample_mixed_batch(d_env, d_model, spec, np.random.default_rng(1))
+    batch = sac.sample_mixed_batch(d_env, d_model, 32, 1.0, np.random.default_rng(1))
     assert batch["n_real"] == 32 and len(batch["r"]) == 32
 
 
@@ -138,8 +137,7 @@ def test_mixed_batch_five_percent_split():
     d_model = TransitionBuffer(100, 3, 1)
     _fill(d_env, 50, 0)
     _fill(d_model, 50, 1)
-    spec = sac.MixedBatchSpec(batch_size=100, real_ratio=0.05)
-    batch = sac.sample_mixed_batch(d_env, d_model, spec, np.random.default_rng(2))
+    batch = sac.sample_mixed_batch(d_env, d_model, 100, 0.05, np.random.default_rng(2))
     assert batch["n_real"] == 5
 
 
@@ -148,9 +146,8 @@ def test_mixed_batch_split_is_exact_over_many_draws():
     d_model = TransitionBuffer(100, 3, 1)
     _fill(d_env, 30, 0)
     _fill(d_model, 30, 1)
-    spec = sac.MixedBatchSpec(batch_size=20, real_ratio=0.3)
     rng = np.random.default_rng(3)
-    fracs = {sac.sample_mixed_batch(d_env, d_model, spec, rng)["n_real"]
+    fracs = {sac.sample_mixed_batch(d_env, d_model, 20, 0.3, rng)["n_real"]
              for _ in range(10_000)}
     assert fracs == {6}  # round(0.3*20) every single time
 
@@ -160,27 +157,36 @@ def test_mixed_batch_errors_when_the_model_part_is_empty():
     d_env = TransitionBuffer(100, 3, 1)
     _fill(d_env, 30, 0)
     d_model = TransitionBuffer(100, 3, 1)
-    spec = sac.MixedBatchSpec(batch_size=16, real_ratio=0.25)
     with pytest.raises(ValueError, match="empty"):
-        sac.sample_mixed_batch(d_env, d_model, spec, np.random.default_rng(4))
+        sac.sample_mixed_batch(d_env, d_model, 16, 0.25, np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("batch_size", [64, 128])
 def test_n_real_equals_the_clipped_round(batch_size):
+    # beta lies in [0, 1], where round(beta*B) needs no clip to lie in [0, B]
+    d_env = TransitionBuffer(100, 3, 1)
+    d_model = TransitionBuffer(100, 3, 1)
+    _fill(d_env, 30, 0)
+    _fill(d_model, 30, 1)
     halves = [(2 * k + 1) / (2 * batch_size) for k in range(batch_size)]  # beta*B = k + 0.5
-    grid = list(np.linspace(-0.5, 1.5, 401)) + halves + [0.0, 1.0]
+    grid = list(np.linspace(0.0, 1.0, 201)) + halves + [0.0, 1.0]
     assert any(round(h * batch_size) % 2 == 0 for h in halves)  # ties round to even
+    rng = np.random.default_rng(5)
     for beta in grid:
-        n_real = sac.MixedBatchSpec(batch_size, float(beta)).n_real()
-        assert type(n_real) is int
+        batch = sac.sample_mixed_batch(d_env, d_model, batch_size, float(beta), rng)
+        n_real = batch["n_real"]
+        assert type(n_real) is int and len(batch["r"]) == batch_size
         assert n_real == int(np.clip(round(float(beta) * batch_size), 0, batch_size))
+        # the first n_real rows are D_env's
+        assert np.isin(batch["r"][:n_real], d_env.r[:30]).all()
+        assert not np.isin(batch["r"][n_real:], d_env.r[:30]).any()
 
 
 def test_mixed_batch_errors_when_both_empty():
     d_env = TransitionBuffer(10, 3, 1)
     d_model = TransitionBuffer(10, 3, 1)
     with pytest.raises(ValueError):
-        sac.sample_mixed_batch(d_env, d_model, sac.MixedBatchSpec(), np.random.default_rng(0))
+        sac.sample_mixed_batch(d_env, d_model, 256, 0.05, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- critic loss
@@ -388,10 +394,9 @@ def test_critic_loss_decreases_on_pointmass_real_data():
     agent = sac.init_agent(agent_rng, 4, 2, env.spec.action_low,
                            env.spec.action_high, hidden=(64, 64))
     d_model = TransitionBuffer(1, 4, 2)  # empty, and never drawn from at beta 1
-    spec = sac.MixedBatchSpec(batch_size=256, real_ratio=1.0)
     losses = []
     for _ in range(5_000):
-        batch = sac.sample_mixed_batch(d_env, d_model, spec, upd_rng)
+        batch = sac.sample_mixed_batch(d_env, d_model, 256, 1.0, upd_rng)
         c_loss, _ = sac.sac_update(agent, batch, env.spec.gamma, upd_rng)
         losses.append(c_loss)
     avg = np.convolve(losses, np.ones(100) / 100, mode="valid")
@@ -419,8 +424,7 @@ def test_gradients_finite_over_ten_thousand_updates():
     d_model.push_batch(*columns)
     agent = sac.init_agent(agent_rng, 4, 2, env.spec.action_low,
                            env.spec.action_high, hidden=(32, 32))
-    spec = sac.MixedBatchSpec(batch_size=128, real_ratio=0.05)
     for _ in range(10_000):
-        batch = sac.sample_mixed_batch(d_env, d_model, spec, upd_rng)
+        batch = sac.sample_mixed_batch(d_env, d_model, 128, 0.05, upd_rng)
         c_loss, a_loss = sac.sac_update(agent, batch, env.spec.gamma, upd_rng)
         assert np.isfinite(c_loss) and np.isfinite(a_loss)

@@ -188,13 +188,6 @@ def test_predict_deterministic_and_seeded():
     assert np.allclose(noisy[0], s + mean[:, :-1], atol=1e-10)
 
 
-def test_predict_requires_trained_model():
-    model = wm.init_ensemble(np.random.default_rng(0), 2, 1, n_members=1)
-    with pytest.raises(wm.UntrainedModel):
-        wm.predict(model, np.zeros((1, 2)), np.zeros((1, 1)),
-                   np.random.default_rng(0), _FakeEnv())
-
-
 def test_one_step_error_distribution_unimodal_near_zero():
     buf, (a_mat, b_mat, bias) = _linear_system_buffer()
     rng = np.random.default_rng(6)
