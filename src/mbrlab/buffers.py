@@ -32,9 +32,9 @@ class TransitionBuffer:
         return self.size
 
     def push_batch(self, s, a, r, s2, done, behavior_density=0.0) -> int:
-        """Append n rows column by column, as n one-row calls would; the
-        behavior density is one per row or one for all. When n > capacity
-        only the last capacity rows survive. Returns n."""
+        """Append n rows column by column, as n one-row calls would, all with
+        one behavior density. When n > capacity only the last capacity rows
+        survive. Returns n."""
         n = len(r)
         keep = min(n, self.capacity)
         idx = (self.cursor + (n - keep) + np.arange(keep)) % self.capacity
@@ -43,8 +43,6 @@ class TransitionBuffer:
         self.r[idx] = r[n - keep:]
         self.s2[idx] = s2[n - keep:]
         self.done[idx] = done[n - keep:]
-        if np.ndim(behavior_density):  # one per row
-            behavior_density = behavior_density[n - keep:]
         self.behavior_density[idx] = behavior_density
         self.cursor = (self.cursor + n) % self.capacity
         self.size = min(self.size + n, self.capacity)
@@ -63,11 +61,8 @@ class TransitionBuffer:
 
     def recent(self, n: int) -> dict:
         """The last min(n, size) entries in insertion order."""
-        n = min(n, self.size)
-        if self.size < self.capacity:
-            idx = np.arange(self.size - n, self.size)
-        else:
-            idx = (np.arange(self.cursor - n, self.cursor)) % self.capacity
+        # before the buffer wraps, cursor == size and the modulo is a no-op
+        idx = np.arange(self.cursor - min(n, self.size), self.cursor) % self.capacity
         out = self.gather(idx)
         out["behavior_density"] = self.behavior_density[idx]
         return out

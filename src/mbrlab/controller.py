@@ -32,10 +32,6 @@ class ControllerPolicy:
     feature_mask: tuple = (True,) * 8
     config_hash: str = ""
 
-    @property
-    def input_dim(self):
-        return self.net.input_dim
-
     def head_slices(self):
         out, lo = [], 0
         for size in HEAD_SIZES:
@@ -84,14 +80,12 @@ def controller_act(policy: ControllerPolicy, state: np.ndarray, rng: np.random.G
     return tuple(idx), joint
 
 
-def advantage(rewards, baseline) -> np.ndarray:
+def advantage(rewards: np.ndarray, baseline: np.ndarray) -> np.ndarray:
     """Suffix sums of (R_i - R'_i): the return improvement over the default
     configuration from index t onward."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    base = np.asarray(baseline, dtype=np.float64)
-    if rewards.shape != base.shape:
-        raise ValueError(f"rewards length {rewards.shape} != baseline {base.shape}")
-    diff = rewards - base
+    if rewards.shape != baseline.shape:
+        raise ValueError(f"rewards length {rewards.shape} != baseline {baseline.shape}")
+    diff = rewards - baseline
     return np.cumsum(diff[::-1])[::-1].copy()
 
 
@@ -198,8 +192,11 @@ class HyperTrajectory:
     action_indices: np.ndarray  # (T, 4) head indices
     log_probs: np.ndarray     # (T,) joint log-probs recorded at sampling time
     rewards: np.ndarray       # (T,)
-    valid: bool = True
     error: dict | None = None  # type, message and real step of a numeric crash
+
+    @property
+    def valid(self) -> bool:
+        return self.error is None
 
 
 def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_config,
@@ -242,10 +239,7 @@ def run_hyper_episode(controller_policy: ControllerPolicy, env_name: str, mbpo_c
     t = min(len(rewards), len(states))
     traj = HyperTrajectory(
         states=np.asarray(states[:t]), action_indices=np.asarray(actions[:t]),
-        log_probs=np.asarray(logps[:t]), rewards=np.asarray(rewards[:t]),
-        valid=(error is None
-               and len(rewards) == n_episodes * run.env.spec.horizon // hyper_config.tau),
-        error=error,
+        log_probs=np.asarray(logps[:t]), rewards=np.asarray(rewards[:t]), error=error,
     )
     return traj, run.log
 

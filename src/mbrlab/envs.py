@@ -40,7 +40,8 @@ def _wrap_angle(theta):
 
 
 class Env:
-    """Pure-function environment: all state is passed explicitly."""
+    """Pure-function environment: all state is passed explicitly, as float64
+    arrays of shape (..., d)."""
 
     spec: EnvSpec
 
@@ -55,19 +56,14 @@ class Env:
         raise NotImplementedError
 
     def terminal(self, s: np.ndarray):
-        """Termination predicate on states; vectorized over a leading axis."""
+        """Termination predicate on states (..., d): a bool array of shape (...)."""
         raise NotImplementedError
-
-    def clip_action(self, a: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(a, dtype=np.float64),
-                       self.spec.action_low, self.spec.action_high)
 
     def step(self, state: np.ndarray, action: np.ndarray) -> tuple:
         """One real step from `state`: (clipped action, reward, s', done)."""
-        state = np.asarray(state, dtype=np.float64)
         if not np.isfinite(state).all():
             raise EnvDiverged(f"{self.spec.name}: non-finite state {state}")
-        a = self.clip_action(action)
+        a = np.clip(action, self.spec.action_low, self.spec.action_high)
         r = float(self.reward(state, a))
         s2 = self.dynamics(state, a)
         done = bool(self.terminal(s2))
@@ -106,15 +102,12 @@ class Pendulum(Env):
         return np.array([np.cos(theta), np.sin(theta), thdot])
 
     def reward(self, s, a):
-        s = np.asarray(s, dtype=np.float64)
-        a = np.asarray(a, dtype=np.float64)
         theta = _wrap_angle(np.arctan2(s[..., 1], s[..., 0]))
         thdot = s[..., 2]
         return -(theta ** 2 + 0.1 * thdot ** 2 + 0.001 * a[..., 0] ** 2)
 
     def terminal(self, s):
-        s = np.asarray(s)
-        return np.zeros(s.shape[:-1], dtype=bool) if s.ndim > 1 else False
+        return np.zeros(s.shape[:-1], dtype=bool)
 
 
 class PointMass2D(Env):
@@ -143,13 +136,10 @@ class PointMass2D(Env):
         return np.concatenate([pos, vel])
 
     def reward(self, s, a):
-        s = np.asarray(s, dtype=np.float64)
-        a = np.asarray(a, dtype=np.float64)
         dist = np.linalg.norm(s[..., 0:2] - self.GOAL, axis=-1)
         return -dist - 0.001 * (a ** 2).sum(axis=-1)
 
     def terminal(self, s):
-        s = np.asarray(s)
         dist = np.linalg.norm(s[..., 0:2] - self.GOAL, axis=-1)
         return dist < self.GOAL_RADIUS
 
@@ -200,12 +190,9 @@ class CartPoleSwingup(Env):
         return np.array([x, xdot, np.cos(theta), np.sin(theta), thdot])
 
     def reward(self, s, a):
-        s = np.asarray(s, dtype=np.float64)
-        a = np.asarray(a, dtype=np.float64)
         return s[..., 1] - 0.001 * a[..., 0] ** 2 + 1.0
 
     def terminal(self, s):
-        s = np.asarray(s)
         return np.abs(s[..., 0]) > self.X_FAIL
 
 

@@ -105,7 +105,7 @@ class ValueFn:
         on axis d (axis 0 most significant); states off [0, 1] extrapolate the edge cell.
         Both are transposed views of corner-major arrays, so `idx.T[c]` is contiguous."""
         g = self.grid_size
-        frac = np.asarray(states, dtype=np.float64).reshape(-1, self.dim) * (g - 1)
+        frac = states * (g - 1)
         cell = np.fmin(np.fmax(np.floor(frac), 0.0), g - 2)
         frac -= cell
         lo = 1.0 - frac
@@ -145,8 +145,6 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
     only other p) runs IRLS capped at 50 iterations. Knots no sample touches
     keep their previous values; fitted knot values are clipped to [0, v_max].
     """
-    states = np.asarray(states, dtype=np.float64).reshape(-1, prev.dim)
-    targets = np.asarray(targets, dtype=np.float64)
     if states.shape[0] != targets.shape[0] or states.shape[0] < 1:
         raise ValueError("states/targets length mismatch or empty")
     if not (np.isfinite(states).all() and np.isfinite(targets).all()):
@@ -199,45 +197,37 @@ def half_normal(sigma: float, rng: np.random.Generator, size) -> np.ndarray:
     return np.abs(rng.normal(size=size)) * sigma
 
 
-@dataclass
-class CorruptedModel:
-    """True dynamics plus an isotropic half-normal displacement of scale sigma."""
-
-    mdp: FviMdp
-    sigma: float
-
-    def predict(self, true_next: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Displace the true next states (n, d) of one action."""
-        n = true_next.shape[0]
-        xi = half_normal(self.sigma, rng, size=n)
-        if self.mdp.dim == 1:
-            direction = (rng.integers(0, 2, size=(n, 1)) * 2 - 1).astype(np.float64)
-        else:
-            angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
-            direction = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-        return np.clip(true_next + xi[:, None] * direction, 0.0, 1.0)
+def corrupt(true_next: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """The corrupted model: true next states (n, d), d 1 or 2, displaced by a
+    half-normal step of scale sigma in a uniformly random direction."""
+    n, d = true_next.shape
+    xi = half_normal(sigma, rng, size=n)
+    if d == 1:
+        direction = (rng.integers(0, 2, size=(n, 1)) * 2 - 1).astype(np.float64)
+    else:
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        direction = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    return np.clip(true_next + xi[:, None] * direction, 0.0, 1.0)
 
 
 BACKUP_BLOCK = 2048  # states per scoring block of the mixture backup
 
 
 def beta_mixture_backup(value_fn: ValueFn, states: np.ndarray, mdp: FviMdp,
-                        corrupted_model: CorruptedModel, beta: float,
-                        rng: np.random.Generator) -> np.ndarray:
+                        sigma: float, beta: float, rng: np.random.Generator) -> np.ndarray:
     """Targets max_a (r + gamma * V(next)) where next comes from the true
-    dynamics w.p. beta and from the corrupted model otherwise.
+    dynamics w.p. beta and from `corrupt` under sigma otherwise.
 
     The Bernoulli, half-normal, and direction draws are consumed for every
     (state, action) regardless of which branch wins, so sigma=0 runs are
     bit-identical across beta. Rewards are always the true ones; targets are
     clipped to [0, v_max].
     """
-    states = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
     n = states.shape[0]
     nexts = np.stack([mdp.transition(states, a) for a in range(mdp.n_actions)])
     for slab in nexts:  # views into nexts
         use_model = rng.uniform(size=n) >= beta
-        slab[use_model] = corrupted_model.predict(slab, rng)[use_model]
+        slab[use_model] = corrupt(slab, sigma, rng)[use_model]
     # score in blocks of states: the lookahead's temporaries stay cache-sized and
     # are reused from the heap instead of being mapped and faulted in per call
     out = np.empty(n)
@@ -279,8 +269,7 @@ def _scores(mdp: FviMdp, value_fn: ValueFn, rewards, nexts) -> np.ndarray:
 def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray) -> np.ndarray:
     """Discounted true return of the greedy-w.r.t.-value_fn policy, truncated
     once the remaining tail is below 1e-4 of scale."""
-    s = np.asarray(states, dtype=np.float64).reshape(-1, mdp.dim)
-    n = s.shape[0]
+    n = states.shape[0]
     rows = np.arange(n)
     returns = np.zeros(n)
     disc = 1.0
@@ -288,12 +277,12 @@ def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray) -> np.ndar
     for _ in range(_truncation_horizon(mdp)):
         # the MDP is deterministic: once no state moves, later steps repeat this one
         if not fixed:
-            rewards, nexts = _action_stack(mdp, s)
+            rewards, nexts = _action_stack(mdp, states)
             acts = _scores(mdp, value_fn, rewards, nexts).argmax(axis=0)
             r = rewards[acts, rows]
             nxt = nexts[acts * n + rows]
-            fixed = np.array_equal(nxt, s)
-            s = nxt
+            fixed = np.array_equal(nxt, states)
+            states = nxt
         returns += disc * r
         disc *= mdp.gamma
     return returns
@@ -353,12 +342,11 @@ class FviResult:
     config: FviConfig
 
 
-def run_fvi(mdp: FviMdp, config: FviConfig, oracle: ExactOracle | None = None) -> FviResult:
+def run_fvi(mdp: FviMdp, config: FviConfig, oracle: ExactOracle) -> FviResult:
     """K iterations of mixture backup + fit, then the return discrepancy
     (E_rho |V*(s) - V^pi_K(s)|^p)^(1/p) against the oracle, with both returns
     estimated by truncated greedy rollouts through the true dynamics."""
     config.validate()
-    oracle = oracle or exact_vi(mdp)
     return _fit_and_score(mdp, config, *_oracle_scores(mdp, config, oracle))
 
 
@@ -372,11 +360,11 @@ def _oracle_scores(mdp: FviMdp, config: FviConfig, oracle: ExactOracle):
 def _fit_and_score(mdp: FviMdp, config: FviConfig, eval_states: np.ndarray,
                    v_star: np.ndarray) -> FviResult:
     state_stream, corrupt_stream, _ = np.random.default_rng(config.seed).spawn(3)
-    model = CorruptedModel(mdp, config.sigma)
     v = ValueFn.zeros(mdp.dim, config.grid_size, mdp.v_max)
     for _ in range(config.iterations):
         states = state_stream.uniform(size=(config.n_states, mdp.dim))
-        targets = beta_mixture_backup(v, states, mdp, model, config.beta, corrupt_stream)
+        targets = beta_mixture_backup(v, states, mdp, config.sigma, config.beta,
+                                      corrupt_stream)
         v = fit_value(states, targets, v, p=config.p)
     v_pik = policy_return(mdp, v, eval_states)
     disc = float(np.mean(np.abs(v_star - v_pik) ** config.p) ** (1.0 / config.p))
@@ -416,9 +404,8 @@ def check_sweep(beta_grid, n_real_grid, sigma: float, iterations: int, n_seeds: 
 
 
 def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: int,
-               seeds, base: FviConfig | None = None,
-               oracle: ExactOracle | None = None,
-               n_bootstrap: int = 200, bootstrap_seed: int = 0) -> dict:
+               seeds, base: FviConfig, oracle: ExactOracle, n_bootstrap: int,
+               bootstrap_seed: int = 0) -> dict:
     """Full factorial (beta x N_real x seed) sweep.
 
     Returns rows (beta, n_real, sigma, iterations, seed, discrepancy), a per
@@ -431,7 +418,6 @@ def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: in
     beta_grid = list(beta_grid)
     n_real_grid = list(n_real_grid)
     seeds = list(seeds)
-    base = base or FviConfig()
     check_sweep(beta_grid, n_real_grid, sigma, iterations, len(seeds), n_bootstrap, base)
     rows, cells = [], []
     for n_real, beta in itertools.product(n_real_grid, beta_grid):
@@ -441,7 +427,6 @@ def beta_sweep(mdp: FviMdp, beta_grid, n_real_grid, sigma: float, iterations: in
                                  iterations=iterations, seed=seed))
             rows.append({"beta": beta, "n_real": n_real, "sigma": sigma,
                          "iterations": iterations, "seed": seed})
-    oracle = oracle or exact_vi(mdp)
     # the oracle side of every cell of a seed, scored once per sweep; each cell
     # carries only its own seed's arrays to its worker
     scored = [_oracle_scores(mdp, replace(base, seed=seed), oracle) for seed in seeds]

@@ -129,8 +129,9 @@ class RunDir:
 def cmd_fvi_sweep(config: RunConfig) -> dict:
     fc = config.fvi
     with RunDir(config, "fvi-sweep") as run:
-        out = fvi.beta_sweep(fvi.MDPS[fc.mdp](), fc.beta_grid, fc.n_real_grid, fc.sigma,
-                             fc.iterations, range(fc.n_seeds), base=fc.base(),
+        mdp = fvi.MDPS[fc.mdp]()
+        out = fvi.beta_sweep(mdp, fc.beta_grid, fc.n_real_grid, fc.sigma, fc.iterations,
+                             range(fc.n_seeds), base=fc.base(), oracle=fvi.exact_vi(mdp),
                              n_bootstrap=fc.n_bootstrap)
         write_csv(run.file("fvi_rows.csv"), "fvi_rows", out["rows"])
         summary_rows = [{"n_real": nr, "argmin_beta": am,
@@ -417,7 +418,6 @@ def cmd_pbt(config: RunConfig) -> dict:
         instances = []
         for i in range(pop):
             run = mbpo.init_run(config.env_name, config.mbpo, hc, seed + i)
-            run.log.run_id = f"pbt-{i}"
             if pop == 1:
                 params, train_every = hc.initial_params(), 1
             else:

@@ -30,9 +30,9 @@ NEUTRAL_INDICES = (1, 1, 1, 1)  # (x1, train=1, +0, +0): reproduces default MBPO
 
 @dataclass(frozen=True)
 class HyperParams:
-    beta: float = 0.05
-    g: int = 10
-    k: int = 1
+    beta: float
+    g: int
+    k: int
 
 
 @dataclass
@@ -117,11 +117,13 @@ def extract_state(run, params: HyperParams, config: HyperMdpConfig) -> np.ndarra
     else:
         span = config.return_hi - config.return_lo
         ret_feat = float(np.clip((run.last_eval_return - config.return_lo) / span, 0.0, 1.0))
-    beta_feat = float(np.log(params.beta / config.beta_min) / np.log(1.0 / config.beta_min))
+    # a replayed beta below beta_min reads as the floor, not as log(0)
+    beta_feat = float(np.log(max(params.beta, config.beta_min) / config.beta_min)
+                      / np.log(1.0 / config.beta_min))
     g_feat = (params.g - 1) / (config.g_max - 1)
     k_feat = (params.k - 1) / (config.k_max - 1)
     return np.array([n_real_frac, model_loss, critic_loss, eps_pi, ret_feat,
-                     float(np.clip(beta_feat, 0.0, 1.0)), g_feat, k_feat])
+                     beta_feat, g_feat, k_feat])
 
 
 def apply_action(params: HyperParams, action, config: HyperMdpConfig) -> HyperParams:

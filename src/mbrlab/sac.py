@@ -160,7 +160,7 @@ class SacAgent:
 
 
 def init_agent(rng: np.random.Generator, state_dim: int, action_dim: int,
-               action_low, action_high, hidden: tuple = (64, 64),
+               action_low: np.ndarray, action_high: np.ndarray, hidden: tuple,
                lr: float = 3e-4, alpha: float = 0.2, polyak: float = 0.995) -> SacAgent:
     r_actor, r_c1, r_c2 = rng.spawn(3)
     actor_net = nets.init_dense(r_actor, [state_dim, *hidden, 2 * action_dim])
@@ -168,8 +168,7 @@ def init_agent(rng: np.random.Generator, state_dim: int, action_dim: int,
     critic2 = nets.init_dense(r_c2, [state_dim + action_dim, *hidden, 1])
     q = DenseNet(critic1.sizes, critic1.activations,
                  np.stack([critic1.theta, critic2.theta] * 2).reshape(2, 2, -1))
-    actor = GaussianPolicy(actor_net, np.asarray(action_low, dtype=np.float64),
-                           np.asarray(action_high, dtype=np.float64))
+    actor = GaussianPolicy(actor_net, action_low, action_high)
     return SacAgent(
         actor=actor, q=q,
         actor_adam=AdamState.for_theta(actor_net.theta, lr),

@@ -115,7 +115,7 @@ class EnsembleModel:
 
 
 def init_ensemble(rng: np.random.Generator, state_dim: int, action_dim: int,
-                  hidden: tuple = (64, 64), n_members: int = 5) -> EnsembleModel:
+                  hidden: tuple, n_members: int = 5) -> EnsembleModel:
     target = state_dim + 1  # delta_s plus reward
     sizes = [state_dim + action_dim, *hidden, 2 * target]
     inits = [nets.init_dense(child, sizes) for child in rng.spawn(n_members)]
@@ -275,7 +275,7 @@ def predict(model: EnsembleModel, s: np.ndarray, a: np.ndarray, rng: np.random.G
     noise = rng.normal(size=(n, d))
     draw = out_mean + np.exp(0.5 * out_lv) * noise
     s2 = s + draw[:, :-1]
-    done = np.asarray(env.terminal(s2), dtype=bool)
+    done = env.terminal(s2)
     return s2, draw[:, -1], done
 
 
@@ -289,7 +289,7 @@ def generate_rollouts(model: EnsembleModel, act_fn, d_env: TransitionBuffer,
         raise UntrainedModel("ensemble not trained")
     idx = d_env.sample_indices(branches, rng)
     s = d_env.s[idx]
-    s = s[~np.asarray(env.terminal(s), dtype=bool)]  # only live rows are carried
+    s = s[~env.terminal(s)]  # only live rows are carried
     steps = []
     for _ in range(k):
         if not len(s):

@@ -149,12 +149,12 @@ def test_push_batch_matches_row_by_row_push(prefill, n):
         for i in range(prefill):
             buf.push_batch(*_row(100 + i), behavior_density=1.5)
     s, a, r, s2, done = _columns(n, seed=7)
-    density = np.random.default_rng(8).uniform(size=n)
+    density = 0.25  # one behavior density per push, as every caller passes
     assert batched.push_batch(s, a, r, s2, done, density) == n
     for i in range(n):
         rows = slice(i, i + 1)
         assert rowwise.push_batch(s[rows], a[rows], r[rows], s2[rows], done[rows],
-                                  behavior_density=density[i]) == 1
+                                  behavior_density=density) == 1
     for col in ("s", "a", "r", "s2", "done", "behavior_density"):
         assert np.array_equal(getattr(batched, col), getattr(rowwise, col)), col
     assert (batched.cursor, batched.size) == (rowwise.cursor, rowwise.size)

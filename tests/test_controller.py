@@ -109,7 +109,7 @@ def test_advantage_length_mismatch_errors():
 
 def _ppo_batch(pol, n, seed):
     rng = np.random.default_rng(seed)
-    states = rng.uniform(size=(n, pol.input_dim))
+    states = rng.uniform(size=(n, pol.net.input_dim))
     idx = np.stack([rng.integers(0, s, size=n) for s in HEAD_SIZES], axis=1)
     old = joint_log_prob(pol, states, idx)
     adv = rng.normal(size=n)

@@ -69,8 +69,7 @@ def test_backup_beta_one_is_exact_bellman():
     mdp = fvi.line_world()
     v = fvi.ValueFn(1, 32, np.random.default_rng(0).uniform(0, 10, size=32), mdp.v_max)
     states = np.random.default_rng(1).uniform(size=(50, 1))
-    model = fvi.CorruptedModel(mdp, 0.3)
-    targets = fvi.beta_mixture_backup(v, states, mdp, model, 1.0, np.random.default_rng(2))
+    targets = fvi.beta_mixture_backup(v, states, mdp, 0.3, 1.0, np.random.default_rng(2))
     expect = np.max([mdp.reward(states, a) + mdp.gamma * v(mdp.transition(states, a))
                      for a in range(3)], axis=0)
     assert np.array_equal(targets, np.clip(expect, 0, mdp.v_max))
@@ -80,8 +79,7 @@ def test_backup_sigma_zero_bit_identical_across_beta():
     mdp = fvi.line_world()
     v = fvi.ValueFn(1, 32, np.random.default_rng(3).uniform(0, 10, size=32), mdp.v_max)
     states = np.random.default_rng(4).uniform(size=(64, 1))
-    model = fvi.CorruptedModel(mdp, 0.0)
-    outs = [fvi.beta_mixture_backup(v, states, mdp, model, b, np.random.default_rng(9))
+    outs = [fvi.beta_mixture_backup(v, states, mdp, 0.0, b, np.random.default_rng(9))
             for b in (0.0, 0.3, 1.0)]
     assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[1], outs[2])
 
@@ -98,8 +96,7 @@ def test_backup_computes_true_next_states_once_per_action(monkeypatch):
         return real_transition(self, s, a_idx)
 
     monkeypatch.setattr(fvi.FviMdp, "transition", counting)
-    model = fvi.CorruptedModel(mdp, 0.2)
-    fvi.beta_mixture_backup(v, states, mdp, model, 0.3, np.random.default_rng(12))
+    fvi.beta_mixture_backup(v, states, mdp, 0.2, 0.3, np.random.default_rng(12))
     # the corrupted model displaces the stacked true next states in place of
     # recomputing them
     assert calls == list(range(mdp.n_actions))
@@ -109,8 +106,7 @@ def test_backup_gamma_zero_is_reward_max():
     mdp = replace(fvi.line_world(), gamma=0.0)
     v = fvi.ValueFn(1, 16, np.ones(16) * 5.0, mdp.v_max if mdp.gamma else 1.0)
     states = np.random.default_rng(5).uniform(size=(40, 1))
-    model = fvi.CorruptedModel(mdp, 0.5)
-    targets = fvi.beta_mixture_backup(v, states, mdp, model, 0.3, np.random.default_rng(6))
+    targets = fvi.beta_mixture_backup(v, states, mdp, 0.5, 0.3, np.random.default_rng(6))
     expect = np.max([mdp.reward(states, a) for a in range(3)], axis=0)
     assert np.allclose(targets, np.clip(expect, 0, v.v_max))
 
@@ -266,7 +262,8 @@ def test_beta_sweep_checks_its_grids_before_any_work(monkeypatch, sweep_args, ba
     monkeypatch.setattr(fvi, "_fit_and_score", no_work)
     monkeypatch.setattr(fvi, "_oracle_scores", no_work)
     kwargs = {"beta_grid": [0.5, 1.0], "n_real_grid": [64], "sigma": 0.0,
-              "iterations": 3, "seeds": [0], "n_bootstrap": 5, **sweep_args}
+              "iterations": 3, "seeds": [0], "base": fvi.FviConfig(),
+              "oracle": object(), "n_bootstrap": 5, **sweep_args}  # oracle never reached
     with pytest.raises(ValueError, match=bad):
         fvi.beta_sweep(fvi.line_world(), **kwargs)
 
@@ -390,14 +387,14 @@ def _reference_value(value_fn, states):
     return (value_fn.values[idx] * wgt).sum(axis=1)
 
 
-def _reference_backup(value_fn, states, mdp, model, beta, rng):
+def _reference_backup(value_fn, states, mdp, sigma, beta, rng):
     """The unblocked backup: every (action, state) scored in one lookahead."""
     n = states.shape[0]
     rewards = np.stack([mdp.reward(states, a) for a in range(mdp.n_actions)])
     nexts = np.concatenate([mdp.transition(states, a) for a in range(mdp.n_actions)])
     for slab in np.split(nexts, mdp.n_actions):
         use_model = rng.uniform(size=n) >= beta
-        slab[use_model] = model.predict(slab, rng)[use_model]
+        slab[use_model] = fvi.corrupt(slab, sigma, rng)[use_model]
     scores = rewards + mdp.gamma * _reference_value(value_fn, nexts).reshape(rewards.shape)
     return np.clip(scores.max(axis=0), 0.0, value_fn.v_max)
 
@@ -409,10 +406,9 @@ def test_blocked_backup_and_interpolation_match_unblocked_reference(mdp_fn, grid
     v = fvi.ValueFn(mdp.dim, grid_size, np.random.default_rng(50).uniform(
         0, mdp.v_max, size=grid_size ** mdp.dim), mdp.v_max)
     states = np.random.default_rng(51).uniform(size=(n, mdp.dim))
-    model = fvi.CorruptedModel(mdp, 0.2)
     rngs = [np.random.default_rng(52), np.random.default_rng(52)]
-    got = fvi.beta_mixture_backup(v, states, mdp, model, 0.4, rngs[0])
-    assert np.array_equal(got, _reference_backup(v, states, mdp, model, 0.4, rngs[1]))
+    got = fvi.beta_mixture_backup(v, states, mdp, 0.2, 0.4, rngs[0])
+    assert np.array_equal(got, _reference_backup(v, states, mdp, 0.2, 0.4, rngs[1]))
     assert rngs[0].uniform() == rngs[1].uniform()  # the same draws were consumed
     assert (got > 0.0).all() and np.unique(got).size > n // 2
     off_box = np.random.default_rng(53).uniform(-0.3, 1.3, size=(n, mdp.dim))

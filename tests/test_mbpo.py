@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from mbrlab import config as run_config
 from mbrlab import harness, mbpo, nets, sac
-from mbrlab.hyper_mdp import HyperMdpConfig, HyperParams
+from mbrlab.hyper_mdp import FEATURE_NAMES, HyperMdpConfig, HyperParams
+from util import agent_fingerprint
 
 
 def _configs(env="pointmass2d", warmup=60, **kw):
@@ -143,6 +145,85 @@ def test_file_schedule_replays_exported_schedule(tmp_path):
             # through JSON, where the untrained SAC runs' NaN hold-out loss equals itself
             assert json.dumps(replay.eval_rows) == json.dumps(log.eval_rows)
             assert replay.schedule_rows == log.schedule_rows
+
+
+SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.json"
+
+
+def _smoke_run(seed, warmup_steps=None):
+    """A run on configs/smoke.json, optionally with another warm-up length."""
+    doc = json.loads(SMOKE.read_text())
+    if warmup_steps is not None:
+        doc["mbpo"]["warmup_steps"] = warmup_steps
+    c = run_config.from_dict(doc)
+    hc = c.resolved_hyper()
+    return mbpo.init_run(c.env_name, c.mbpo, hc, seed), hc
+
+
+def _episodes(run, hc, source, n):
+    for _ in range(n):
+        mbpo.run_target_episode(run, source, hc)
+    return run
+
+
+def _beta_one(state, params):
+    """The default schedule with beta raised to 1: same G, k and training flag."""
+    return dataclasses.replace(params, beta=1.0), True
+
+
+def _eval_rows_but_beta(run):
+    return json.dumps([{k: v for k, v in row.items() if k != "beta"}
+                       for row in run.log.eval_rows])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_schedules_differing_only_in_beta_agree_through_warmup(seed):
+    # a warm-up of exactly one episode (H = 200): every SAC batch in it is
+    # all real whatever the schedule's beta, so beta changes no bit
+    runs = [_episodes(*_smoke_run(seed, warmup_steps=200), source, 1)
+            for source in (mbpo.default_schedule, _beta_one)]
+    assert agent_fingerprint(runs[0]) == agent_fingerprint(runs[1])
+    assert _eval_rows_but_beta(runs[0]) == _eval_rows_but_beta(runs[1])
+
+
+def test_schedules_differing_only_in_beta_split_after_warmup():
+    # the check above can fail: with the warm-up ending mid-episode, the
+    # second half of the episode trains on imaginary rows at beta 0.05
+    runs = [_episodes(*_smoke_run(0, warmup_steps=150), source, 1)
+            for source in (mbpo.default_schedule, _beta_one)]
+    assert agent_fingerprint(runs[0]) != agent_fingerprint(runs[1])
+
+
+def test_beta_one_with_model_training_equals_model_free_sac():
+    # model training and rollouts draw from their own streams and a beta-1
+    # batch draws no imaginary row, so training the model changes no SAC bit
+    run, hc = _smoke_run(3, warmup_steps=200)
+    g = hc.g_init
+    trained = _episodes(run, hc, lambda state, params: (HyperParams(1.0, g, 1), True), 3)
+    sac_g = _episodes(*_smoke_run(3, warmup_steps=200), harness._sac_schedule(g), 3)
+    assert sum(row["model_trained"] for row in trained.log.schedule_rows) == 8
+    assert len(trained.d_model) == 8_000
+    assert agent_fingerprint(trained) == agent_fingerprint(sac_g)
+    assert ([row["eval_return"] for row in trained.log.eval_rows]
+            == [row["eval_return"] for row in sac_g.log.eval_rows])
+
+
+def test_replayed_beta_zero_reads_as_the_beta_floor():
+    # make_file_schedule accepts beta 0; the beta feature then reads its
+    # floor, 0.0, and no log(0) is taken
+    run, hc = _smoke_run(0)
+    replay = mbpo.make_file_schedule(
+        [{"beta": 0.0, "g": 10, "k": 1, "model_trained": 1}] * 4, hc.k_max)
+    beta_feats = []
+
+    def source(state, params):
+        beta_feats.append(state[FEATURE_NAMES.index("beta")])
+        return replay(state, params)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mbpo.run_target_episode(run, source, hc)
+    assert beta_feats[1:] == [0.0, 0.0, 0.0]
 
 
 def test_sac_modes_via_config():

@@ -373,7 +373,7 @@ def test_sac_update_pinned_bits():
 def test_act_respects_bounds_and_seed():
     env = make_env("pendulum")
     agent = sac.init_agent(np.random.default_rng(0), 3, 1,
-                           env.spec.action_low, env.spec.action_high)
+                           env.spec.action_low, env.spec.action_high, hidden=(64, 64))
     s = env.reset(np.random.default_rng(1))
     a1 = sac.act(agent, s, False, np.random.default_rng(2))
     a2 = sac.act(agent, s, False, np.random.default_rng(2))

@@ -150,7 +150,7 @@ def test_train_requires_enough_data():
     buf = TransitionBuffer(10, 2, 1)
     buf.push_batch(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros(1), np.zeros((1, 2)),
                    np.zeros(1, dtype=bool))
-    model = wm.init_ensemble(np.random.default_rng(0), 2, 1, n_members=1)
+    model = wm.init_ensemble(np.random.default_rng(0), 2, 1, hidden=(64, 64), n_members=1)
     with pytest.raises(wm.NotEnoughData):
         wm.train_ensemble(model, buf, wm.ModelTrainConfig(), np.random.default_rng(1))
 
@@ -237,7 +237,7 @@ def test_rollout_skips_terminal_start_states():
 
 def test_rollout_requires_trained_model():
     buf, _ = _linear_system_buffer(n=100)
-    model = wm.init_ensemble(np.random.default_rng(0), 2, 1, n_members=1)
+    model = wm.init_ensemble(np.random.default_rng(0), 2, 1, hidden=(64, 64), n_members=1)
     out = TransitionBuffer(100, 2, 1)
     with pytest.raises(wm.UntrainedModel):
         wm.generate_rollouts(model, lambda s, r: np.zeros((s.shape[0], 1)), buf,
@@ -531,7 +531,8 @@ def rollout_setup():
     rng = np.random.default_rng(11)
     model = wm.init_ensemble(rng, 2, 1, hidden=(16, 16), n_members=3)
     wm.train_ensemble(model, buf, wm.ModelTrainConfig(max_epochs=3), rng)
-    policy = sac.init_agent(np.random.default_rng(12), 2, 1, [-1.0], [1.0], hidden=(8,)).actor
+    policy = sac.init_agent(np.random.default_rng(12), 2, 1, np.array([-1.0]),
+                            np.array([1.0]), hidden=(8,)).actor
     return buf, model, policy
 
 
