@@ -4,8 +4,11 @@ Runs three configurations on the 2-D point-mass task with the same seed:
 default MBPO (5% real data, 10 updates per step, model retrained every 50
 steps), SAC(1) (all-real batches, one update per step), and SAC(20)
 (all-real, twenty updates per step). Prints the evaluation return after each
-200-step episode. MBPO's imaginary data usually buys a faster climb per real
-step at this scale; SAC(20) shows what raw update count alone does.
+200-step episode. At this scale imaginary data has not paid for itself: on the
+desk config over 15 episodes at seeds 200-209, SAC(10) (beta 1, no model, the
+same 10 updates per step) reached -34.0 +/- 21.1 and default MBPO
+-92.5 +/- 39.1, and SAC(20) beat default MBPO in 10 of 10 seeds. Default
+MBPO does learn, only more slowly.
 
 Run:  python3 demos/mbpo_vs_sac.py [--episodes 8] [--seed 0]
 """

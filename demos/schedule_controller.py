@@ -49,8 +49,9 @@ def main():
 
     print(f"training the controller for {args.hyper_episodes} hyper-episodes...")
     policy, history = ctrl.train_controller(
-        cfg.env_name, cfg.mbpo, hc, ctrl.PpoConfig(), baseline,
-        n_hyper_episodes=args.hyper_episodes, seed=args.seed)
+        cfg.env_name, cfg.mbpo, hc, cfg.ppo, baseline,
+        n_hyper_episodes=args.hyper_episodes, seed=args.seed,
+        episodes_per_round=cfg.harness.episodes_per_round)
     rounds = history["rounds"]
     print(f"PPO rounds: {len(rounds)}, mean clip fraction "
           f"{np.mean([r['clip_fraction'] for r in rounds]):.2f}")

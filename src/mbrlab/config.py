@@ -70,8 +70,18 @@ class HarnessConfig:
                 raise ConfigError(f"harness.{name} must be >= 1")
         if not 0.0 < self.pbt_replace_frac <= 1.0:
             raise ConfigError("harness.pbt_replace_frac must lie in (0, 1]")
+        # the worst n_swap exploit the best n_swap, which must not overlap
+        if self.pbt_population > 1 and self.pbt_swaps() > self.pbt_population // 2:
+            raise ConfigError(
+                f"harness.pbt_replace_frac {self.pbt_replace_frac} replaces {self.pbt_swaps()} "
+                f"of pbt_population {self.pbt_population} instances, above half "
+                f"({self.pbt_population // 2})")
         if not 0.0 <= self.pbt_reinit_prob <= 1.0:
             raise ConfigError("harness.pbt_reinit_prob must lie in [0, 1]")
+
+    def pbt_swaps(self) -> int:
+        """How many PBT instances are replaced after each episode."""
+        return max(1, round(self.pbt_replace_frac * self.pbt_population))
 
 
 @dataclass
@@ -102,8 +112,17 @@ class RunConfig:
         return _as_dict(self)
 
     def content_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
+        return _hash(self.to_dict())
+
+    def hyper_mdp_hash(self) -> str:
+        """Hash of the sections that define the hyper-MDP a controller acts in
+        (env_name, mbpo, hyper), not of its seeds, outputs or PPO settings."""
+        doc = self.to_dict()
+        return _hash({key: doc[key] for key in ("env_name", "mbpo", "hyper")})
+
+
+def _hash(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def _as_dict(obj):

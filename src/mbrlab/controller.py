@@ -258,7 +258,7 @@ class BaselineCurve:
     values: np.ndarray
     n_seeds: int
     env_name: str
-    config_hash: str
+    config_hash: str  # RunConfig.hyper_mdp_hash() of the runs; controllers inherit it
 
     def __len__(self):
         return len(self.values)
@@ -273,10 +273,10 @@ class BaselineCurve:
 
 def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
                      ppo_config: PpoConfig, baseline: BaselineCurve,
-                     n_hyper_episodes: int, seed: int,
-                     episodes_per_round: int = 4, feature_mask=(True,) * 8,
-                     head_mask=(True,) * 4) -> tuple:
-    """Train a fresh controller with the given masks: collect hyper-episodes
+                     n_hyper_episodes: int, seed: int, episodes_per_round: int,
+                     feature_mask=(True,) * 8) -> tuple:
+    """Train a fresh controller that reads the masked features, all heads
+    active (heads are masked at evaluation): collect hyper-episodes
     in rounds, compute baseline-relative advantages, and run PPO updates
     after each round. A round draws its episode seeds first and then runs
     its hyper-episodes on worker processes; each one draws controller actions
@@ -295,8 +295,7 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
     root = np.random.default_rng(seed)
     # the second stream is unused; it keeps the spawn that fixes the others
     init_rng, _, upd_rng, seed_rng = root.spawn(4)
-    policy = init_controller(init_rng, feature_mask, head_mask,
-                             config_hash=baseline.config_hash)
+    policy = init_controller(init_rng, feature_mask, config_hash=baseline.config_hash)
     adam = AdamState.for_theta(policy.net.theta, ppo_config.lr)
     history = {"episode_returns": [], "improvements": [], "rounds": [],
                "invalid_count": 0, "invalid": []}
@@ -336,12 +335,13 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
 
 
 def phase_means(returns) -> list:
-    """Mean hyper-episode return per training phase (quintiles)."""
+    """Mean hyper-episode return per training phase (quintiles); None for a
+    phase with no episode, so the summary stays JSON."""
     returns = list(returns)
     if not returns:
         return []
     edges = np.linspace(0, len(returns), 6).astype(int)
-    return [float(np.mean(returns[lo:hi])) if hi > lo else float("nan")
+    return [float(np.mean(returns[lo:hi])) if hi > lo else None
             for lo, hi in zip(edges[:-1], edges[1:])]
 
 

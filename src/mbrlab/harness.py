@@ -212,7 +212,7 @@ def build_baseline(config: RunConfig) -> BaselineCurve:
     traces = workers.map_units(functools.partial(_baseline_trace, config, hc), range(n))
     values = np.mean(np.asarray(traces), axis=0)
     return BaselineCurve(values=values, n_seeds=n, env_name=config.env_name,
-                         config_hash=config.content_hash())
+                         config_hash=config.hyper_mdp_hash())
 
 
 def save_baseline(curve: BaselineCurve, path) -> None:
@@ -243,7 +243,7 @@ def cmd_build_baseline(config: RunConfig) -> dict:
 # ------------------------------------------------------- controller train/eval
 
 def cmd_train_controller(config: RunConfig, baseline_path=None,
-                         feature_mask=(True,) * 8, head_mask=(True,) * 4) -> dict:
+                         feature_mask=(True,) * 8) -> dict:
     config.validate()
     hx, hc = config.harness, config.resolved_hyper()
     baseline = load_baseline(baseline_path) if baseline_path else None
@@ -254,8 +254,8 @@ def cmd_train_controller(config: RunConfig, baseline_path=None,
             baseline = build_baseline(config)
         policy, history = ctrl.train_controller(
             config.env_name, config.mbpo, hc, config.ppo, baseline,
-            hx.n_hyper_episodes, hx.seeds[0], episodes_per_round=hx.episodes_per_round,
-            feature_mask=feature_mask, head_mask=head_mask)
+            hx.n_hyper_episodes, hx.seeds[0], hx.episodes_per_round,
+            feature_mask=feature_mask)
         ckpt = run.file("controller.json")
         ctrl.save_controller(policy, ckpt)
         phase_rows = [{"phase": i + 1, "mean_hyper_return": m}
@@ -294,7 +294,7 @@ def cmd_eval_controller(config: RunConfig, controller_path, head_mask_override=N
     policy = ctrl.load_controller(controller_path)
     with RunDir(config, mode_tag) as run:
         hc = config.resolved_hyper()
-        config_match = ctrl.check_transfer(policy, config.content_hash())
+        config_match = ctrl.check_transfer(policy, config.hyper_mdp_hash())
         if head_mask_override is not None:
             policy.head_mask = tuple(head_mask_override)
         seeds = config.harness.seeds
@@ -434,8 +434,7 @@ def cmd_pbt(config: RunConfig) -> dict:
                              "train_every": inst.train_every})
             if pop > 1 and episode < hc.m_train - 1:
                 order = np.argsort([inst.last_eval for inst in instances])
-                n_swap = max(1, int(round(hx.pbt_replace_frac * pop)))
-                for j in range(n_swap):
+                for j in range(hx.pbt_swaps()):
                     dst = instances[order[j]]
                     src = instances[order[-1 - j]]
                     if pbt_rng.uniform() < hx.pbt_reinit_prob:

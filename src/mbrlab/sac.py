@@ -136,8 +136,8 @@ class SacAgent:
     q: DenseNet
     actor_adam: AdamState
     critic_adam: AdamState
-    alpha: float = 0.2
-    polyak: float = 0.995
+    alpha: float
+    polyak: float
 
     critics, targets = _q_view(0), _q_view(1)
     critic1, critic2, target1, target2 = _q_view(0, 0), _q_view(0, 1), _q_view(1, 0), _q_view(1, 1)
@@ -161,7 +161,7 @@ class SacAgent:
 
 def init_agent(rng: np.random.Generator, state_dim: int, action_dim: int,
                action_low: np.ndarray, action_high: np.ndarray, hidden: tuple,
-               lr: float = 3e-4, alpha: float = 0.2, polyak: float = 0.995) -> SacAgent:
+               lr: float, alpha: float, polyak: float) -> SacAgent:
     r_actor, r_c1, r_c2 = rng.spawn(3)
     actor_net = nets.init_dense(r_actor, [state_dim, *hidden, 2 * action_dim])
     critic1 = nets.init_dense(r_c1, [state_dim + action_dim, *hidden, 1])

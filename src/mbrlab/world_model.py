@@ -115,7 +115,7 @@ class EnsembleModel:
 
 
 def init_ensemble(rng: np.random.Generator, state_dim: int, action_dim: int,
-                  hidden: tuple, n_members: int = 5) -> EnsembleModel:
+                  hidden: tuple, n_members: int) -> EnsembleModel:
     target = state_dim + 1  # delta_s plus reward
     sizes = [state_dim + action_dim, *hidden, 2 * target]
     inits = [nets.init_dense(child, sizes) for child in rng.spawn(n_members)]

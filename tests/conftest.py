@@ -18,3 +18,10 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "nightly" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="module")
+def nightly_outdir(tmp_path_factory):
+    """Where a nightly test's run directories go: $MBRLAB_OUTDIR when it is
+    set, so that they outlive the session, else a fresh temporary directory."""
+    return os.environ.get("MBRLAB_OUTDIR") or str(tmp_path_factory.mktemp("nightly"))

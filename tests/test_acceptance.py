@@ -2,24 +2,27 @@
 pass/fail line each. Statistical hours-scale checks (9-11) run in the nightly
 job (MBRLAB_NIGHTLY=1); everything else runs per-commit."""
 
-import functools
+import dataclasses
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mbrlab import controller as ctrl
-from mbrlab import fvi, harness, mbpo, nets, sac, workers, world_model as wm
-from mbrlab.buffers import TransitionBuffer
-from mbrlab.config import HarnessConfig, RunConfig
-from mbrlab.controller import BaselineCurve, PpoConfig
+from mbrlab import fvi, harness, mbpo, sac, world_model as wm
+from mbrlab.config import HarnessConfig, RunConfig, from_dict
+from mbrlab.controller import PpoConfig
 from mbrlab.hyper_mdp import HyperMdpConfig
 from mbrlab.mbpo import MbpoConfig
 from mbrlab.stats import welch_t
 
 from test_harness import PINNED_VECTORS, _welch_reference
-from util import (actor_loss, assert_grads_close, critic_loss, finite_difference,
-                  joint_log_prob)
+from util import (AGENT_SETTINGS, actor_loss, assert_grads_close, critic_loss,
+                  finite_difference, joint_log_prob)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _report(num, name, ok):
@@ -97,7 +100,7 @@ def test_criterion_05_gradient_suite():
 
     # SAC critic and actor
     agent = sac.init_agent(np.random.default_rng(4), 3, 2, -np.ones(2), np.ones(2),
-                           hidden=(16, 16))
+                           hidden=(16, 16), **AGENT_SETTINGS)
     rngb = np.random.default_rng(5)
     batch = {"s": rngb.normal(size=(5, 3)), "a": rngb.uniform(-1, 1, (5, 2)),
              "r": rngb.normal(size=5), "s2": rngb.normal(size=(5, 3)),
@@ -202,79 +205,117 @@ def test_criterion_12_welch_oracle():
 
 
 # ----------------------------------------------------------- nightly criteria
+# Criteria 9-11 run the lab's commands: build-baseline once, train-controller
+# at seeds 0-5 against that baseline, and eval-controller of the seed-0
+# controller at seeds 200-209. Each number is read from a command's summary or
+# run directory; the directories stay under $MBRLAB_OUTDIR when it is set.
 
-def _desk_config(tmp_path, seeds):
+TRAIN_SEEDS = tuple(range(6))
+EVAL_SEEDS = tuple(range(200, 210))
+
+
+def _desk_config(output_dir):
     return RunConfig(
         env_name="pointmass2d",
         mbpo=MbpoConfig(),
         hyper=HyperMdpConfig(m_train=5, m_eval=15),
-        harness=HarnessConfig(seeds=tuple(seeds), output_dir=str(tmp_path),
-                              n_baseline_seeds=5, n_hyper_episodes=40,
-                              episodes_per_round=4),
+        harness=HarnessConfig(output_dir=str(output_dir), n_baseline_seeds=5,
+                              n_hyper_episodes=40, episodes_per_round=4),
     )
 
 
+def _at_seeds(cfg, seeds):
+    return dataclasses.replace(cfg, harness=dataclasses.replace(cfg.harness,
+                                                                seeds=tuple(seeds)))
+
+
+def train_controllers(cfg, seeds) -> list:
+    """build-baseline, then train-controller at each seed against that
+    baseline: the train-controller summaries, in seed order."""
+    baseline = harness.cmd_build_baseline(cfg)["baseline_path"]
+    return [harness.cmd_train_controller(_at_seeds(cfg, (seed,)), baseline)
+            for seed in seeds]
+
+
+def beta_slopes(eval_dir) -> list:
+    """Per controller run in schedule.csv, in seed order, the least-squares
+    slope of the scheduled beta over the real step."""
+    slopes = []
+    rows = harness.read_csv(Path(eval_dir) / "schedule.csv")
+    for _, run in itertools.groupby(rows, key=lambda row: row["run_id"]):
+        run = list(run)
+        steps = np.array([float(row["real_step"]) for row in run])
+        betas = np.array([float(row["beta"]) for row in run])
+        slopes.append(np.polyfit(steps, betas, 1)[0])
+    return slopes
+
+
+def paired_wins(eval_dir) -> int:
+    """Seeds of comparison.csv whose controller final return is at least the
+    default's; a seed left out as invalid is no win."""
+    rows = harness.read_csv(Path(eval_dir) / "comparison.csv")
+    return sum(float(row["improvement"]) >= 0 for row in rows)
+
+
 @pytest.fixture(scope="module")
-def nightly_baseline(tmp_path_factory):
-    cfg = _desk_config(tmp_path_factory.mktemp("nightly"), seeds=(0,))
-    return cfg, harness.build_baseline(cfg)
+def nightly_controllers(nightly_outdir):
+    cfg = _desk_config(nightly_outdir)
+    return cfg, train_controllers(cfg, TRAIN_SEEDS)
+
+
+@pytest.fixture(scope="module")
+def nightly_evaluation(nightly_controllers):
+    cfg, trained = nightly_controllers
+    return harness.cmd_eval_controller(_at_seeds(cfg, EVAL_SEEDS),
+                                       trained[0]["controller_path"])
 
 
 @pytest.mark.nightly
-def test_criterion_09_controller_improvement(nightly_baseline):
-    cfg, baseline = nightly_baseline
-    hc = cfg.resolved_hyper()
+def test_criterion_09_controller_improvement(nightly_controllers):
+    _, trained = nightly_controllers
     wins = 0
-    for seed in range(6):
-        _, history = ctrl.train_controller(
-            cfg.env_name, cfg.mbpo, hc, PpoConfig(), baseline,
-            n_hyper_episodes=40, seed=seed, episodes_per_round=4)
-        phases = history["phase_means"]
+    for seed, info in zip(TRAIN_SEEDS, trained):
+        phases = info["phase_means"]
         if phases[-1] >= phases[0]:
             wins += 1
-        print(f"  seed {seed}: phases {np.round(phases, 3)}", flush=True)
-    _report(9, f"controller improvement ({wins}/6 seeds)", wins >= 4)
-
-
-def _paired_eval_run(policy, cfg, hc, seed):
-    _, log_c = ctrl.run_hyper_episode(policy, cfg.env_name, cfg.mbpo, hc, seed=seed,
-                                      n_episodes=hc.m_eval, greedy=True)
-    log_d = mbpo.run_default_mbpo(cfg.env_name, cfg.mbpo, hc, hc.m_eval, seed=seed)
-    return log_c, log_d
-
-
-@pytest.fixture(scope="module")
-def nightly_eval_runs(nightly_baseline, tmp_path_factory):
-    cfg, baseline = nightly_baseline
-    hc = cfg.resolved_hyper()
-    policy, _ = ctrl.train_controller(cfg.env_name, cfg.mbpo, hc, PpoConfig(),
-                                      baseline, n_hyper_episodes=40, seed=0,
-                                      episodes_per_round=4)
-    return workers.map_units(functools.partial(_paired_eval_run, policy, cfg, hc),
-                             [200 + seed for seed in range(10)])
+        print(f"  seed {seed}: phases {np.round(phases, 3)} in {info['directory']}", flush=True)
+    _report(9, f"controller improvement ({wins}/{len(trained)} seeds)", wins >= 4)
 
 
 @pytest.mark.nightly
-def test_criterion_10_schedule_shape(nightly_eval_runs):
-    positive = 0
-    for log_c, _ in nightly_eval_runs:
-        steps = np.array([r["real_step"] for r in log_c.schedule_rows], dtype=float)
-        betas = np.array([r["beta"] for r in log_c.schedule_rows], dtype=float)
-        slope = np.polyfit(steps, betas, 1)[0]
-        positive += slope > 0
-    _report(10, f"schedule shape (positive beta slope in {positive}/10 seeds)",
+def test_criterion_10_schedule_shape(nightly_evaluation):
+    positive = sum(slope > 0 for slope in beta_slopes(nightly_evaluation["directory"]))
+    _report(10, f"schedule shape (positive beta slope in {positive}/{len(EVAL_SEEDS)} seeds)",
             positive > 5)
 
 
 @pytest.mark.nightly
-def test_criterion_11_controller_vs_default(nightly_eval_runs):
-    finals_c = [lc.eval_rows[-1]["eval_return"] for lc, _ in nightly_eval_runs]
-    finals_d = [ld.eval_rows[-1]["eval_return"] for _, ld in nightly_eval_runs]
-    wins = sum(c >= d for c, d in zip(finals_c, finals_d))
-    try:
-        t, p = welch_t(finals_c, finals_d)
-        print(f"  Welch t={t:.3f} p={p:.4f} controller={np.mean(finals_c):.1f} "
-              f"default={np.mean(finals_d):.1f}", flush=True)
-    except ValueError as exc:
-        print(f"  Welch report unavailable: {exc}", flush=True)
-    _report(11, f"controller vs default ({wins}/10 paired seeds)", wins >= 6)
+def test_criterion_11_controller_vs_default(nightly_evaluation):
+    directory = Path(nightly_evaluation["directory"])
+    wins = paired_wins(directory)
+    report = json.loads((directory / "report.json").read_text())
+    if "welch_t" in report:
+        print(f"  Welch t={report['welch_t']:.3f} p={report['welch_p']:.4f} "
+              f"controller={report['mean_controller']:.1f} "
+              f"default={report['mean_default']:.1f} in {directory}", flush=True)
+    else:
+        print(f"  Welch report unavailable: {report['welch_error']}", flush=True)
+    _report(11, f"controller vs default ({wins}/{len(EVAL_SEEDS)} paired seeds)", wins >= 6)
+
+
+def test_nightly_chain_and_readers_at_smoke_size(tmp_path):
+    # criteria 9-11's commands and readers on the smoke config with 2 training
+    # and 2 evaluation seeds, so that a change breaking them fails per commit
+    cfg = from_dict(json.loads((ROOT / "configs" / "smoke.json").read_text()))
+    cfg.hyper.m_train = cfg.hyper.m_eval = 1  # episodes per run: ~5 s for the chain
+    cfg.harness.output_dir = str(tmp_path)
+    cfg.harness.n_hyper_episodes = 5  # one per phase
+    trained = train_controllers(cfg, (0, 1))
+    assert [len(info["phase_means"]) for info in trained] == [5, 5]
+    assert np.isfinite([info["phase_means"] for info in trained]).all()
+    info = harness.cmd_eval_controller(_at_seeds(cfg, (200, 201)),
+                                       trained[0]["controller_path"])
+    assert info["config_match"] is True and not info["invalid"]
+    slopes = beta_slopes(info["directory"])
+    assert len(slopes) == 2 and np.isfinite(slopes).all()
+    assert paired_wins(info["directory"]) == round(info["win_fraction"] * 2)

@@ -193,7 +193,7 @@ def test_train_controller_single_episode_runs_thirty_updates():
     baseline = BaselineCurve(values=np.zeros(n_b), n_seeds=1,
                              env_name="pointmass2d", config_hash="test")
     pol, history = train_controller("pointmass2d", mc, hc, PpoConfig(),
-                                    baseline, n_hyper_episodes=1, seed=21)
+                                    baseline, n_hyper_episodes=1, seed=21, episodes_per_round=1)
     assert len(history["rounds"]) == 1
     assert history["rounds"][0]["updates"] == 30
 

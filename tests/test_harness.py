@@ -24,7 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _tiny_config(tmp_path, **harness_kw):
     hk = {"seeds": (0, 1), "output_dir": str(tmp_path / "runs"),
-          "n_baseline_seeds": 2, "n_hyper_episodes": 2, "episodes_per_round": 2}
+          "n_baseline_seeds": 2, "n_hyper_episodes": 2, "episodes_per_round": 2,
+          "pbt_replace_frac": 0.5}  # 2 of the default population of 4: the most allowed
     hk.update(harness_kw)
     return RunConfig(
         env_name="pointmass2d",
@@ -221,7 +222,7 @@ def _run_command(name, cfg, tmp_path):
     if name == "eval-controller":
         ckpt = tmp_path / "controller.json"
         controller.save_controller(controller.init_controller(
-            np.random.default_rng(0), config_hash=cfg.content_hash()), ckpt)
+            np.random.default_rng(0), config_hash=cfg.hyper_mdp_hash()), ckpt)
         return harness.cmd_eval_controller(cfg, ckpt)
     if name == "plot-data":
         source = harness.cmd_train_mbpo(cfg)["directory"]
@@ -286,6 +287,8 @@ def test_manifest_describes_its_run_directory(tmp_path, command):
     ("mbpo", "n_members", 0, "train-mbpo"),
     ("harness", "seeds", (-1,), "train-mbpo"),  # ValueError from default_rng, after the claim
     ("harness", "seeds", (1.5,), "train-mbpo"),  # TypeError
+    ("harness", "pbt_replace_frac", 1.0, "pbt"),    # the two best exploited the two worst
+    ("harness", "pbt_population", 3, "pbt"),        # at frac 0.5 one instance exploited itself
 ])
 def test_invalid_setting_is_rejected_before_any_directory(tmp_path, section, key, value,
                                                           command):
@@ -381,7 +384,7 @@ def test_eval_controller_leaves_crashed_seeds_out_of_the_comparison(tmp_path, mo
     cfg = _tiny_config(tmp_path)
     ckpt = tmp_path / "controller.json"
     controller.save_controller(controller.init_controller(
-        np.random.default_rng(0), config_hash=cfg.content_hash()), ckpt)
+        np.random.default_rng(0), config_hash=cfg.hyper_mdp_hash()), ckpt)
     crash_hyper_episode_at(monkeypatch, 0, 90)  # seed 0's controller run
     info = harness.cmd_eval_controller(cfg, ckpt)
     directory = Path(info["directory"])
@@ -401,7 +404,7 @@ def test_eval_controller_with_every_seed_crashed_writes_valid_json(tmp_path, mon
     cfg = _tiny_config(tmp_path)
     ckpt = tmp_path / "controller.json"
     controller.save_controller(controller.init_controller(
-        np.random.default_rng(0), config_hash=cfg.content_hash()), ckpt)
+        np.random.default_rng(0), config_hash=cfg.hyper_mdp_hash()), ckpt)
     for seed in cfg.harness.seeds:
         crash_hyper_episode_at(monkeypatch, seed, 90)
     info = harness.cmd_eval_controller(cfg, ckpt)
@@ -417,13 +420,21 @@ def test_eval_controller_with_every_seed_crashed_writes_valid_json(tmp_path, mon
     assert [e["seed"] for e in report["invalid"]] == list(cfg.harness.seeds)
 
 
-@pytest.mark.parametrize("match", [True, False], ids=["same-config", "other-config"])
+@pytest.mark.parametrize("retrain, match", [
+    (lambda cfg: None, True),
+    (lambda cfg: setattr(cfg.mbpo, "batch_size", 32), False),
+    # seeds, output dir and the other harness counts: the hyper-MDP is the same
+    (lambda cfg: setattr(cfg, "harness", HarnessConfig(seeds=(7,), output_dir="elsewhere")),
+     True),
+], ids=["same-config", "other-config", "other-seeds"])
 def test_eval_controller_tags_its_curves_apart_and_records_the_config_match(tmp_path, caplog,
-                                                                           match):
+                                                                           retrain, match):
     cfg = _tiny_config(tmp_path)  # seeds (0, 1)
+    trained_under = _tiny_config(tmp_path)
+    retrain(trained_under)
     ckpt = tmp_path / "controller.json"
     controller.save_controller(controller.init_controller(
-        np.random.default_rng(0), config_hash=cfg.content_hash() if match else "other"), ckpt)
+        np.random.default_rng(0), config_hash=trained_under.hyper_mdp_hash()), ckpt)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         info = harness.cmd_eval_controller(cfg, ckpt)
@@ -448,6 +459,7 @@ def test_baseline_single_seed_equals_run_log(tmp_path):
     hc = cfg.resolved_hyper()
     log = mbpo.run_default_mbpo(cfg.env_name, cfg.mbpo, hc, hc.m_train, seed=0)
     assert np.array_equal(curve.values, np.array(log.hyper_rewards))
+    assert curve.config_hash == cfg.hyper_mdp_hash()  # what eval-controller compares with
 
 
 def test_baseline_length_and_averaging(tmp_path):
@@ -541,7 +553,7 @@ def test_train_controller_refuses_a_baseline_that_does_not_fit(tmp_path, n, env_
     assert not (tmp_path / "runs").exists()
     with pytest.raises(ValueError, match="m_train \\* H / tau = 4 on 'pointmass2d'"):
         controller.train_controller(cfg.env_name, cfg.mbpo, cfg.resolved_hyper(), cfg.ppo,
-                                    harness.load_baseline(path), 1, seed=0)
+                                    harness.load_baseline(path), 1, seed=0, episodes_per_round=1)
 
 
 # ------------------------------------------------------------------ train-mbpo
@@ -755,10 +767,13 @@ def test_cli_chains_baseline_controller_and_evaluation(tmp_path):
                     "episodes_per_round": 2, "output_dir": str(tmp_path / "runs")},
     }))
 
+    def reject(constant):
+        raise ValueError(f"summary holds {constant}")
+
     def run(*args):
         res = _run_cli(list(args), tmp_path, cfg_path)
         assert res.returncode == 0, res.stderr
-        return json.loads(res.stdout)
+        return json.loads(res.stdout, parse_constant=reject)
 
     baseline = run("build-baseline")["baseline_path"]
     ckpt = run("train-controller", "--baseline", baseline)["controller_path"]

@@ -7,14 +7,14 @@ from mbrlab import nets, sac
 from mbrlab.buffers import TransitionBuffer
 from mbrlab.envs import make_env
 
-from util import (actor_loss, assert_grads_close, critic_loss, critic_targets,
-                  finite_difference, random_policy_columns)
+from util import (AGENT_SETTINGS, actor_loss, assert_grads_close, critic_loss,
+                  critic_targets, finite_difference, random_policy_columns)
 
 
-def _agent(seed=0, state_dim=3, action_dim=1, hidden=(8,), **kw):
+def _agent(seed=0, state_dim=3, action_dim=1, hidden=(8,)):
     return sac.init_agent(np.random.default_rng(seed), state_dim, action_dim,
                           -np.ones(action_dim), np.ones(action_dim),
-                          hidden=hidden, **kw)
+                          hidden=hidden, **AGENT_SETTINGS)
 
 
 def _batch(seed, n, state_dim=3, action_dim=1, done=False):
@@ -350,7 +350,7 @@ def test_sac_update_pinned_bits():
     """20 updates on a fixed batch; values recorded before the parameters
     became one flat vector per net, so the refactor moved no bit."""
     agent = sac.init_agent(np.random.default_rng(21), 4, 2, -np.ones(2), np.ones(2),
-                           hidden=(32, 32))
+                           hidden=(32, 32), **AGENT_SETTINGS)
     g = np.random.default_rng(22)
     batch = {"s": g.normal(size=(64, 4)), "a": g.uniform(-1, 1, (64, 2)),
              "r": g.normal(size=64), "s2": g.normal(size=(64, 4)),
@@ -373,7 +373,8 @@ def test_sac_update_pinned_bits():
 def test_act_respects_bounds_and_seed():
     env = make_env("pendulum")
     agent = sac.init_agent(np.random.default_rng(0), 3, 1,
-                           env.spec.action_low, env.spec.action_high, hidden=(64, 64))
+                           env.spec.action_low, env.spec.action_high, hidden=(64, 64),
+                           **AGENT_SETTINGS)
     s = env.reset(np.random.default_rng(1))
     a1 = sac.act(agent, s, False, np.random.default_rng(2))
     a2 = sac.act(agent, s, False, np.random.default_rng(2))
@@ -392,7 +393,7 @@ def test_critic_loss_decreases_on_pointmass_real_data():
     d_env = TransitionBuffer(20_000, 4, 2)
     d_env.push_batch(*random_policy_columns(env, env_rng, 5_000))
     agent = sac.init_agent(agent_rng, 4, 2, env.spec.action_low,
-                           env.spec.action_high, hidden=(64, 64))
+                           env.spec.action_high, hidden=(64, 64), **AGENT_SETTINGS)
     d_model = TransitionBuffer(1, 4, 2)  # empty, and never drawn from at beta 1
     losses = []
     for _ in range(5_000):
@@ -423,7 +424,7 @@ def test_gradients_finite_over_ten_thousand_updates():
     d_env.push_batch(*columns)
     d_model.push_batch(*columns)
     agent = sac.init_agent(agent_rng, 4, 2, env.spec.action_low,
-                           env.spec.action_high, hidden=(32, 32))
+                           env.spec.action_high, hidden=(32, 32), **AGENT_SETTINGS)
     for _ in range(10_000):
         batch = sac.sample_mixed_batch(d_env, d_model, 128, 0.05, upd_rng)
         c_loss, a_loss = sac.sac_update(agent, batch, env.spec.gamma, upd_rng)

@@ -9,7 +9,7 @@ from mbrlab import sac
 from mbrlab import world_model as wm
 from mbrlab.buffers import TransitionBuffer
 
-from util import assert_grads_close, finite_difference
+from util import AGENT_SETTINGS, assert_grads_close, finite_difference
 
 
 def _member(seed=0, in_dim=3, target_dim=2, hidden=(8,)):
@@ -532,7 +532,7 @@ def rollout_setup():
     model = wm.init_ensemble(rng, 2, 1, hidden=(16, 16), n_members=3)
     wm.train_ensemble(model, buf, wm.ModelTrainConfig(max_epochs=3), rng)
     policy = sac.init_agent(np.random.default_rng(12), 2, 1, np.array([-1.0]),
-                            np.array([1.0]), hidden=(8,)).actor
+                            np.array([1.0]), hidden=(8,), **AGENT_SETTINGS).actor
     return buf, model, policy
 
 

@@ -7,6 +7,9 @@ import numpy as np
 
 from mbrlab import controller, fvi, mbpo, sac
 
+# the SAC settings of the default MbpoConfig, for an agent built outside a run
+AGENT_SETTINGS = {name: getattr(mbpo.MbpoConfig(), name) for name in ("lr", "alpha", "polyak")}
+
 
 def finite_difference(loss_fn, params, h=1e-5):
     """Central finite differences of loss_fn(params) w.r.t. every entry.
