@@ -63,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--controller", default=None)
     p.add_argument("--baseline", default=None)
 
-    p = sub.add_parser("transfer", help="evaluate a controller on another environment")
-    p.add_argument("controller")
-    p.add_argument("target_env")
-
     sub.add_parser("pbt", help="population based training baseline")
 
     p = sub.add_parser("plot-data", help="tidy CSVs for figures from an experiment dir")
@@ -88,8 +84,6 @@ def run_command(args) -> dict:
         return harness.cmd_eval_controller(cfg, args.controller)
     if args.command == "ablate":
         return harness.cmd_ablate(cfg, args.mode, args.controller, args.baseline)
-    if args.command == "transfer":
-        return harness.cmd_transfer(cfg, args.controller, args.target_env)
     if args.command == "pbt":
         return harness.cmd_pbt(cfg)
     if args.command == "plot-data":

@@ -18,7 +18,7 @@ from pathlib import Path
 from .controller import PpoConfig
 from .envs import make_env
 from .fvi import MDPS, FviConfig, check_sweep
-from .hyper_mdp import HyperMdpConfig
+from .hyper_mdp import HyperMdpConfig, hyper_mdp_hash
 from .mbpo import MbpoConfig
 
 
@@ -112,17 +112,10 @@ class RunConfig:
         return _as_dict(self)
 
     def content_hash(self) -> str:
-        return _hash(self.to_dict())
+        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
     def hyper_mdp_hash(self) -> str:
-        """Hash of the sections that define the hyper-MDP a controller acts in
-        (env_name, mbpo, hyper), not of its seeds, outputs or PPO settings."""
-        doc = self.to_dict()
-        return _hash({key: doc[key] for key in ("env_name", "mbpo", "hyper")})
-
-
-def _hash(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        return hyper_mdp_hash(self.env_name, self.mbpo, self.resolved_hyper())
 
 
 def _as_dict(obj):

@@ -5,7 +5,9 @@ policy owns the feature mask (which state features it reads) and the head
 mask (which heads act; the others emit the neutral index). The joint
 log-probability is the sum over active heads. Advantages are the
 baseline-relative Monte-Carlo suffix sums, updated with the clipped surrogate
-objective plus a decaying entropy bonus.
+objective plus a decaying entropy bonus. The two artifacts a controller run
+reads back, controller checkpoints and baseline curves, are written and read
+here alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from . import checkpoint, mbpo, nets, workers
 from .envs import EnvDiverged
-from .hyper_mdp import FEATURE_NAMES, HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig, apply_action
+from .hyper_mdp import (FEATURE_NAMES, HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig,
+                        apply_action, hyper_mdp_hash)
 from .nets import AdamState, DenseNet, adam_step
 
 logger = logging.getLogger(__name__)
@@ -257,18 +260,18 @@ class BaselineCurve:
 
     values: np.ndarray
     n_seeds: int
-    env_name: str
-    config_hash: str  # RunConfig.hyper_mdp_hash() of the runs; controllers inherit it
+    config_hash: str  # hyper_mdp_hash of the runs
 
     def __len__(self):
         return len(self.values)
 
-    def check_fits(self, env_name: str, hyper_config: HyperMdpConfig) -> None:
-        """Raise ValueError unless the curve is env_name's, of m_train * H / tau values."""
-        n = hyper_config.train_hyper_steps(env_name)
-        if self.env_name != env_name or len(self) != n:
-            raise ValueError(f"baseline of {len(self)} values on {self.env_name!r}; the run "
-                             f"needs m_train * H / tau = {n} on {env_name!r}")
+    def check_fits(self, config_hash: str, n: int) -> None:
+        """Raise ValueError unless the curve was built in the hyper-MDP hashed
+        config_hash and holds its n = m_train * H / tau values."""
+        if self.config_hash != config_hash or len(self) != n:
+            raise ValueError(f"baseline of {len(self)} values under hyper-MDP "
+                             f"{self.config_hash[:12]}; the run needs m_train * H / tau "
+                             f"= {n} under {config_hash[:12]}")
 
 
 def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
@@ -287,15 +290,17 @@ def train_controller(env_name: str, mbpo_config, hyper_config: HyperMdpConfig,
     diagnostics; crashed trajectories are excluded, counted, and listed in
     `invalid` with their index, seed and error. A baseline that does not fit
     the run (`BaselineCurve.check_fits`) raises ValueError before any episode.
+    The controller is stamped with the run's `hyper_mdp_hash`.
     """
     ppo_config.validate()
-    baseline.check_fits(env_name, hyper_config)
+    config_hash = hyper_mdp_hash(env_name, mbpo_config, hyper_config)
+    baseline.check_fits(config_hash, hyper_config.train_hyper_steps(env_name))
     if episodes_per_round < 1:
         raise ValueError("episodes_per_round must be >= 1")
     root = np.random.default_rng(seed)
     # the second stream is unused; it keeps the spawn that fixes the others
     init_rng, _, upd_rng, seed_rng = root.spawn(4)
-    policy = init_controller(init_rng, feature_mask, config_hash=baseline.config_hash)
+    policy = init_controller(init_rng, feature_mask, config_hash=config_hash)
     adam = AdamState.for_theta(policy.net.theta, ppo_config.lr)
     history = {"episode_returns": [], "improvements": [], "rounds": [],
                "invalid_count": 0, "invalid": []}
@@ -367,10 +372,25 @@ def load_controller(path) -> ControllerPolicy:
         raise checkpoint.CheckpointError(f"{path}: bad controller field {exc!r}") from exc
 
 
+def save_baseline(curve: BaselineCurve, path) -> None:
+    checkpoint.save(path, "baseline-curve", {"values": curve.values}, {
+        "n_seeds": curve.n_seeds, "config_hash": curve.config_hash})
+
+
+def load_baseline(path) -> BaselineCurve:
+    """The saved curve; a missing field is a CheckpointError."""
+    arrays, meta = checkpoint.load(path, "baseline-curve")
+    try:
+        return BaselineCurve(arrays["values"], meta["n_seeds"], meta["config_hash"])
+    except KeyError as exc:
+        raise checkpoint.CheckpointError(f"{path}: missing baseline field {exc}") from exc
+
+
 def check_transfer(policy: ControllerPolicy, config_hash: str) -> bool:
     """Warn (not error) when a controller meets a different hyper-MDP config,
-    so transfer experiments run but are visibly flagged; False on a mismatch."""
-    if policy.config_hash and config_hash and policy.config_hash != config_hash:
+    so transfer experiments run but are visibly flagged; False on a mismatch,
+    an unstamped controller included."""
+    if policy.config_hash != config_hash:
         warnings.warn(
             f"controller trained under config {policy.config_hash[:12]} used "
             f"with config {config_hash[:12]}; transfer results are not "

@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import controller as ctrl
-from . import checkpoint, fvi, mbpo, workers
+from . import fvi, mbpo, workers
 from .config import RunConfig
 from .controller import BaselineCurve
-from .hyper_mdp import HyperMdpConfig, HyperParams
+from .hyper_mdp import HyperMdpConfig, HyperParams, hyper_mdp_hash
 from .stats import welch_t
 
 SCHEMA_VERSION = 1
@@ -138,8 +138,7 @@ def cmd_fvi_sweep(config: RunConfig) -> dict:
                          "bootstrap_monotone_frac": out["bootstrap_monotone_frac"]}
                         for nr, am in zip(out["n_real_grid"], out["argmin_beta"])]
         write_csv(run.file("fvi_summary.csv"), "fvi_summary", summary_rows)
-        for nr in out["n_real_grid"]:
-            run.seed_status[str(nr)] = "ok"
+        run.seed_status.update({str(s): "ok" for s in range(fc.n_seeds)})
     return run.info(argmin_beta=out["argmin_beta"],
                     bootstrap_monotone_frac=out["bootstrap_monotone_frac"])
 
@@ -211,31 +210,15 @@ def build_baseline(config: RunConfig) -> BaselineCurve:
     n = config.harness.n_baseline_seeds
     traces = workers.map_units(functools.partial(_baseline_trace, config, hc), range(n))
     values = np.mean(np.asarray(traces), axis=0)
-    return BaselineCurve(values=values, n_seeds=n, env_name=config.env_name,
-                         config_hash=config.hyper_mdp_hash())
-
-
-def save_baseline(curve: BaselineCurve, path) -> None:
-    checkpoint.save(path, "baseline-curve", {"values": curve.values}, {
-        "n_seeds": curve.n_seeds, "env_name": curve.env_name,
-        "config_hash": curve.config_hash})
-
-
-def load_baseline(path) -> BaselineCurve:
-    """The saved curve; a missing field is a CheckpointError."""
-    arrays, meta = checkpoint.load(path, "baseline-curve")
-    try:
-        return BaselineCurve(arrays["values"], meta["n_seeds"], meta["env_name"],
-                             meta["config_hash"])
-    except KeyError as exc:
-        raise checkpoint.CheckpointError(f"{path}: missing baseline field {exc}") from exc
+    return BaselineCurve(values=values, n_seeds=n,
+                         config_hash=hyper_mdp_hash(config.env_name, config.mbpo, hc))
 
 
 def cmd_build_baseline(config: RunConfig) -> dict:
     with RunDir(config, "build-baseline") as run:
         curve = build_baseline(config)
         path = run.file("baseline.json")
-        save_baseline(curve, path)
+        ctrl.save_baseline(curve, path)
         run.seed_status.update({str(s): "ok" for s in range(curve.n_seeds)})
     return run.info(baseline_path=str(path))
 
@@ -246,9 +229,9 @@ def cmd_train_controller(config: RunConfig, baseline_path=None,
                          feature_mask=(True,) * 8) -> dict:
     config.validate()
     hx, hc = config.harness, config.resolved_hyper()
-    baseline = load_baseline(baseline_path) if baseline_path else None
+    baseline = ctrl.load_baseline(baseline_path) if baseline_path else None
     if baseline is not None:
-        baseline.check_fits(config.env_name, hc)
+        baseline.check_fits(config.hyper_mdp_hash(), hc.train_hyper_steps(config.env_name))
     with RunDir(config, "train-controller") as run:
         if baseline is None:
             baseline = build_baseline(config)
@@ -359,17 +342,6 @@ def cmd_ablate(config: RunConfig, mode: str, controller_path=None,
         return cmd_eval_controller(config, train_info["controller_path"],
                                    mode_tag="ablate-SA")
     raise ValueError(f"unknown ablation mode {mode!r}")
-
-
-# ------------------------------------------------------------------ transfer
-
-def cmd_transfer(config: RunConfig, source_controller, target_env: str) -> dict:
-    """Evaluate a controller trained elsewhere on target_env without
-    fine-tuning; config-hash mismatch warns and is recorded."""
-    target_config = copy.deepcopy(config)
-    target_config.env_name = target_env
-    return cmd_eval_controller(target_config, source_controller,
-                               mode_tag=f"transfer-to-{target_env}")
 
 
 # ----------------------------------------------------------------------- PBT

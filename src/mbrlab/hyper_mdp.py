@@ -12,7 +12,9 @@ training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import hashlib
+import json
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -84,6 +86,15 @@ class HyperMdpConfig:
     def for_env(self, env_name: str) -> "HyperMdpConfig":
         spec = make_env(env_name).spec
         return replace(self, return_lo=spec.return_lo, return_hi=spec.return_hi)
+
+
+def hyper_mdp_hash(env_name: str, mbpo_config, hyper_config: HyperMdpConfig) -> str:
+    """The key that matches a baseline or controller to the hyper-MDP it was
+    made in: sha256 of the sorted JSON of the env, the MBPO settings and the
+    resolved hyper settings a run uses, not of its seeds, outputs or PPO
+    settings."""
+    doc = {"env_name": env_name, "mbpo": asdict(mbpo_config), "hyper": asdict(hyper_config)}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def _squash(x: float) -> float:

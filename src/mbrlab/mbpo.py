@@ -44,12 +44,15 @@ class MbpoConfig:
 
     def validate(self):
         self.model.validate()
-        for name in ("rollout_branches", "batch_size", "eval_episodes", "d_env_capacity",
-                     "n_members", "model_buffer_retain"):
+        for name in ("rollout_branches", "batch_size", "eval_episodes", "n_members",
+                     "model_buffer_retain"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.warmup_steps < 2.0 / self.model.holdout_fraction:
-            raise ValueError("warmup_steps below the model hold-out minimum")
+        # the model trains on D_env from warmup_steps on, which then holds
+        # min(n_real, d_env_capacity) transitions
+        for name in ("warmup_steps", "d_env_capacity"):
+            if getattr(self, name) < 2.0 / self.model.holdout_fraction:
+                raise ValueError(f"{name} below the model hold-out minimum")
 
 
 @dataclass
@@ -153,9 +156,6 @@ def mbpo_step(run: MbpoRunState, hyper: HyperParams, train_model_now: bool) -> d
         try:
             world_model.train_ensemble(run.model, run.d_env, cfg.model, run.rng_model)
             model_trained = True
-        except world_model.NotEnoughData as exc:
-            run.log.events.append({"step": run.n_real, "event": "model_train_skipped",
-                                   "reason": str(exc)})
         finally:  # also when the training raised; a refused call counted nothing
             if any(run.model.last_steps_rejected):
                 run.log.events.append({"step": run.n_real, "event": "model_steps_rejected",

@@ -11,7 +11,7 @@ from mbrlab.controller import (BaselineCurve, PpoConfig, advantage,
                                controller_act, init_controller,
                                load_controller, ppo_loss_and_grads, ppo_update,
                                save_controller, train_controller)
-from mbrlab.hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig
+from mbrlab.hyper_mdp import HEAD_SIZES, NEUTRAL_INDICES, HyperMdpConfig, hyper_mdp_hash
 from mbrlab.nets import AdamState
 
 from util import (assert_grads_close, crash_hyper_episode_at, finite_difference,
@@ -191,11 +191,12 @@ def test_train_controller_single_episode_runs_thirty_updates():
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
     n_b = 200 // hc.tau
     baseline = BaselineCurve(values=np.zeros(n_b), n_seeds=1,
-                             env_name="pointmass2d", config_hash="test")
+                             config_hash=hyper_mdp_hash("pointmass2d", mc, hc))
     pol, history = train_controller("pointmass2d", mc, hc, PpoConfig(),
                                     baseline, n_hyper_episodes=1, seed=21, episodes_per_round=1)
     assert len(history["rounds"]) == 1
     assert history["rounds"][0]["updates"] == 30
+    assert pol.config_hash == baseline.config_hash  # stamped with the run's hash
 
 
 @pytest.mark.parametrize("one_core", [False, True])
@@ -209,7 +210,7 @@ def test_train_controller_pinned_bits(monkeypatch, one_core):
                          n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
     baseline = BaselineCurve(values=np.zeros(200 // hc.tau), n_seeds=1,
-                             env_name="pointmass2d", config_hash="test")
+                             config_hash=hyper_mdp_hash("pointmass2d", mc, hc))
     pol, history = train_controller("pointmass2d", mc, hc, PpoConfig(), baseline,
                                     n_hyper_episodes=4, seed=21, episodes_per_round=2)
     assert history["invalid_count"] == 0 and len(history["rounds"]) == 2
@@ -225,7 +226,7 @@ def test_train_controller_records_invalid_hyper_episodes(monkeypatch):
                          n_members=2, agent_hidden=(16, 16), model_hidden=(16, 16))
     hc = HyperMdpConfig(m_train=1).for_env("pointmass2d")
     baseline = BaselineCurve(values=np.zeros(200 // hc.tau), n_seeds=1,
-                             env_name="pointmass2d", config_hash="test")
+                             config_hash=hyper_mdp_hash("pointmass2d", mc, hc))
     first_seed = int(np.random.default_rng(21).spawn(4)[3].integers(0, 2**31 - 1))
     crash_hyper_episode_at(monkeypatch, first_seed, 75)
     _, history = train_controller("pointmass2d", mc, hc, PpoConfig(), baseline,
@@ -309,6 +310,10 @@ def test_transfer_warning_on_config_mismatch(tmp_path):
         ok = controller.check_transfer(pol, "hash-b")
     assert not ok
     assert controller.check_transfer(pol, "hash-a")
+    # an unstamped controller matches no run
+    with pytest.warns(UserWarning, match="transfer"):
+        assert not controller.check_transfer(init_controller(np.random.default_rng(25)),
+                                             "hash-a")
 
 
 def test_checkpoint_distinguishes_trained_from_fresh(tmp_path):

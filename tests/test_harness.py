@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mbrlab import controller, fvi, harness, mbpo
+from mbrlab import cli, controller, fvi, harness, mbpo
 from mbrlab.checkpoint import CheckpointError
 from mbrlab.config import (ConfigError, FviSweepConfig, HarnessConfig, RunConfig,
                            from_dict, load)
@@ -80,6 +81,34 @@ def test_shipped_configs_load(path):
 def test_default_config_is_the_full_template():
     template = json.loads((ROOT / "configs" / "default.json").read_text())
     assert template == RunConfig().to_dict()
+
+
+def _shipped(name):
+    # read without MBRLAB_SEED/MBRLAB_OUTDIR, which change the content hash
+    return from_dict(json.loads((ROOT / "configs" / name).read_text()))
+
+
+@pytest.mark.parametrize("name, content, hyper_mdp", [
+    ("default.json", "13918e742294b62790c96508850d5c895015592c8c9147bc27b0023cc1d4e19b",
+     "467bc41a6fb62d6dc470e16d6b2d3eea4e71b16f4d4c7b193c2a2a4fa6323f1f"),
+    ("smoke.json", "57358856f0b7f52f362208d730cd012eea6152c701bf4e6cb81bb38f5303ab19",
+     "a232c998093f1830c1ce142c0daee552e21f959ed2dfd7b3d409ba9c13224950"),
+])
+def test_shipped_config_hashes_are_pinned(name, content, hyper_mdp):
+    # run directories are named by the one, saved baselines and controllers
+    # matched to a run by the other
+    cfg = _shipped(name)
+    assert cfg.content_hash() == content
+    assert cfg.hyper_mdp_hash() == hyper_mdp
+
+
+def test_hyper_mdp_hash_covers_the_resolved_hyper_config():
+    # hyper.return_lo is overwritten from the env spec, so it changes what the
+    # config says but not the hyper-MDP a run acts in
+    cfg, edited = _shipped("default.json"), _shipped("default.json")
+    edited.hyper.return_lo = -1000.0
+    assert edited.content_hash() != cfg.content_hash()
+    assert edited.hyper_mdp_hash() == cfg.hyper_mdp_hash()
 
 
 # -------------------------------------------------------------------- tracing
@@ -233,8 +262,8 @@ def _run_command(name, cfg, tmp_path):
             "pbt": harness.cmd_pbt}[name](cfg)
 
 
-# every command that claims a RunDir; cmd_ablate and cmd_transfer only
-# delegate to train-controller and eval-controller
+# every command that claims a RunDir; cmd_ablate only delegates to
+# train-controller and eval-controller
 MANIFEST_COMMANDS = ["fvi-sweep", "train-mbpo", "build-baseline", "train-controller",
                      "eval-controller", "pbt", "plot-data"]
 
@@ -242,7 +271,7 @@ MANIFEST_COMMANDS = ["fvi-sweep", "train-mbpo", "build-baseline", "train-control
 def test_every_directory_writing_command_is_in_the_manifest_invariant():
     commands = {name[len("cmd_"):].replace("_", "-")
                 for name in vars(harness) if name.startswith("cmd_")}
-    assert commands - {"ablate", "transfer"} == set(MANIFEST_COMMANDS)
+    assert commands - {"ablate"} == set(MANIFEST_COMMANDS)
 
 
 @pytest.mark.parametrize("command", MANIFEST_COMMANDS)
@@ -289,6 +318,7 @@ def test_manifest_describes_its_run_directory(tmp_path, command):
     ("harness", "seeds", (1.5,), "train-mbpo"),  # TypeError
     ("harness", "pbt_replace_frac", 1.0, "pbt"),    # the two best exploited the two worst
     ("harness", "pbt_population", 3, "pbt"),        # at frac 0.5 one instance exploited itself
+    ("mbpo", "d_env_capacity", 9, "train-mbpo"),  # no model training: ran "ok" as SAC
 ])
 def test_invalid_setting_is_rejected_before_any_directory(tmp_path, section, key, value,
                                                           command):
@@ -332,6 +362,8 @@ def test_fvi_sweep_row_count(tmp_path):
     fc = cfg.fvi
     assert len(rows) == len(fc.beta_grid) * len(fc.n_real_grid) * fc.n_seeds
     assert list(rows[0]) == harness.SCHEMAS["fvi_rows"]
+    manifest = json.loads((harness.Path(info["directory"]) / "manifest.json").read_text())
+    assert manifest["seed_status"] == {str(s): "ok" for s in range(fc.n_seeds)}
 
 
 @pytest.mark.parametrize("name", ["LineWorld", "gridworld", ""])
@@ -361,7 +393,7 @@ def test_fvi_sweep_runs_the_named_mdp(tmp_path, monkeypatch):
 def test_train_controller_history_keeps_rounds_and_invalid(tmp_path, monkeypatch):
     cfg = _tiny_config(tmp_path, n_baseline_seeds=1)
     baseline_path = tmp_path / "baseline.json"
-    harness.save_baseline(harness.build_baseline(cfg), baseline_path)
+    controller.save_baseline(harness.build_baseline(cfg), baseline_path)
     # the first hyper-episode's seed: the first draw of train_controller's seed stream
     first_seed = int(np.random.default_rng(cfg.harness.seeds[0]).spawn(4)[3]
                      .integers(0, 2**31 - 1))
@@ -451,6 +483,24 @@ def test_eval_controller_tags_its_curves_apart_and_records_the_config_match(tmp_
     assert not [r for r in caplog.records if r.name == "mbrlab.controller"]
 
 
+def test_eval_controller_evaluates_a_controller_in_another_env(tmp_path):
+    # a transfer study is eval-controller under a config naming the target env
+    trained_under = _tiny_config(tmp_path)
+    ckpt = tmp_path / "controller.json"
+    controller.save_controller(controller.init_controller(
+        np.random.default_rng(0), config_hash=trained_under.hyper_mdp_hash()), ckpt)
+    cfg = _tiny_config(tmp_path)  # seeds (0, 1)
+    cfg.env_name = "pendulum"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        info = harness.cmd_eval_controller(cfg, ckpt)
+    assert info["config_match"] is False
+    assert sum("controller trained under config" in str(w.message) for w in caught) == 1
+    curves = harness.read_csv(Path(info["directory"]) / "learning_curves.csv")
+    assert [r["run_id"] for r in curves] == [f"{who}-pendulum-seed{seed}" for seed in (0, 1)
+                                             for who in ("controller", "default")]
+
+
 # -------------------------------------------------------------------- baseline
 
 def test_baseline_single_seed_equals_run_log(tmp_path):
@@ -477,39 +527,39 @@ def test_baseline_roundtrip(tmp_path):
     cfg = _tiny_config(tmp_path, n_baseline_seeds=1)
     curve = harness.build_baseline(cfg)
     path = tmp_path / "baseline.json"
-    harness.save_baseline(curve, path)
-    loaded = harness.load_baseline(path)
+    controller.save_baseline(curve, path)
+    loaded = controller.load_baseline(path)
     assert np.array_equal(loaded.values, curve.values)
     assert loaded.config_hash == curve.config_hash
 
 
-def _curve(n=4, env_name="pointmass2d"):
+def _curve(n=4, config_hash="c0ffee"):
     return controller.BaselineCurve(values=np.random.default_rng(5).normal(size=n),
-                                    n_seeds=3, env_name=env_name, config_hash="c0ffee")
+                                    n_seeds=3, config_hash=config_hash)
 
 
 def test_baseline_roundtrip_is_bit_exact_in_values_and_metadata(tmp_path):
     curve = _curve(n=7)
     path = tmp_path / "baseline.json"
-    harness.save_baseline(curve, path)
-    loaded = harness.load_baseline(path)
+    controller.save_baseline(curve, path)
+    loaded = controller.load_baseline(path)
     assert loaded.values.tobytes() == curve.values.tobytes()
-    assert (loaded.n_seeds, loaded.env_name, loaded.config_hash) == (
-        3, "pointmass2d", "c0ffee")
+    assert (loaded.n_seeds, loaded.config_hash) == (3, "c0ffee")
     doc = json.loads(path.read_text())
     assert (doc["format_version"], doc["kind"], list(doc["arrays"])) == (
         2, "baseline-curve", ["values"])
+    assert set(doc["metadata"]) == {"n_seeds", "config_hash"}
 
 
 def test_corrupt_or_truncated_baseline_is_a_checkpoint_error(tmp_path):
     path = tmp_path / "baseline.json"
-    harness.save_baseline(_curve(), path)
+    controller.save_baseline(_curve(), path)
     text = path.read_text()
     doc = json.loads(text)
-    del doc["metadata"]["env_name"]
+    del doc["metadata"]["config_hash"]
     cases = {"truncated": (text[:len(text) // 2], "cannot read"),
              "corrupt": ("{not json", "cannot read"),
-             "missing-key": (json.dumps(doc), "env_name"),
+             "missing-key": (json.dumps(doc), "config_hash"),
              "v1": (json.dumps({"format_version": 1, "kind": "baseline-curve",
                                 "values": [0.0], "n_seeds": 1, "env_name": "pointmass2d",
                                 "config_hash": ""}), "unsupported format_version 1")}
@@ -517,15 +567,15 @@ def test_corrupt_or_truncated_baseline_is_a_checkpoint_error(tmp_path):
         bad = tmp_path / f"{name}.json"
         bad.write_text(content)
         with pytest.raises(CheckpointError, match=match):
-            harness.load_baseline(bad)
+            controller.load_baseline(bad)
 
 
 def test_each_artifact_is_refused_by_the_other_kinds_loader(tmp_path):
     ckpt, base = tmp_path / "controller.json", tmp_path / "baseline.json"
     controller.save_controller(controller.init_controller(np.random.default_rng(0)), ckpt)
-    harness.save_baseline(_curve(), base)
+    controller.save_baseline(_curve(), base)
     with pytest.raises(CheckpointError, match="'hyper-controller' file, not a 'baseline-curve'"):
-        harness.load_baseline(ckpt)
+        controller.load_baseline(ckpt)
     with pytest.raises(CheckpointError, match="'baseline-curve' file, not a 'hyper-controller'"):
         controller.load_controller(base)
 
@@ -533,27 +583,39 @@ def test_each_artifact_is_refused_by_the_other_kinds_loader(tmp_path):
 def test_eval_controller_refuses_an_unreadable_controller_before_any_directory(tmp_path):
     cfg = _tiny_config(tmp_path)
     base = tmp_path / "baseline.json"
-    harness.save_baseline(_curve(), base)
+    controller.save_baseline(_curve(), base)
     for path in (base, tmp_path / "missing.json"):
         with pytest.raises(CheckpointError):
             harness.cmd_eval_controller(cfg, path)
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("n, env_name, match", [
-    (8, "pointmass2d", "baseline of 8 values on 'pointmass2d'"),   # built at m_train = 2
-    (4, "pendulum", "baseline of 4 values on 'pendulum'"),
-], ids=["wrong-length", "wrong-env"])
-def test_train_controller_refuses_a_baseline_that_does_not_fit(tmp_path, n, env_name, match):
+@pytest.mark.parametrize("n, built_under", [
+    (8, lambda cfg: None),                                  # built at m_train = 2
+    (4, lambda cfg: setattr(cfg, "env_name", "pendulum")),  # H = 200 there too
+    (4, lambda cfg: setattr(cfg.mbpo, "batch_size", 32)),
+], ids=["wrong-length", "wrong-env", "other-mbpo"])
+def test_train_controller_refuses_a_baseline_that_does_not_fit(tmp_path, monkeypatch, n,
+                                                               built_under):
     cfg = _tiny_config(tmp_path)  # m_train = 1: 200 / 50 = 4 values on pointmass2d
+    other = _tiny_config(tmp_path)
+    built_under(other)
     path = tmp_path / "baseline.json"
-    harness.save_baseline(_curve(n, env_name), path)
+    controller.save_baseline(_curve(n, other.hyper_mdp_hash()), path)
+    match = (f"baseline of {n} values under hyper-MDP {other.hyper_mdp_hash()[:12]}; the run "
+             f"needs m_train \\* H / tau = 4 under {cfg.hyper_mdp_hash()[:12]}")
     with pytest.raises(ValueError, match=match):
         harness.cmd_train_controller(cfg, baseline_path=path)
     assert not (tmp_path / "runs").exists()
-    with pytest.raises(ValueError, match="m_train \\* H / tau = 4 on 'pointmass2d'"):
+
+    def map_units(fn, items):
+        raise AssertionError("a hyper-episode ran")
+
+    monkeypatch.setattr(controller.workers, "map_units", map_units)
+    with pytest.raises(ValueError, match=match):
         controller.train_controller(cfg.env_name, cfg.mbpo, cfg.resolved_hyper(), cfg.ppo,
-                                    harness.load_baseline(path), 1, seed=0, episodes_per_round=1)
+                                    controller.load_baseline(path), 1, seed=0,
+                                    episodes_per_round=1)
 
 
 # ------------------------------------------------------------------ train-mbpo
@@ -778,6 +840,14 @@ def test_cli_chains_baseline_controller_and_evaluation(tmp_path):
     baseline = run("build-baseline")["baseline_path"]
     ckpt = run("train-controller", "--baseline", baseline)["controller_path"]
     assert run("eval-controller", ckpt)["n_seeds"] == 2
+
+
+def test_cli_subcommands_are_the_harness_commands():
+    [subparsers] = [a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    commands = {name[len("cmd_"):].replace("_", "-")
+                for name in vars(harness) if name.startswith("cmd_")}
+    assert set(subparsers.choices) == commands
 
 
 def test_cli_error_record_on_bad_input(tmp_path):
