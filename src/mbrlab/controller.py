@@ -357,7 +357,8 @@ def save_controller(policy: ControllerPolicy, path) -> None:
 
 
 def load_controller(path) -> ControllerPolicy:
-    """A missing field, a mask of the wrong length or an unfitting theta is a CheckpointError."""
+    """A missing field, a mask of the wrong length, an unfitting theta or a
+    non-string hash is a CheckpointError."""
     arrays, meta = checkpoint.load(path, "hyper-controller")
     try:
         feature_mask = tuple(bool(b) for b in meta["feature_mask"])
@@ -367,9 +368,17 @@ def load_controller(path) -> ControllerPolicy:
                              f"not {len(FEATURE_NAMES)} and {len(HEAD_SIZES)}")
         net = DenseNet([sum(feature_mask), meta["hidden"], sum(HEAD_SIZES)],
                        ["tanh", "identity"], arrays["theta"])
-        return ControllerPolicy(net, head_mask, feature_mask, meta["config_hash"])
+        return ControllerPolicy(net, head_mask, feature_mask, _config_hash(path, meta))
     except (KeyError, TypeError, ValueError) as exc:
         raise checkpoint.CheckpointError(f"{path}: bad controller field {exc!r}") from exc
+
+
+def _config_hash(path, meta) -> str:
+    """A saved artifact's hyper-MDP hash; one that is not a string is a CheckpointError."""
+    value = meta["config_hash"]
+    if not isinstance(value, str):
+        raise checkpoint.CheckpointError(f"{path}: config_hash {value!r} is not a string")
+    return value
 
 
 def save_baseline(curve: BaselineCurve, path) -> None:
@@ -378,10 +387,10 @@ def save_baseline(curve: BaselineCurve, path) -> None:
 
 
 def load_baseline(path) -> BaselineCurve:
-    """The saved curve; a missing field is a CheckpointError."""
+    """The saved curve; a missing field or a non-string hash is a CheckpointError."""
     arrays, meta = checkpoint.load(path, "baseline-curve")
     try:
-        return BaselineCurve(arrays["values"], meta["n_seeds"], meta["config_hash"])
+        return BaselineCurve(arrays["values"], meta["n_seeds"], _config_hash(path, meta))
     except KeyError as exc:
         raise checkpoint.CheckpointError(f"{path}: missing baseline field {exc}") from exc
 

@@ -296,8 +296,11 @@ def exact_vi(mdp: FviMdp, fine_grid_size: int = 256, tol: float = 1e-9,
     axes = [np.linspace(0.0, 1.0, fine_grid_size)] * mdp.dim
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mdp.dim)
     rewards, nexts = _action_stack(mdp, mesh)
+    # the next states and the grid never change, so their knots and weights are found once
+    idx, wgt = v.basis(nexts)
     for sweep in itertools.count():
-        backed = _scores(mdp, v, rewards, nexts).max(axis=0)
+        interp = _interpolate(v.values, idx.T, wgt.T).reshape(rewards.shape)
+        backed = (rewards + mdp.gamma * interp).max(axis=0)
         delta = np.max(np.abs(backed - v.values))
         if not np.isfinite(delta):
             raise FloatingPointError(f"exact_vi: non-finite backup at sweep {sweep}")

@@ -161,15 +161,23 @@ class Workspace:
         # block per buffer fragmented the heap of a process that builds many
         # runs, and its peak RSS rose by ~12 MB in half the runs; a
         # short-lived heap block raised glibc's mmap threshold when freed,
-        # and a model-heavy run's peak RSS by ~0.7 MB
+        # and a model-heavy run's peak RSS by ~0.7 MB. Backward keeps one
+        # layer's dz and one dly alive at a time, so every d_pre[i] shares one
+        # part and every d_in[i] a second, each as wide as its widest layer
         outs, ins = net.sizes[1:], net.sizes[:-1]
-        widths = (*outs, *outs, *outs, *ins)
+        widths = (*outs, *outs, max(outs), max(ins))
         size = int(np.prod(lead, dtype=int)) * rows
         block = mapped_zeros(size * sum(widths))
-        bufs = [b.reshape(*lead, rows, w) for b, w in
-                zip(np.split(block, np.cumsum([size * w for w in widths])[:-1]), widths)]
+        parts = np.split(block, np.cumsum([size * w for w in widths])[:-1])
         k = len(outs)
-        return cls(bufs[:k], bufs[k:2 * k], bufs[2 * k:3 * k], bufs[3 * k:])
+
+        def carve(part, w):
+            return part[:size * w].reshape(*lead, rows, w)
+
+        return cls([carve(p, w) for p, w in zip(parts[:k], outs)],
+                   [carve(p, w) for p, w in zip(parts[k:2 * k], outs)],
+                   [carve(parts[2 * k], w) for w in outs],
+                   [carve(parts[2 * k + 1], w) for w in ins])
 
     def __getitem__(self, index) -> "Workspace":
         return Workspace(*([a[index] for a in group]

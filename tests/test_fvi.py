@@ -10,7 +10,7 @@ from scipy.special import erf
 
 from mbrlab import fvi, workers
 
-from util import greedy_actions
+from util import greedy_actions, reference_exact_vi
 
 
 def _const_mdp(c=0.5, gamma=0.9):
@@ -41,6 +41,33 @@ def test_exact_vi_lineworld_peak_dominates_far_end():
     oracle = fvi.exact_vi(fvi.line_world())
     v = oracle.value_fn
     assert v(np.array([[0.8]]))[0] > v(np.array([[0.05]]))[0]
+
+
+@pytest.mark.parametrize("mdp, kwargs", [
+    (fvi.line_world(), {}),
+    (fvi.grid_world_2d(), {"fine_grid_size": 48, "tol": 1e-7}),
+    (_const_mdp(c=0.5, gamma=0.9), {"fine_grid_size": 64, "tol": 1e-10}),
+], ids=["lineworld", "gridworld2d", "constant-reward"])
+def test_exact_vi_equals_per_sweep_reference(mdp, kwargs):
+    oracle = fvi.exact_vi(mdp, **kwargs)
+    ref = reference_exact_vi(mdp, **kwargs)
+    assert np.array_equal(oracle.value_fn.values, ref.value_fn.values)
+    assert oracle.greedy_return == ref.greedy_return
+
+
+def test_exact_vi_finds_the_basis_once(monkeypatch):
+    basis_calls = []
+    real_basis = fvi.ValueFn.basis
+
+    def counting(self, states):
+        basis_calls.append(states.shape[0])
+        return real_basis(self, states)
+
+    monkeypatch.setattr(fvi.ValueFn, "basis", counting)
+    monkeypatch.setattr(fvi, "policy_return", lambda mdp_, value_fn, states: np.zeros(1))
+    fvi.exact_vi(fvi.line_world(), fine_grid_size=64)
+    # one lookup of the 3 actions' next states of the 64 mesh points, over every sweep
+    assert basis_calls == [3 * 64]
 
 
 # --------------------------------------------------------------- half-normal

@@ -590,6 +590,36 @@ def test_eval_controller_refuses_an_unreadable_controller_before_any_directory(t
     assert not (tmp_path / "runs").exists()
 
 
+def _with_config_hash(path, value):
+    doc = json.loads(path.read_text())
+    doc["metadata"]["config_hash"] = value
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [None, 5], ids=["null", "number"])
+@pytest.mark.parametrize("save, load", [
+    (lambda path: controller.save_controller(
+        controller.init_controller(np.random.default_rng(0)), path), controller.load_controller),
+    (lambda path: controller.save_baseline(_curve(), path), controller.load_baseline),
+], ids=["controller", "baseline"])
+def test_loaders_refuse_a_config_hash_that_is_not_a_string(tmp_path, save, load, value):
+    path = tmp_path / "artifact.json"
+    save(path)
+    _with_config_hash(path, value)
+    with pytest.raises(CheckpointError, match=f"config_hash {value!r} is not a string"):
+        load(path)
+
+
+def test_eval_controller_refuses_a_null_hash_controller_before_any_directory(tmp_path):
+    cfg = _tiny_config(tmp_path)
+    path = tmp_path / "controller.json"
+    controller.save_controller(controller.init_controller(np.random.default_rng(0)), path)
+    _with_config_hash(path, None)
+    with pytest.raises(CheckpointError, match="config_hash None is not a string"):
+        harness.cmd_eval_controller(cfg, path)
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("n, built_under", [
     (8, lambda cfg: None),                                  # built at m_train = 2
     (4, lambda cfg: setattr(cfg, "env_name", "pendulum")),  # H = 200 there too

@@ -149,7 +149,13 @@ def test_workspace_is_one_block_and_slices_are_views():
     ws = nets.Workspace.for_net(stack, (2, 2), 3)
     bufs = ws.pre + ws.act + ws.d_pre + ws.d_in
     assert len({id(b.base) for b in bufs}) == 1 and all(b.flags.c_contiguous for b in bufs)
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(bufs) for b in bufs[:i])
+    # pre and act own their buffers; every d_pre starts one shared part, every
+    # d_in a second, and no d_pre meets a d_in
+    own = ws.pre + ws.act
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(own)
+                   for b in own[:i] + ws.d_pre + ws.d_in)
+    assert not any(np.shares_memory(a, b) for a in ws.d_pre for b in ws.d_in)
+    assert len({b.ctypes.data for b in ws.d_pre}) == len({b.ctypes.data for b in ws.d_in}) == 1
     sub = ws[1]
     for whole, part in zip(ws.pre + ws.act + ws.d_pre + ws.d_in,
                            sub.pre + sub.act + sub.d_pre + sub.d_in):

@@ -156,3 +156,21 @@ def joint_log_prob(policy, states, action_indices):
         if active:
             out += table[np.arange(n), action_indices[:, h]]
     return out
+
+
+def reference_exact_vi(mdp, fine_grid_size=256, tol=1e-9, n_eval=256):
+    """`fvi.exact_vi` as a plain loop that looks V up at the next states with
+    `fvi._scores` every sweep, finding their knots and weights each time."""
+    v = fvi.ValueFn.zeros(mdp.dim, fine_grid_size, mdp.v_max)
+    axes = [np.linspace(0.0, 1.0, fine_grid_size)] * mdp.dim
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mdp.dim)
+    rewards, nexts = fvi._action_stack(mdp, mesh)
+    while True:
+        backed = fvi._scores(mdp, v, rewards, nexts).max(axis=0)
+        delta = np.max(np.abs(backed - v.values))
+        v.values = backed
+        if delta < tol:
+            break
+    rho = np.random.default_rng(0).uniform(size=(n_eval, mdp.dim))
+    return fvi.ExactOracle(value_fn=v,
+                           greedy_return=float(fvi.policy_return(mdp, v, rho).mean()))
