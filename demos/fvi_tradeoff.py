@@ -14,6 +14,10 @@ while generous budgets flatten the row. Crank sigma up (try --sigma 0.2) and
 the left side of each row lifts as corrupted targets start to bite, moving
 the best beta toward 1.
 
+The demo runs the `fvi-sweep` command on these settings, so it writes a run
+directory under runs/ (or $MBRLAB_OUTDIR) as `mbrlab fvi-sweep` does, and
+prints its table from that directory's fvi_rows.csv and fvi_summary.csv.
+
 Run:  python3 demos/fvi_tradeoff.py [--sigma 0.05] [--seeds 5] [--fast]
 """
 
@@ -25,10 +29,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+from collections import defaultdict  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from mbrlab import fvi  # noqa: E402
+from mbrlab.config import FviSweepConfig, RunConfig, apply_env_overrides  # noqa: E402
+from mbrlab.harness import cmd_fvi_sweep, read_csv  # noqa: E402
 
 
 def main():
@@ -38,27 +46,29 @@ def main():
     ap.add_argument("--fast", action="store_true", help="tiny grids, ~10s")
     args = ap.parse_args()
 
-    mdp = fvi.line_world()
-    oracle = fvi.exact_vi(mdp)
-    print(f"LineWorld: V_max = {mdp.v_max:.0f}, oracle greedy return from "
-          f"uniform starts = {oracle.greedy_return:.2f}")
+    betas = (0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
+    config = apply_env_overrides(RunConfig(fvi=FviSweepConfig(
+        mdp="lineworld", beta_grid=betas,
+        n_real_grid=(256, 1024) if args.fast else (256, 1024, 4096),
+        sigma=args.sigma, iterations=20 if args.fast else 40, n_seeds=args.seeds,
+        grid_size=48, n_eval=256, n_bootstrap=100)))
+    run = Path(cmd_fvi_sweep(config)["directory"])
+    print(f"LineWorld: V_max = {fvi.line_world().v_max:.0f}; the run's files are in {run}")
 
-    betas = [0.05, 0.1, 0.2, 0.4, 0.7, 1.0]
-    budgets = [256, 1024] if args.fast else [256, 1024, 4096]
-    iters = 20 if args.fast else 40
-    out = fvi.beta_sweep(mdp, betas, budgets, sigma=args.sigma, iterations=iters,
-                         seeds=range(args.seeds),
-                         base=fvi.FviConfig(grid_size=48, n_eval=256),
-                         oracle=oracle, n_bootstrap=100)
-
+    discs = defaultdict(list)  # (n_real, beta) -> discrepancy per seed
+    for row in read_csv(run / "fvi_rows.csv"):
+        discs[int(row["n_real"]), float(row["beta"])].append(float(row["discrepancy"]))
+    summary = read_csv(run / "fvi_summary.csv")
     header = "N_real   " + "".join(f"b={b:<7}" for b in betas) + "argmin"
     print("\nmean return discrepancy (lower is better), sigma =", args.sigma)
     print(header)
-    for i, nr in enumerate(out["n_real_grid"]):
-        cells = "".join(f"{out['mean'][i][j]:<9.3f}" for j in range(len(betas)))
-        print(f"{nr:<9}{cells}{out['argmin_beta'][i]}")
-    print(f"\nbest-beta curve: {out['argmin_beta']}  "
-          f"(bootstrap fraction non-decreasing: {out['bootstrap_monotone_frac']:.2f})")
+    for row in summary:
+        nr = int(row["n_real"])
+        cells = "".join(f"{np.mean(discs[nr, b]):<9.3f}" for b in betas)
+        print(f"{nr:<9}{cells}{float(row['argmin_beta'])}")
+    print(f"\nbest-beta curve: {[float(row['argmin_beta']) for row in summary]}  "
+          f"(bootstrap fraction non-decreasing: "
+          f"{float(summary[0]['bootstrap_monotone_frac']):.2f})")
 
 
 if __name__ == "__main__":

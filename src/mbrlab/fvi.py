@@ -17,14 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import workers
+from . import nets, workers
 
 
 logger = logging.getLogger(__name__)
 
 
-def _bump(center: np.ndarray, states: np.ndarray, a_idx: int) -> np.ndarray:
-    """Gaussian reward bump at `center`, whatever the action."""
+def _bump(center: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Gaussian reward bump at `center`."""
     d2 = ((states - center) ** 2).sum(axis=-1)
     return np.exp(-d2 / 0.02)
 
@@ -33,9 +33,9 @@ def _bump(center: np.ndarray, states: np.ndarray, a_idx: int) -> np.ndarray:
 class FviMdp:
     """Deterministic MDP on the unit box with a finite action set.
 
-    Transitions are clipped displacements; reward_fn(states, a_idx) must stay
-    within [0, r_max], and must pickle for `beta_sweep` to send the MDP to its
-    workers.
+    Transitions are clipped displacements. The reward depends on the state
+    alone: reward_fn(states) must stay within [0, r_max], and must pickle for
+    `beta_sweep` to send the MDP to its workers.
     """
 
     name: str
@@ -53,11 +53,10 @@ class FviMdp:
     def v_max(self) -> float:
         return self.r_max / (1.0 - self.gamma)
 
-    def transition(self, states: np.ndarray, a_idx: int) -> np.ndarray:
-        return np.clip(states + self.actions[a_idx], 0.0, 1.0)
-
-    def reward(self, states: np.ndarray, a_idx: int) -> np.ndarray:
-        return self.reward_fn(states, a_idx)
+    def transition(self, states: np.ndarray, a_idx: int, out=None) -> np.ndarray:
+        """Next states of action a_idx, written into `out` when given."""
+        out = np.add(states, self.actions[a_idx], out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 def line_world() -> FviMdp:
@@ -100,18 +99,22 @@ class ValueFn:
     def zeros(cls, dim: int, grid_size: int, v_max: float) -> "ValueFn":
         return cls(dim, grid_size, np.zeros(grid_size ** dim), v_max)
 
-    def basis(self, states: np.ndarray):
+    def basis(self, states: np.ndarray, out=None):
         """Flat knot indices and weights (N, 2^d): bit d of corner c picks the upper knot
         on axis d (axis 0 most significant); states off [0, 1] extrapolate the edge cell.
-        Both are transposed views of corner-major arrays, so `idx.T[c]` is contiguous."""
+        Both are transposed views of corner-major (2^d, N) arrays, the pair `out` when
+        given, so `idx.T[c]` is contiguous."""
         g = self.grid_size
         frac = states * (g - 1)
-        cell = np.fmin(np.fmax(np.floor(frac), 0.0), g - 2)
+        cell = np.floor(frac)
+        np.fmin(np.fmax(cell, 0.0, out=cell), g - 2, out=cell)
         frac -= cell
         lo = 1.0 - frac
         cell = cell.astype(np.int64)
-        idx = np.empty((1 << self.dim, frac.shape[0]), dtype=np.int64)
-        wgt = np.empty(idx.shape)
+        if out is None:
+            out = (np.empty((1 << self.dim, frac.shape[0]), dtype=np.int64),
+                   np.empty((1 << self.dim, frac.shape[0])))
+        idx, wgt = out
         for c in range(1 << self.dim):
             flat = cell[:, 0] + (c & 1)
             w = frac[:, 0] if c & 1 else lo[:, 0]
@@ -137,29 +140,91 @@ def _interpolate(values: np.ndarray, idx: np.ndarray, wgt: np.ndarray) -> np.nda
     return out
 
 
+BACKUP_BLOCK = 2048  # states per block of the backup's scoring and the fit's basis
+
+
+class FviWorkspace:
+    """One sweep cell's per-iteration arrays at n states, carved from one
+    `nets.mapped_zeros` block.
+
+    A cell builds one and passes it to every `beta_mixture_backup` and
+    `fit_value` call, which then allocate none of their n-row arrays
+    (218-874 KB each at n = 27,307): glibc would hand such arrays back to the
+    kernel and fault them in again every iteration. `states` (n, d) and
+    `targets` (n,) hold the iteration's samples and backed-up values. The
+    backup's true next states `nexts` (A, n, d), mixing draws `draws`,
+    half-normal steps `step`, corrupted copy `moved` (n, d) and direction
+    scratch `angle` and `turn` (n,) share their memory with the fit's
+    corner-major basis `idx`/`wgt` (2^d, n), knot pairs `pairs` and
+    `pair_wgt` (2^d, 2^d, n) and weighted basis `sw` (2^d, n): a backup is
+    done before the fit that follows it starts.
+    """
+
+    def __init__(self, n: int, dim: int, n_actions: int):
+        c, f, i = 1 << dim, np.float64, np.int64
+        own = [("states", (n, dim), f), ("targets", (n,), f)]
+        backup = [("nexts", (n_actions, n, dim), f), ("draws", (n,), f), ("step", (n,), f),
+                  ("moved", (n, dim), f), ("angle", (n,), f), ("turn", (n,), f)]
+        fit = [("idx", (c, n), i), ("wgt", (c, n), f), ("pairs", (c, c, n), i),
+               ("pair_wgt", (c, c, n), f), ("sw", (c, n), f)]
+
+        def size(part):
+            return sum(math.prod(shape) for _, shape, _ in part)
+
+        block = nets.mapped_zeros(size(own) + max(size(backup), size(fit)))  # 8-byte slots
+
+        def carve(part, start):
+            for name, shape, dtype in part:
+                end = start + math.prod(shape)
+                setattr(self, name, block[start:end].view(dtype).reshape(shape))
+                start = end
+            return start
+
+        shared = carve(own, 0)
+        carve(backup, shared)
+        carve(fit, shared)
+        # the IRLS sample weights (n,): each solve reads them into `sw` before it
+        # writes the pair weights over them, so they take no memory of their own
+        self.sample_w = self.pair_wgt[0, 0]
+
+
 def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
-              p: float = 2.0) -> ValueFn:
+              p: float = 2.0, ws: FviWorkspace | None = None) -> ValueFn:
     """argmin over the multilinear class of sum |f(s_i) - target_i|^p.
 
     p=2 solves the normal equations, with a 1e-8 ridge, exactly; p=1 (the
     only other p) runs IRLS capped at 50 iterations. Knots no sample touches
     keep their previous values; fitted knot values are clipped to [0, v_max].
+    The per-sample arrays live in `ws`, a workspace for these n states (built
+    for the call when none is passed), whose backup arrays this overwrites.
     """
-    if states.shape[0] != targets.shape[0] or states.shape[0] < 1:
+    n = states.shape[0]
+    if n != targets.shape[0] or n < 1:
         raise ValueError("states/targets length mismatch or empty")
     if not (np.isfinite(states).all() and np.isfinite(targets).all()):
         raise FloatingPointError("fit_value: non-finite states or targets")
-    idx, wgt = prev.basis(states)
+    ws = FviWorkspace(n, prev.dim, 0) if ws is None else ws
+    if ws.idx.shape != (1 << prev.dim, n):
+        raise ValueError(f"workspace of basis shape {ws.idx.shape} for {n} states in d={prev.dim}")
+    # the basis is row-wise, so blocks of rows keep its bits and temporaries cache-sized
+    for lo in range(0, n, BACKUP_BLOCK):
+        blk = slice(lo, lo + BACKUP_BLOCK)
+        prev.basis(states[blk], out=(ws.idx[:, blk], ws.wgt[:, blk]))
+    idx_c, wgt_c = ws.idx, ws.wgt
     n_knots = prev.grid_size ** prev.dim
-    # corner-major; the (corner i, corner j, sample) order fixes each knot pair's sum
-    idx_c, wgt_c = idx.T, wgt.T
-    pairs = (idx_c[:, None, :] * n_knots + idx_c[None, :, :]).ravel()
+    # corner-major; the (corner i, corner j, sample) order fixes each knot pair's
+    # sum, so one bincount takes every sample at once
+    pairs = np.multiply(idx_c[:, None, :], n_knots, out=ws.pairs)
+    pairs += idx_c[None, :, :]
+    pairs = pairs.ravel()
 
     def solve_weighted(sample_w):
-        sw = sample_w * wgt_c
-        a = np.bincount(pairs, (sw[:, None, :] * wgt_c[None, :, :]).ravel(),
+        sw = np.multiply(sample_w, wgt_c, out=ws.sw)
+        pair_wgt = np.multiply(sw[:, None, :], wgt_c[None, :, :], out=ws.pair_wgt)
+        a = np.bincount(pairs, pair_wgt.ravel(),
                         minlength=n_knots * n_knots).reshape(n_knots, n_knots)
-        b = np.bincount(idx_c.ravel(), (sw * targets).ravel(), minlength=n_knots)
+        b = np.bincount(idx_c.ravel(), np.multiply(sw, targets, out=sw).ravel(),
+                        minlength=n_knots)
         support = np.diag(a) > 0.0
         vals = prev.values.copy()
         sub = a[np.ix_(support, support)]
@@ -172,11 +237,16 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
             vals[support] = np.linalg.solve(sub, b[support])
         return vals
 
-    vals = solve_weighted(np.ones(states.shape[0]))  # the p=1 LS warm start
+    weights = ws.sample_w
+    weights.fill(1.0)
+    vals = solve_weighted(weights)  # the p=1 LS warm start
     if p == 1.0:
         for _ in range(50):
-            resid = np.abs(_interpolate(vals, idx_c, wgt_c) - targets)
-            new_vals = solve_weighted(1.0 / np.maximum(resid, 1e-6))
+            # IRLS weights 1 / max(|f(s_i) - target_i|, 1e-6), in place
+            np.subtract(_interpolate(vals, idx_c, wgt_c), targets, out=weights)
+            np.abs(weights, out=weights)
+            np.divide(1.0, np.maximum(weights, 1e-6, out=weights), out=weights)
+            new_vals = solve_weighted(weights)
             converged = np.max(np.abs(new_vals - vals)) < 1e-10
             vals = new_vals
             if converged:
@@ -190,53 +260,68 @@ def fit_value(states: np.ndarray, targets: np.ndarray, prev: ValueFn,
 # ---------------------------------------------------------------------------
 
 
-def half_normal(sigma: float, rng: np.random.Generator, size) -> np.ndarray:
-    """|Z| * sigma with Z standard normal; sigma=0 gives exact zeros."""
+def half_normal(sigma: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """`out` filled with |Z| * sigma, Z standard normal (the draws of
+    `normal(size=out.shape)`); sigma=0 gives exact zeros."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    return np.abs(rng.normal(size=size)) * sigma
+    rng.standard_normal(out=out)
+    np.abs(out, out=out)
+    out *= sigma
+    return out
 
 
-def corrupt(true_next: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """The corrupted model: true next states (n, d), d 1 or 2, displaced by a
-    half-normal step of scale sigma in a uniformly random direction."""
+def _corrupt(true_next: np.ndarray, sigma: float, rng: np.random.Generator,
+             ws: FviWorkspace) -> np.ndarray:
+    """The corrupted model, in `ws.moved`: true next states (n, d), d 1 or 2,
+    displaced by a half-normal step of scale sigma in a uniformly random
+    direction, clipped to the box."""
     n, d = true_next.shape
-    xi = half_normal(sigma, rng, size=n)
+    step = half_normal(sigma, rng, ws.step)
     if d == 1:
-        direction = (rng.integers(0, 2, size=(n, 1)) * 2 - 1).astype(np.float64)
+        # integers(0, 2) draws the sign; copysign by -0.5 negates the step to the
+        # bit, as multiplying by a direction of -1.0 did
+        sign = np.subtract(rng.integers(0, 2, size=n), 0.5, out=ws.turn)
+        np.add(true_next[:, 0], np.copysign(step, sign, out=step), out=ws.moved[:, 0])
     else:
-        angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        direction = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    return np.clip(true_next + xi[:, None] * direction, 0.0, 1.0)
-
-
-BACKUP_BLOCK = 2048  # states per scoring block of the mixture backup
+        angle = rng.random(out=ws.angle)
+        angle *= 2.0 * np.pi  # the draws of uniform(0, 2 pi)
+        for k, trig in enumerate((np.cos, np.sin)):
+            turn = np.multiply(step, trig(angle, out=ws.turn), out=ws.turn)
+            np.add(true_next[:, k], turn, out=ws.moved[:, k])
+    return np.clip(ws.moved, 0.0, 1.0, out=ws.moved)
 
 
 def beta_mixture_backup(value_fn: ValueFn, states: np.ndarray, mdp: FviMdp,
-                        sigma: float, beta: float, rng: np.random.Generator) -> np.ndarray:
+                        sigma: float, beta: float, rng: np.random.Generator,
+                        ws: FviWorkspace | None = None) -> np.ndarray:
     """Targets max_a (r + gamma * V(next)) where next comes from the true
-    dynamics w.p. beta and from `corrupt` under sigma otherwise.
+    dynamics w.p. beta and from the corrupted model under sigma otherwise.
 
     The Bernoulli, half-normal, and direction draws are consumed for every
     (state, action) regardless of which branch wins, so sigma=0 runs are
     bit-identical across beta. Rewards are always the true ones; targets are
-    clipped to [0, v_max].
+    clipped to [0, v_max]. They are `ws.targets`, of a workspace for these
+    states and this MDP (built for the call when none is passed), and hold
+    until its next backup.
     """
     n = states.shape[0]
-    nexts = np.stack([mdp.transition(states, a) for a in range(mdp.n_actions)])
-    for slab in nexts:  # views into nexts
-        use_model = rng.uniform(size=n) >= beta
-        slab[use_model] = corrupt(slab, sigma, rng)[use_model]
+    ws = FviWorkspace(n, mdp.dim, mdp.n_actions) if ws is None else ws
+    if ws.nexts.shape != (mdp.n_actions, *states.shape):
+        raise ValueError(f"workspace of next states {ws.nexts.shape} for "
+                         f"{mdp.n_actions} actions on states {states.shape}")
+    for a, slab in enumerate(ws.nexts):
+        mdp.transition(states, a, out=slab)
+        use_model = rng.random(out=ws.draws) >= beta  # the draws of uniform(size=n)
+        np.copyto(slab, _corrupt(slab, sigma, rng, ws), where=use_model[:, None])
     # score in blocks of states: the lookahead's temporaries stay cache-sized and
     # are reused from the heap instead of being mapped and faulted in per call
-    out = np.empty(n)
     for lo in range(0, n, BACKUP_BLOCK):
         blk = slice(lo, lo + BACKUP_BLOCK)
-        rewards = np.stack([mdp.reward(states[blk], a) for a in range(mdp.n_actions)])
-        scores = _scores(mdp, value_fn, rewards, nexts[:, blk].reshape(-1, mdp.dim))
-        np.clip(scores.max(axis=0), 0.0, value_fn.v_max, out=out[blk])
-    return out
+        scores = _scores(mdp, value_fn, mdp.reward_fn(states[blk]),
+                         ws.nexts[:, blk].reshape(-1, mdp.dim))
+        np.clip(scores.max(axis=0), 0.0, value_fn.v_max, out=ws.targets[blk])
+    return ws.targets
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +340,15 @@ def _truncation_horizon(mdp: FviMdp) -> int:
 
 
 def _action_stack(mdp: FviMdp, states: np.ndarray):
-    """True rewards (A, N) and next states (A*N, d) of every action, action-major."""
-    rewards = np.stack([mdp.reward(states, a) for a in range(mdp.n_actions)])
+    """True rewards (N,), which do not depend on the action, and the next states
+    (A*N, d) of every action, action-major."""
     nexts = np.concatenate([mdp.transition(states, a) for a in range(mdp.n_actions)])
-    return rewards, nexts
+    return mdp.reward_fn(states), nexts
 
 
 def _scores(mdp: FviMdp, value_fn: ValueFn, rewards, nexts) -> np.ndarray:
     """r + gamma * V(next) per (action, state), with V evaluated once on the stack."""
-    return rewards + mdp.gamma * value_fn(nexts).reshape(rewards.shape)
+    return rewards + mdp.gamma * value_fn(nexts).reshape(mdp.n_actions, -1)
 
 
 def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray) -> np.ndarray:
@@ -279,7 +364,7 @@ def policy_return(mdp: FviMdp, value_fn: ValueFn, states: np.ndarray) -> np.ndar
         if not fixed:
             rewards, nexts = _action_stack(mdp, states)
             acts = _scores(mdp, value_fn, rewards, nexts).argmax(axis=0)
-            r = rewards[acts, rows]
+            r = rewards
             nxt = nexts[acts * n + rows]
             fixed = np.array_equal(nxt, states)
             states = nxt
@@ -299,7 +384,7 @@ def exact_vi(mdp: FviMdp, fine_grid_size: int = 256, tol: float = 1e-9,
     # the next states and the grid never change, so their knots and weights are found once
     idx, wgt = v.basis(nexts)
     for sweep in itertools.count():
-        interp = _interpolate(v.values, idx.T, wgt.T).reshape(rewards.shape)
+        interp = _interpolate(v.values, idx.T, wgt.T).reshape(mdp.n_actions, -1)
         backed = (rewards + mdp.gamma * interp).max(axis=0)
         delta = np.max(np.abs(backed - v.values))
         if not np.isfinite(delta):
@@ -364,11 +449,12 @@ def _fit_and_score(mdp: FviMdp, config: FviConfig, eval_states: np.ndarray,
                    v_star: np.ndarray) -> FviResult:
     state_stream, corrupt_stream, _ = np.random.default_rng(config.seed).spawn(3)
     v = ValueFn.zeros(mdp.dim, config.grid_size, mdp.v_max)
+    ws = FviWorkspace(config.n_states, mdp.dim, mdp.n_actions)
     for _ in range(config.iterations):
-        states = state_stream.uniform(size=(config.n_states, mdp.dim))
+        states = state_stream.random(out=ws.states)  # the draws of uniform(size=(n, d))
         targets = beta_mixture_backup(v, states, mdp, config.sigma, config.beta,
-                                      corrupt_stream)
-        v = fit_value(states, targets, v, p=config.p)
+                                      corrupt_stream, ws)
+        v = fit_value(states, targets, v, p=config.p, ws=ws)
     v_pik = policy_return(mdp, v, eval_states)
     disc = float(np.mean(np.abs(v_star - v_pik) ** config.p) ** (1.0 / config.p))
     return FviResult(value_fn=v, discrepancy=disc, config=config)
@@ -466,7 +552,7 @@ def error_histogram_check(sigma: float, n_samples: int, bins: int,
                           rng: np.random.Generator) -> dict:
     """Sample half-normal magnitudes, histogram them, and report the
     Kolmogorov-Smirnov distance to the analytic CDF 2*Phi(x/sigma) - 1."""
-    x = half_normal(sigma, rng, size=n_samples)
+    x = half_normal(sigma, rng, np.empty(n_samples))
     edges = np.linspace(0.0, max(x.max(), 1e-12), bins + 1)
     counts, edges = np.histogram(x, bins=edges)
     freqs = counts / n_samples

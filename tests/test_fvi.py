@@ -10,14 +10,14 @@ from scipy.special import erf
 
 from mbrlab import fvi, workers
 
-from util import greedy_actions, reference_exact_vi
+from util import greedy_actions, reference_exact_vi, reference_fit_value
 
 
 def _const_mdp(c=0.5, gamma=0.9):
     return fvi.FviMdp(
         name="const", dim=1, actions=0.05 * np.array([[-1.0], [0.0], [1.0]]),
         gamma=gamma, r_max=max(c, 1e-9),
-        reward_fn=lambda s, a: np.full(np.atleast_2d(s).shape[0], c),
+        reward_fn=lambda s: np.full(np.atleast_2d(s).shape[0], c),
     )
 
 
@@ -33,8 +33,7 @@ def test_exact_vi_gamma_zero_is_myopic():
     mdp = replace(fvi.line_world(), gamma=1e-12)  # gamma must be < 1; ~0
     oracle = fvi.exact_vi(mdp, fine_grid_size=128, tol=1e-13)
     grid = np.linspace(0, 1, 128)[:, None]
-    best_r = np.max([mdp.reward(grid, a) for a in range(3)], axis=0)
-    assert np.allclose(oracle.value_fn(grid), best_r, atol=1e-6)
+    assert np.allclose(oracle.value_fn(grid), mdp.reward_fn(grid), atol=1e-6)
 
 
 def test_exact_vi_lineworld_peak_dominates_far_end():
@@ -73,18 +72,18 @@ def test_exact_vi_finds_the_basis_once(monkeypatch):
 # --------------------------------------------------------------- half-normal
 
 def test_half_normal_sigma_zero():
-    draws = fvi.half_normal(0.0, np.random.default_rng(0), size=1000)
+    draws = fvi.half_normal(0.0, np.random.default_rng(0), np.empty(1000))
     assert np.all(draws == 0.0)
 
 
 def test_half_normal_mean():
-    draws = fvi.half_normal(2.0, np.random.default_rng(1), size=1_000_000)
+    draws = fvi.half_normal(2.0, np.random.default_rng(1), np.empty(1_000_000))
     expect = 2.0 * np.sqrt(2.0 / np.pi)
     assert abs(draws.mean() - expect) / expect < 0.02
 
 
 def test_half_normal_cdf_at_sigma():
-    draws = fvi.half_normal(1.5, np.random.default_rng(2), size=1_000_000)
+    draws = fvi.half_normal(1.5, np.random.default_rng(2), np.empty(1_000_000))
     frac = (draws <= 1.5).mean()
     expect = erf(1.0 / np.sqrt(2.0))  # 2*Phi(1) - 1 ~ 0.6827
     assert abs(frac - expect) < 0.01
@@ -97,7 +96,7 @@ def test_backup_beta_one_is_exact_bellman():
     v = fvi.ValueFn(1, 32, np.random.default_rng(0).uniform(0, 10, size=32), mdp.v_max)
     states = np.random.default_rng(1).uniform(size=(50, 1))
     targets = fvi.beta_mixture_backup(v, states, mdp, 0.3, 1.0, np.random.default_rng(2))
-    expect = np.max([mdp.reward(states, a) + mdp.gamma * v(mdp.transition(states, a))
+    expect = np.max([mdp.reward_fn(states) + mdp.gamma * v(mdp.transition(states, a))
                      for a in range(3)], axis=0)
     assert np.array_equal(targets, np.clip(expect, 0, mdp.v_max))
 
@@ -118,9 +117,9 @@ def test_backup_computes_true_next_states_once_per_action(monkeypatch):
     calls = []
     real_transition = fvi.FviMdp.transition
 
-    def counting(self, s, a_idx):
+    def counting(self, s, a_idx, out=None):
         calls.append(a_idx)
-        return real_transition(self, s, a_idx)
+        return real_transition(self, s, a_idx, out)
 
     monkeypatch.setattr(fvi.FviMdp, "transition", counting)
     fvi.beta_mixture_backup(v, states, mdp, 0.2, 0.3, np.random.default_rng(12))
@@ -134,8 +133,7 @@ def test_backup_gamma_zero_is_reward_max():
     v = fvi.ValueFn(1, 16, np.ones(16) * 5.0, mdp.v_max if mdp.gamma else 1.0)
     states = np.random.default_rng(5).uniform(size=(40, 1))
     targets = fvi.beta_mixture_backup(v, states, mdp, 0.5, 0.3, np.random.default_rng(6))
-    expect = np.max([mdp.reward(states, a) for a in range(3)], axis=0)
-    assert np.allclose(targets, np.clip(expect, 0, v.v_max))
+    assert np.allclose(targets, np.clip(mdp.reward_fn(states), 0, v.v_max))
 
 
 # ----------------------------------------------------------------------- fit
@@ -196,7 +194,7 @@ def test_run_fvi_k0_is_myopic():
     assert np.all(res.value_fn.values == 0.0)
     states = np.random.default_rng(16).uniform(size=(20, 1))
     acts = greedy_actions(mdp, res.value_fn, states)
-    myopic = np.argmax([mdp.reward(states, a) for a in range(3)], axis=0)
+    myopic = np.argmax([mdp.reward_fn(states)] * mdp.n_actions, axis=0)
     assert np.array_equal(acts, myopic)
 
 
@@ -414,33 +412,84 @@ def _reference_value(value_fn, states):
     return (value_fn.values[idx] * wgt).sum(axis=1)
 
 
+def _reference_corrupt(true_next, sigma, rng):
+    """The corrupted model as a fresh array: half-normal steps, then a sign
+    (d=1) or an angle (d=2) drawn for every row."""
+    n, d = true_next.shape
+    xi = np.abs(rng.normal(size=n)) * sigma
+    if d == 1:
+        direction = (rng.integers(0, 2, size=(n, 1)) * 2 - 1).astype(np.float64)
+    else:
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        direction = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    return np.clip(true_next + xi[:, None] * direction, 0.0, 1.0)
+
+
 def _reference_backup(value_fn, states, mdp, sigma, beta, rng):
-    """The unblocked backup: every (action, state) scored in one lookahead."""
+    """The unblocked backup: every (action, state) scored in one lookahead, on
+    freshly allocated draws and a masked corrupted copy."""
     n = states.shape[0]
-    rewards = np.stack([mdp.reward(states, a) for a in range(mdp.n_actions)])
+    rewards = np.stack([mdp.reward_fn(states)] * mdp.n_actions)
     nexts = np.concatenate([mdp.transition(states, a) for a in range(mdp.n_actions)])
     for slab in np.split(nexts, mdp.n_actions):
         use_model = rng.uniform(size=n) >= beta
-        slab[use_model] = fvi.corrupt(slab, sigma, rng)[use_model]
+        slab[use_model] = _reference_corrupt(slab, sigma, rng)[use_model]
     scores = rewards + mdp.gamma * _reference_value(value_fn, nexts).reshape(rewards.shape)
     return np.clip(scores.max(axis=0), 0.0, value_fn.v_max)
 
 
+# beta 0 corrupts every row and beta 1 none
+@pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
 @pytest.mark.parametrize("mdp_fn,grid_size", [(fvi.line_world, 48), (fvi.grid_world_2d, 12)])
-def test_blocked_backup_and_interpolation_match_unblocked_reference(mdp_fn, grid_size):
+def test_blocked_backup_and_interpolation_match_unblocked_reference(mdp_fn, grid_size,
+                                                                    sigma, beta):
     mdp = mdp_fn()
     n = 2 * fvi.BACKUP_BLOCK + 777  # two full blocks and a ragged one
     v = fvi.ValueFn(mdp.dim, grid_size, np.random.default_rng(50).uniform(
         0, mdp.v_max, size=grid_size ** mdp.dim), mdp.v_max)
     states = np.random.default_rng(51).uniform(size=(n, mdp.dim))
     rngs = [np.random.default_rng(52), np.random.default_rng(52)]
-    got = fvi.beta_mixture_backup(v, states, mdp, 0.2, 0.4, rngs[0])
-    assert np.array_equal(got, _reference_backup(v, states, mdp, 0.2, 0.4, rngs[1]))
+    got = fvi.beta_mixture_backup(v, states, mdp, sigma, beta, rngs[0])
+    assert np.array_equal(got, _reference_backup(v, states, mdp, sigma, beta, rngs[1]))
     assert rngs[0].uniform() == rngs[1].uniform()  # the same draws were consumed
     assert (got > 0.0).all() and np.unique(got).size > n // 2
     off_box = np.random.default_rng(53).uniform(-0.3, 1.3, size=(n, mdp.dim))
     for s in (states, off_box):
         assert np.array_equal(v(s), _reference_value(v, s))
+
+
+def test_reward_is_computed_once_per_scoring_block():
+    calls = []
+
+    def counting(states):
+        calls.append(states.shape[0])
+        return fvi._bump(np.array([0.8]), states)
+
+    mdp = replace(fvi.line_world(), reward_fn=counting)
+    v = fvi.ValueFn(1, 16, np.random.default_rng(54).uniform(0, 10, size=16), mdp.v_max)
+    states = np.random.default_rng(55).uniform(size=(2 * fvi.BACKUP_BLOCK + 5, 1))
+    fvi.beta_mixture_backup(v, states, mdp, 0.1, 0.5, np.random.default_rng(56))
+    assert calls == [fvi.BACKUP_BLOCK, fvi.BACKUP_BLOCK, 5]
+    calls.clear()
+    fvi._action_stack(mdp, states)  # the lookahead of policy_return and exact_vi
+    assert calls == [states.shape[0]]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fit_value_reusing_one_workspace_matches_fresh_reference_fits(dim):
+    n = fvi.BACKUP_BLOCK + 300  # the fit finds its basis in two blocks of rows
+    ws = fvi.FviWorkspace(n, dim, n_actions=5)
+    prev = fvi.ValueFn.zeros(dim, 9, 20.0)
+    for call in range(4):  # p alternates 1, 2, 1, 2 on fresh targets
+        p = 1.0 + call % 2
+        states = np.random.default_rng(60 + call).uniform(size=(n, dim))
+        targets = np.random.default_rng(70 + call).uniform(0, 18, size=n)
+        got = fvi.fit_value(states, targets, prev, p=p, ws=ws)
+        fresh = fvi.fit_value(states.copy(), targets.copy(), prev, p=p)
+        ref = reference_fit_value(states, targets, prev, p=p)
+        assert got.values.tobytes() == fresh.values.tobytes() == ref.values.tobytes()
+        prev = got
 
 
 # ------------------------------------------------------- sweep and basis shape
@@ -514,8 +563,7 @@ def test_mdp_pickles_with_bit_equal_rewards(mdp_fn):
     mdp = mdp_fn()
     copy = pickle.loads(pickle.dumps(mdp))
     states = np.random.default_rng(60).uniform(size=(500, mdp.dim))
-    for a in range(mdp.n_actions):
-        assert copy.reward(states, a).tobytes() == mdp.reward(states, a).tobytes()
+    assert copy.reward_fn(states).tobytes() == mdp.reward_fn(states).tobytes()
     assert copy.actions.tobytes() == mdp.actions.tobytes()
 
 
@@ -559,14 +607,14 @@ def _reference_policy_return(mdp, value_fn, states, horizon):
     returns = np.zeros(s.shape[0])
     disc = 1.0
     for _ in range(horizon):
-        scores = np.stack([mdp.reward(s, a) + mdp.gamma * value_fn(mdp.transition(s, a))
+        scores = np.stack([mdp.reward_fn(s) + mdp.gamma * value_fn(mdp.transition(s, a))
                            for a in range(mdp.n_actions)])
         acts = scores.argmax(axis=0)
         r = np.empty(s.shape[0])
         nxt = np.empty_like(s)
         for a in range(mdp.n_actions):
             mask = acts == a
-            r[mask] = mdp.reward(s[mask], a)
+            r[mask] = mdp.reward_fn(s[mask])
             nxt[mask] = mdp.transition(s[mask], a)
         returns += disc * r
         disc *= mdp.gamma
@@ -583,7 +631,7 @@ def test_policy_return_matches_stepwise_reference(mdp_fn, grid_size):
     bump = fvi.ValueFn.zeros(mdp.dim, grid_size, mdp.v_max)
     axes = [np.linspace(0.0, 1.0, grid_size)] * mdp.dim
     knots = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mdp.dim)
-    bump.values = mdp.reward(knots, 0) * mdp.v_max
+    bump.values = mdp.reward_fn(knots) * mdp.v_max
     noisy = fvi.ValueFn(mdp.dim, grid_size,
                         np.random.default_rng(42).uniform(0, mdp.v_max, size=n_knots), mdp.v_max)
     states = np.random.default_rng(43).uniform(size=(64, mdp.dim))
@@ -599,7 +647,7 @@ def test_exact_vi_non_finite_backup_raises():
     mdp = fvi.FviMdp(
         name="nan-reward", dim=1, actions=0.05 * np.array([[-1.0], [0.0], [1.0]]),
         gamma=0.9, r_max=1.0,
-        reward_fn=lambda s, a: np.where(s[:, 0] > 0.5, np.nan, 0.5))
+        reward_fn=lambda s: np.where(s[:, 0] > 0.5, np.nan, 0.5))
     with pytest.raises(FloatingPointError, match="sweep 0"):
         fvi.exact_vi(mdp, fine_grid_size=32)
 

@@ -174,3 +174,35 @@ def reference_exact_vi(mdp, fine_grid_size=256, tol=1e-9, n_eval=256):
     rho = np.random.default_rng(0).uniform(size=(n_eval, mdp.dim))
     return fvi.ExactOracle(value_fn=v,
                            greedy_return=float(fvi.policy_return(mdp, v, rho).mean()))
+
+
+def reference_fit_value(states, targets, prev, p=2.0):
+    """`fvi.fit_value` as it allocates: a fresh basis, knot-pair array and pair
+    weights on every call and every IRLS step."""
+    idx, wgt = prev.basis(states)
+    n_knots = prev.grid_size ** prev.dim
+    idx_c, wgt_c = idx.T, wgt.T
+    pairs = (idx_c[:, None, :] * n_knots + idx_c[None, :, :]).ravel()
+
+    def solve_weighted(sample_w):
+        sw = sample_w * wgt_c
+        a = np.bincount(pairs, (sw[:, None, :] * wgt_c[None, :, :]).ravel(),
+                        minlength=n_knots * n_knots).reshape(n_knots, n_knots)
+        b = np.bincount(idx_c.ravel(), (sw * targets).ravel(), minlength=n_knots)
+        support = np.diag(a) > 0.0
+        vals = prev.values.copy()
+        sub = a[np.ix_(support, support)]
+        sub[np.diag_indices_from(sub)] += 1e-8
+        vals[support] = np.linalg.solve(sub, b[support])
+        return vals
+
+    vals = solve_weighted(np.ones(states.shape[0]))
+    if p == 1.0:
+        for _ in range(50):
+            resid = np.abs(fvi._interpolate(vals, idx_c, wgt_c) - targets)
+            new_vals = solve_weighted(1.0 / np.maximum(resid, 1e-6))
+            converged = np.max(np.abs(new_vals - vals)) < 1e-10
+            vals = new_vals
+            if converged:
+                break
+    return fvi.ValueFn(prev.dim, prev.grid_size, np.clip(vals, 0.0, prev.v_max), prev.v_max)
